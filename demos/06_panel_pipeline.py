@@ -19,7 +19,6 @@ from firmgrowth.model import ModelParams, ParetoCount, simulate_panel
 from firmgrowth.panel import (
     DeflatorSeries,
     QuarterlyPanel,
-    annual_log_growth,
     deflate,
     descriptive_stats,
     filter_firms,
@@ -61,16 +60,14 @@ for year in (2000, 2003, 2005):
     mean = qp.size[qp.year == year].mean()
     print(f"  mean normalized size in {year}: {mean:.12f}")
 
-qp, exclusions = filter_firms(qp, min_growth_obs=10)
+qp, growths, exclusions = filter_firms(qp, min_growth_obs=10)
 print(f"firm filter: kept {np.unique(qp.firm_id).size} firms,"
       f" excluded {len(exclusions)}")
-
-growths = annual_log_growth(qp)
 print(f"rolling annual growth rates: {growths.n_obs}"
       " (each quarter paired with the one 4 quarters later)")
 
 print("\ndescriptive statistics:")
-for row in descriptive_stats(qp):
+for row in descriptive_stats(qp, growths):
     print(f"  {row['variable']:<26} n={row['n']:>6} mean={row['mean']:>9.4f}"
           f" sd={row['sd']:>9.4f}")
 

@@ -63,7 +63,7 @@ def run_settings(cfg, args):
     """[run] section with CLI flags taking precedence."""
     seed = args.seed if args.seed is not None else _get(cfg, "run", "seed", "20260801")
     out_dir = args.out_dir or _get(cfg, "run", "out_dir", "out")
-    threads = args.threads if args.threads is not None else _get(cfg, "run", "threads", "0")
+    threads = args.threads if args.threads is not None else _get(cfg, "run", "threads", "1")
     threads = int(threads)
     if threads <= 0:
         import os
@@ -182,23 +182,13 @@ def cmd_analyze(cfg, args):
     q_list = [int(q) for q in sec.get("q_list", "1,2,3,4").split(",")]
 
     panel = Panel.read_csv(panel_path)
-    order = np.lexsort((panel.period, panel.firm_id))
-    fid, per, siz = panel.firm_id[order], panel.period[order], panel.size[order]
-    sizes_mean, vols = [], []
-    dropped = 0
-    for firm in np.unique(fid):
-        m = fid == firm
-        s = siz[m][np.argsort(per[m])]
-        if s.size < 3:
-            dropped += 1
-            continue
-        growth = s[1:] / s[:-1] - 1.0
-        sizes_mean.append(s.mean())
-        vols.append(estimation.mad_volatility(growth))
+    sizes_mean, vols, dropped = estimation.firm_size_volatility(
+        panel.firm_id, panel.period, panel.size
+    )
     if len(vols) < n_bins:
-        raise ValidationError("not enough firms with >= 3 periods for the requested bins")
-    sizes_mean = np.array(sizes_mean)
-    vols = np.array(vols)
+        raise ValidationError(
+            "not enough firms with >= 2 one-period growth rates for the requested bins"
+        )
 
     out_dir.mkdir(parents=True, exist_ok=True)
     stats = analysis.binned_volatility_moments(sizes_mean, vols, q_list, n_bins=n_bins)
@@ -318,12 +308,13 @@ def cmd_ingest(cfg, args):
     except ValueError as exc:
         raise ValidationError(str(exc)) from None
     qp = panel_mod.QuarterlyPanel.from_observations(observations)
+    del observations  # one Python object per row: free them before the array stages
     if sec.get("deflator"):
         deflator = panel_mod.DeflatorSeries.from_csv(sec["deflator"])
         qp = panel_mod.deflate(qp, deflator)
     if sec.get("normalize", "true").strip().lower() in ("1", "true", "yes"):
         qp = panel_mod.normalize_by_year(qp)
-    qp, exclusions = panel_mod.filter_firms(
+    qp, growths, exclusions = panel_mod.filter_firms(
         qp,
         min_growth_obs=int(sec.get("min_growth_obs", "2")),
         fiscal_december_only=sec.get("fiscal_december_only", "false").strip().lower()
@@ -333,10 +324,11 @@ def cmd_ingest(cfg, args):
         raise ValidationError("no observations survive the filters")
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    growths = panel_mod.annual_log_growth(qp)
     panel_mod.write_growth_csv(growths, out_dir / "growth.csv")
     write_json(Path(str(out_dir / "growth.csv") + ".meta.json"), _meta(cfg, seed))
-    panel_mod.write_stats_csv(panel_mod.descriptive_stats(qp), out_dir / "descriptive_stats.csv")
+    panel_mod.write_stats_csv(
+        panel_mod.descriptive_stats(qp, growths), out_dir / "descriptive_stats.csv"
+    )
     write_json(
         out_dir / "exclusions.json",
         {"_meta": _meta(cfg, seed), "excluded_firms": exclusions,
@@ -400,7 +392,8 @@ def build_parser():
     common.add_argument("--config", help="INI config file")
     common.add_argument("--seed", type=int, help="master seed (overrides config)")
     common.add_argument("--out-dir", help="output directory (overrides config)")
-    common.add_argument("--threads", type=int, help="worker pool size (overrides config)")
+    common.add_argument("--threads", type=int,
+                        help="simulate worker threads, default 1, 0 = all cores (overrides config)")
     common.add_argument("--strict", action="store_true",
                         help="exit 3 when a tolerance check fails")
 

@@ -14,6 +14,7 @@ from scipy import optimize, special
 
 from firmgrowth.analysis import DensityEstimate, binned_volatility_moments, loglog_ols
 from firmgrowth.distributions import GseParams, MigParams, gse_pdf
+from firmgrowth.groups import Groups
 
 _ADJ = np.sqrt(np.pi / 2.0)
 
@@ -26,12 +27,14 @@ def mad_volatility(growth_rates):
     """Adjusted mean absolute deviation: sqrt(pi/2) * mean |g - gbar|.
 
     The sqrt(pi/2) factor makes the statistic an unbiased estimate of the
-    standard deviation under Gaussian sampling.
+    standard deviation under Gaussian sampling.  It reduces over the last
+    axis, so a 2-D array gives one volatility per row.
     """
     g = np.asarray(growth_rates, dtype=float)
-    if g.size < 2:
+    if g.ndim == 0 or g.shape[-1] < 2:
         raise ValueError("need at least 2 observations")
-    return float(_ADJ * np.mean(np.abs(g - g.mean())))
+    vol = _ADJ * np.mean(np.abs(g - g.mean(axis=-1, keepdims=True)), axis=-1)
+    return float(vol) if g.ndim == 1 else vol
 
 
 def sd_volatility(growth_rates):
@@ -48,24 +51,75 @@ def leave_one_out_rescale(series):
     Element t becomes (g_t - mean_{-t}) / mad_{-t}, where both statistics are
     computed on the series with element t removed (the mean inside the MAD is
     the leave-one-out mean as well).  Elements whose leave-one-out MAD is zero
-    come back as NaN; needs at least 3 observations.
+    come back as NaN; needs at least 3 observations.  A 2-D array is
+    rescaled row by row, one series per row.
     """
     g = np.asarray(series, dtype=float)
-    n = g.size
+    n = g.shape[-1] if g.ndim else 0
     if n < 3:
         raise ValueError("need at least 3 observations")
-    loo_mean = (g.sum() - g) / (n - 1)
+    loo_mean = (g.sum(axis=-1, keepdims=True) - g) / (n - 1)
     # sum over t' of |g_t' - m| via sorted prefix sums, O(n log n) overall
-    srt = np.sort(g)
-    pref = np.concatenate(([0.0], np.cumsum(srt)))
-    below = np.searchsorted(srt, loo_mean, side="right")
+    srt = np.sort(g, axis=-1)
+    pref = np.concatenate((np.zeros_like(srt[..., :1]), np.cumsum(srt, axis=-1)), axis=-1)
+    below = _count_at_most(srt, loo_mean)
+    pref_below = np.take_along_axis(pref, below, axis=-1)
     abs_sum = (
-        loo_mean * below - pref[below] + (pref[n] - pref[below]) - loo_mean * (n - below)
+        loo_mean * below - pref_below + (pref[..., -1:] - pref_below) - loo_mean * (n - below)
     )
     own = np.abs(g - loo_mean)
     mad = _ADJ * (abs_sum - own) / (n - 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(mad > 0, (g - loo_mean) / mad, np.nan)
+
+
+def _count_at_most(sorted_rows, x):
+    """Row by row, how many entries of ``sorted_rows`` are <= each entry of ``x``.
+
+    The same count as ``np.searchsorted(row, x_row, side="right")`` for every
+    row at once: a stable sort of each row followed by its queries keeps the
+    row's entries ahead of equal queries.
+    """
+    n = sorted_rows.shape[-1]
+    merged = np.argsort(np.concatenate((sorted_rows, x), axis=-1), axis=-1, kind="stable")
+    is_query = merged >= n
+    entries_so_far = np.cumsum(~is_query, axis=-1)
+    out = np.empty(x.shape, dtype=np.intp)
+    np.put_along_axis(
+        out,
+        (merged[is_query] - n).reshape(x.shape),
+        entries_so_far[is_query].reshape(x.shape),
+        axis=-1,
+    )
+    return out
+
+
+def firm_size_volatility(firm_id, period, size):
+    """Each firm's mean size and the adjusted MAD of its one-period growth rates.
+
+    Growth rates s_{t+1} / s_t - 1 come only from pairs of a firm's rows
+    exactly one period apart, so a gap in a firm's periods never passes for
+    a one-period change.  Firms with fewer than two such rates are dropped.
+    Rows may come in any order; a repeated (firm, period) pair raises
+    ValueError.  Returns ``(mean_sizes, volatilities, n_dropped)`` with the
+    kept firms in ascending id order.
+    """
+    order = np.lexsort((period, firm_id))
+    fid, per, siz = (np.asarray(col)[order] for col in (firm_id, period, size))
+    same_firm = fid[1:] == fid[:-1]
+    step = per[1:] - per[:-1]
+    repeated = np.flatnonzero(same_firm & (step == 0))
+    if repeated.size:
+        i = repeated[0]
+        raise ValueError(f"duplicate rows for firm_id {fid[i]}, period {per[i]}")
+    pair = same_firm & (step == 1)
+    rated = Groups.of(fid[:-1][pair])
+    rated = rated.select(rated.counts >= 2)
+    firms = Groups.of(fid)
+    kept = firms.select(np.isin(firms.keys, rated.keys))
+    growth = siz[1:][pair] / siz[:-1][pair] - 1.0
+    mean_sizes = kept.reduce(siz, lambda rows: rows.mean(axis=-1))
+    return mean_sizes, rated.reduce(growth, mad_volatility), firms.keys.size - rated.keys.size
 
 
 # ---------------------------------------------------------------------------

@@ -610,7 +610,7 @@ def run_table1(seed=20260808, n_firms=20_000, n_periods=28, mu=1.6, alpha=1.2, s
 
     pooled = growth.ravel()
     hom = (pooled - pooled.mean()) / mad_volatility(pooled)
-    het = np.concatenate([leave_one_out_rescale(growth[i]) for i in range(n_firms)])
+    het = leave_one_out_rescale(growth).ravel()
     het = het[np.isfinite(het)]
 
     grid = np.linspace(-8.0, 8.0, 2_500)

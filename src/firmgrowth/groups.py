@@ -1,0 +1,56 @@
+"""Rows grouped by key, for per-firm reductions without a pass per firm.
+
+The rows are stable-sorted by key once; each group is then a run of that
+order, given by its start and its row count.  A reduction gathers all
+groups of one length L into a single ``(n_groups, L)`` array and reduces it
+along the last axis, so the Python loop runs once per distinct length, not
+once per group.
+
+A row-wise reduction of such a block performs, row by row, the same
+floating-point operations in the same order as reducing each group on its
+own, so the results are bit-identical to a per-group loop.
+``np.add.reduceat`` is not: it sums each group sequentially, where
+``np.sum`` sums pairwise, and the two differ in the last bit.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+
+@dataclass(frozen=True)
+class Groups:
+    """Groups of equal keys: ascending keys, rows in input order within a group."""
+
+    keys: np.ndarray    # one per group, ascending
+    order: np.ndarray   # row indices, stable-sorted by key
+    starts: np.ndarray  # each group's first position in `order`
+    counts: np.ndarray  # each group's number of rows
+
+    @classmethod
+    def of(cls, keys):
+        keys = np.asarray(keys)
+        order = np.argsort(keys, kind="stable")
+        ordered = keys[order]
+        starts = np.flatnonzero(np.concatenate(([keys.size > 0], ordered[1:] != ordered[:-1])))
+        counts = np.diff(np.append(starts, keys.size))
+        return cls(ordered[starts], order, starts, counts)
+
+    def select(self, mask):
+        """The groups where `mask` (one flag per group) is true, over the same rows."""
+        return Groups(self.keys[mask], self.order, self.starts[mask], self.counts[mask])
+
+    def reduce(self, values, rowwise):
+        """One float per group: ``rowwise`` applied to blocks of equal-length groups.
+
+        `values` holds one entry per row, in input order.  ``rowwise`` maps an
+        ``(n, L)`` array to the ``n`` results of its rows.
+        """
+        ordered = np.asarray(values)[self.order]
+        out = np.empty(self.keys.size)
+        for length in np.unique(self.counts):
+            which = np.flatnonzero(self.counts == length)
+            out[which] = rowwise(ordered[self.starts[which, None] + np.arange(length)])
+        return out

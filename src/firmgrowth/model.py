@@ -295,6 +295,9 @@ def theoretical_volatility(firm, sigma0):
 # Panels
 # ---------------------------------------------------------------------------
 
+_PANEL_COLUMNS = [("firm_id", np.int64), ("period", np.int64), ("size", float)]
+
+
 @dataclass
 class Panel:
     """Firm-by-period size observations (long format, sorted by firm then period)."""
@@ -322,9 +325,20 @@ class Panel:
 
     @classmethod
     def read_csv(cls, path):
-        data = np.genfromtxt(path, delimiter=",", names=True, dtype=None, encoding="utf-8")
-        data = np.atleast_1d(data)
-        return cls(data["firm_id"], data["period"], data["size"])
+        """Read a panel CSV whose header names the three columns, in any order."""
+        with open(path) as fh:
+            header = [name.strip() for name in fh.readline().split(",")]
+            missing = [name for name, _ in _PANEL_COLUMNS if name not in header]
+            if missing:
+                raise ValueError(f"panel CSV {path} lacks column(s) {', '.join(missing)}")
+            rows = np.loadtxt(
+                fh,
+                delimiter=",",
+                usecols=[header.index(name) for name, _ in _PANEL_COLUMNS],
+                dtype=_PANEL_COLUMNS,
+                ndmin=1,
+            )
+        return cls(rows["firm_id"], rows["period"], rows["size"])
 
 
 @dataclass

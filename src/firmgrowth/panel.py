@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from firmgrowth.estimation import mad_volatility
+from firmgrowth.groups import Groups
 
 DEFAULT_SCHEMA = {
     "firm_id": "firm_id",
@@ -217,6 +218,11 @@ class GrowthRecords:
     def n_obs(self):
         return len(self.growth)
 
+    def select(self, mask):
+        return GrowthRecords(
+            self.firm_id[mask], self.year[mask], self.quarter[mask], self.growth[mask]
+        )
+
 
 def annual_log_growth(panel: QuarterlyPanel) -> GrowthRecords:
     """Rolling annual growth: log size difference exactly four quarters apart.
@@ -253,29 +259,27 @@ def annual_log_growth(panel: QuarterlyPanel) -> GrowthRecords:
 def filter_firms(panel: QuarterlyPanel, min_growth_obs=2, fiscal_december_only=False):
     """Keep firms meeting the active criteria; log every exclusion.
 
-    Returns (filtered_panel, exclusion_log) where the log maps firm_id to a
-    reason code.  Counts reconcile: every input firm is either retained or
-    present in the log.
+    Returns (filtered_panel, filtered_growths, exclusion_log): the filtered
+    growths are the :func:`annual_log_growth` records of the filtered panel
+    (filters drop whole firms, so they are the input's records of the kept
+    firms), and the log maps firm_id to a reason code, in ascending firm_id
+    order.  Counts reconcile: every input firm is either retained or present
+    in the log.
     """
     growths = annual_log_growth(panel)
-    g_firms, g_counts = np.unique(growths.firm_id, return_counts=True)
-    count_by_firm = dict(zip(g_firms.tolist(), g_counts.tolist()))
+    firms, firm_of_row = np.unique(panel.firm_id, return_inverse=True)
+    firm_of_growth = np.searchsorted(firms, growths.firm_id)
+    n_growth = np.bincount(firm_of_growth, minlength=firms.size)
+    december = np.ones(firms.size, dtype=bool)
+    if fiscal_december_only:
+        december[firm_of_row[panel.fiscal_year_end_month != 12]] = False
+    keep = december & (n_growth >= min_growth_obs)
 
-    exclusion_log = {}
-    keep_firms = set()
-    for firm in np.unique(panel.firm_id).tolist():
-        if fiscal_december_only:
-            months = panel.fiscal_year_end_month[panel.firm_id == firm]
-            if not np.all(months == 12):
-                exclusion_log[firm] = "fiscal_year_not_december"
-                continue
-        if count_by_firm.get(firm, 0) < min_growth_obs:
-            exclusion_log[firm] = "too_few_growth_rates"
-            continue
-        keep_firms.add(firm)
-
-    mask = np.isin(panel.firm_id, sorted(keep_firms))
-    return panel.select(mask), exclusion_log
+    exclusion_log = {
+        firm: "too_few_growth_rates" if dec else "fiscal_year_not_december"
+        for firm, dec in zip(firms[~keep].tolist(), december[~keep].tolist())
+    }
+    return panel.select(keep[firm_of_row]), growths.select(keep[firm_of_growth]), exclusion_log
 
 
 # ---------------------------------------------------------------------------
@@ -297,25 +301,21 @@ def _stat_row(name, values):
     }
 
 
-def descriptive_stats(panel: QuarterlyPanel):
-    """Six-column summary rows for sizes, growth rates, volatilities, counts."""
+def descriptive_stats(panel: QuarterlyPanel, growths: GrowthRecords):
+    """Six-column summary rows for sizes, growth rates, volatilities, counts.
+
+    `growths` are the panel's annual growth records (:func:`annual_log_growth`).
+    """
     if panel.n_obs == 0:
         raise ValueError("panel is empty")
-    growths = annual_log_growth(panel)
-    rows = [
+    firms = Groups.of(growths.firm_id)
+    vols = firms.select(firms.counts >= 2).reduce(growths.growth, mad_volatility)
+    return [
         _stat_row("size", panel.size),
         _stat_row("growth_rate", growths.growth),
+        _stat_row("growth_volatility_mad", vols),
+        _stat_row("n_growth_rates_per_firm", firms.counts),
     ]
-    vols = []
-    counts = []
-    for firm in np.unique(growths.firm_id):
-        g = growths.growth[growths.firm_id == firm]
-        counts.append(g.size)
-        if g.size >= 2:
-            vols.append(mad_volatility(g))
-    rows.append(_stat_row("growth_volatility_mad", vols))
-    rows.append(_stat_row("n_growth_rates_per_firm", counts))
-    return rows
 
 
 def write_stats_csv(rows, path):

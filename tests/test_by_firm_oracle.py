@@ -1,0 +1,235 @@
+"""Grouped by-firm reductions against the per-firm loops they replaced.
+
+Each ``loop_*`` function below is the earlier implementation, which masked
+the whole panel once per firm.  The grouped code must reproduce it byte for
+byte (``tobytes()`` / ``repr``) on gap-free inputs: unsorted rows, ragged
+firms, firms with one or two rows, and string keys.
+"""
+
+import numpy as np
+import pytest
+
+from firmgrowth.estimation import (
+    _ADJ,
+    firm_size_volatility,
+    leave_one_out_rescale,
+    mad_volatility,
+)
+from firmgrowth.groups import Groups
+from firmgrowth.panel import (
+    QuarterlyPanel,
+    _stat_row,
+    annual_log_growth,
+    descriptive_stats,
+    filter_firms,
+)
+
+
+# ---------------------------------------------------------------------------
+# Reference loops
+# ---------------------------------------------------------------------------
+
+def loop_firm_stats(firm_id, period, size):
+    order = np.lexsort((period, firm_id))
+    fid, per, siz = firm_id[order], period[order], size[order]
+    sizes_mean, vols = [], []
+    dropped = 0
+    for firm in np.unique(fid):
+        m = fid == firm
+        s = siz[m][np.argsort(per[m])]
+        if s.size < 3:
+            dropped += 1
+            continue
+        growth = s[1:] / s[:-1] - 1.0
+        sizes_mean.append(s.mean())
+        vols.append(mad_volatility(growth))
+    return np.array(sizes_mean), np.array(vols), dropped
+
+
+def loop_filter_firms(panel, min_growth_obs=2, fiscal_december_only=False):
+    growths = annual_log_growth(panel)
+    g_firms, g_counts = np.unique(growths.firm_id, return_counts=True)
+    count_by_firm = dict(zip(g_firms.tolist(), g_counts.tolist()))
+
+    exclusion_log = {}
+    keep_firms = set()
+    for firm in np.unique(panel.firm_id).tolist():
+        if fiscal_december_only:
+            months = panel.fiscal_year_end_month[panel.firm_id == firm]
+            if not np.all(months == 12):
+                exclusion_log[firm] = "fiscal_year_not_december"
+                continue
+        if count_by_firm.get(firm, 0) < min_growth_obs:
+            exclusion_log[firm] = "too_few_growth_rates"
+            continue
+        keep_firms.add(firm)
+
+    mask = np.isin(panel.firm_id, sorted(keep_firms))
+    return panel.select(mask), exclusion_log
+
+
+def loop_descriptive_stats(panel):
+    growths = annual_log_growth(panel)
+    rows = [
+        _stat_row("size", panel.size),
+        _stat_row("growth_rate", growths.growth),
+    ]
+    vols = []
+    counts = []
+    for firm in np.unique(growths.firm_id):
+        g = growths.growth[growths.firm_id == firm]
+        counts.append(g.size)
+        if g.size >= 2:
+            vols.append(mad_volatility(g))
+    rows.append(_stat_row("growth_volatility_mad", vols))
+    rows.append(_stat_row("n_growth_rates_per_firm", counts))
+    return rows
+
+
+def loop_leave_one_out_rescale(series):
+    g = np.asarray(series, dtype=float)
+    n = g.size
+    loo_mean = (g.sum() - g) / (n - 1)
+    srt = np.sort(g)
+    pref = np.concatenate(([0.0], np.cumsum(srt)))
+    below = np.searchsorted(srt, loo_mean, side="right")
+    abs_sum = (
+        loo_mean * below - pref[below] + (pref[n] - pref[below]) - loo_mean * (n - below)
+    )
+    own = np.abs(g - loo_mean)
+    mad = _ADJ * (abs_sum - own) / (n - 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(mad > 0, (g - loo_mean) / mad, np.nan)
+
+
+# ---------------------------------------------------------------------------
+# Inputs
+# ---------------------------------------------------------------------------
+
+def ragged_lengths(rng, n_firms):
+    # every length from 1 to 40, so firms with one and two rows occur and
+    # pairwise summation (8 accumulators from 8 terms on) is exercised
+    return np.concatenate((np.arange(1, 41), rng.integers(1, 41, n_firms - 40)))
+
+
+def firm_panel(seed, string_keys=False, n_firms=300):
+    """Gap-free (firm_id, period, size) rows, ragged, in shuffled order."""
+    rng = np.random.default_rng(seed)
+    lengths = ragged_lengths(rng, n_firms)
+    ids = rng.choice(10**6, n_firms, replace=False)
+    firm_id = np.repeat(ids, lengths)
+    start = np.repeat(rng.integers(0, 5, n_firms), lengths)
+    period = start + np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    size = np.exp(rng.normal(0.0, 2.0, period.size))
+    if string_keys:
+        firm_id = np.array([f"g{i:07d}" for i in firm_id.tolist()])
+    shuffle = rng.permutation(period.size)
+    return firm_id[shuffle], period[shuffle], size[shuffle]
+
+
+def quarterly_panel(seed, n_firms=300):
+    """String-keyed quarterly rows: ragged, shuffled, some non-December firms."""
+    rng = np.random.default_rng(seed)
+    lengths = ragged_lengths(rng, n_firms)
+    firm = np.repeat(np.arange(n_firms), lengths)
+    t = np.repeat(rng.integers(0, 8, n_firms), lengths)
+    t = t + np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    fyr = np.where(rng.random(n_firms) < 0.2, 6, 12)
+    shuffle = rng.permutation(t.size)
+    firm, t = firm[shuffle], t[shuffle]
+    return QuarterlyPanel(
+        firm_id=np.array([f"F{f:05d}" for f in firm.tolist()]),
+        year=2000 + t // 4,
+        quarter=t % 4 + 1,
+        size=np.exp(rng.normal(0.0, 1.5, t.size)),
+        fiscal_year_end_month=fyr[firm],
+    )
+
+
+def assert_same_array(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Oracle tests
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("string_keys", [False, True])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_firm_size_volatility_matches_loop(seed, string_keys):
+    firm_id, period, size = firm_panel(seed, string_keys)
+    sizes, vols, dropped = firm_size_volatility(firm_id, period, size)
+    ref_sizes, ref_vols, ref_dropped = loop_firm_stats(firm_id, period, size)
+    assert_same_array(sizes, ref_sizes)
+    assert_same_array(vols, ref_vols)
+    assert dropped == ref_dropped > 0
+
+
+def test_firm_size_volatility_equal_lengths_matches_loop():
+    # the simulated-panel shape: every firm has the same number of periods
+    rng = np.random.default_rng(2)
+    firm_id = np.repeat(np.arange(500), 8)
+    period = np.tile(np.arange(8), 500)
+    size = np.exp(rng.normal(0.0, 2.0, firm_id.size))
+    got = firm_size_volatility(firm_id, period, size)
+    ref = loop_firm_stats(firm_id, period, size)
+    assert_same_array(got[0], ref[0])
+    assert_same_array(got[1], ref[1])
+    assert got[2] == ref[2] == 0
+
+
+@pytest.mark.parametrize("fiscal_december_only", [False, True])
+@pytest.mark.parametrize("min_growth_obs", [1, 2, 10])
+def test_filter_firms_matches_loop(min_growth_obs, fiscal_december_only):
+    panel = quarterly_panel(3)
+    kept, growths, log = filter_firms(panel, min_growth_obs, fiscal_december_only)
+    ref_kept, ref_log = loop_filter_firms(panel, min_growth_obs, fiscal_december_only)
+    for column in ("firm_id", "year", "quarter", "size", "fiscal_year_end_month"):
+        assert_same_array(getattr(kept, column), getattr(ref_kept, column))
+    assert repr(log) == repr(ref_log)
+    assert log
+    # the selected growth records are those of the filtered panel
+    ref_growths = annual_log_growth(ref_kept)
+    for column in ("firm_id", "year", "quarter", "growth"):
+        assert_same_array(getattr(growths, column), getattr(ref_growths, column))
+
+
+@pytest.mark.parametrize("seed", [4, 5])
+def test_descriptive_stats_matches_loop(seed):
+    panel = quarterly_panel(seed)
+    assert repr(descriptive_stats(panel, annual_log_growth(panel))) == repr(
+        loop_descriptive_stats(panel)
+    )
+
+
+def test_leave_one_out_rows_match_loop():
+    rng = np.random.default_rng(6)
+    growth = rng.standard_normal((500, 27)) * 10 ** rng.uniform(-2, 1, (500, 1))
+    growth[:20] = np.round(growth[:20], 1)   # ties between values and means
+    growth[20, :] = 0.0                      # every leave-one-out MAD zero
+    growth[21, 1:] = 0.0                     # all but one zero
+    ref = np.stack([loop_leave_one_out_rescale(row) for row in growth])
+    assert_same_array(leave_one_out_rescale(growth), ref)
+    assert_same_array(leave_one_out_rescale(growth[7]), ref[7])
+
+
+def test_mad_volatility_rows_match_loop():
+    rng = np.random.default_rng(7)
+    for length in (2, 7, 8, 9, 17, 40):
+        g = rng.standard_normal((50, length))
+        ref = np.array([mad_volatility(row) for row in g])
+        assert_same_array(mad_volatility(g), ref)
+
+
+def test_groups_layout():
+    groups = Groups.of(np.array(["b", "a", "c", "a", "b", "a"]))
+    assert groups.keys.tolist() == ["a", "b", "c"]
+    assert groups.counts.tolist() == [3, 2, 1]
+    assert groups.order.tolist() == [1, 3, 5, 0, 4, 2]
+    values = np.arange(6.0)
+    assert groups.reduce(values, lambda rows: rows.sum(axis=-1)).tolist() == [9.0, 4.0, 2.0]
+    two = groups.select(groups.counts >= 2)
+    assert two.reduce(values, lambda rows: rows[:, -1]).tolist() == [5.0, 4.0]
+    empty = Groups.of(np.array([], dtype=np.int64))
+    assert empty.keys.size == 0 and empty.reduce([], np.sum).size == 0

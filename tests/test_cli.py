@@ -1,10 +1,12 @@
 import hashlib
 import json
+import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from firmgrowth.cli import main
+from firmgrowth.cli import load_config, main, run_settings
 
 
 def sha(path):
@@ -75,6 +77,16 @@ class TestSimulate:
         meta = json.loads((tmp_path / "pre" / "panel.meta.json").read_text())
         assert meta["seed"] == 55  # flag beats the config's 777
 
+    def test_threads_default_is_one(self, tmp_path):
+        def threads(flag, body="[run]\n"):
+            args = SimpleNamespace(seed=None, out_dir=None, threads=flag)
+            return run_settings(load_config(write_config(tmp_path, body)), args)[2]
+
+        assert threads(None) == 1
+        assert threads(0) == (os.cpu_count() or 1)
+        assert threads(None, "[run]\nthreads = 0\n") == (os.cpu_count() or 1)
+        assert threads(3, "[run]\nthreads = 0\n") == 3
+
     def test_zero_firms_is_validation_error(self, tmp_path):
         body = SIM_CFG.format(out=tmp_path / "out").replace("n_firms = 400", "n_firms = 0")
         cfg = write_config(tmp_path, body)
@@ -94,6 +106,15 @@ class TestAnalyze:
         assert density_header == "x,density"
         fits = json.loads((out / "scaling_fits.json").read_text())
         assert set(fits["fits"]["1"]) == {"slope", "intercept", "se", "r2"}
+
+    def test_duplicate_rows_are_validation_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SIM_CFG.format(out=tmp_path / "out"))
+        assert main(["--config", cfg, "simulate"]) == 0
+        panel = tmp_path / "out" / "panel.csv"
+        lines = panel.read_text().splitlines()
+        panel.write_text("\n".join(lines + [lines[7]]) + "\n")
+        assert main(["--config", cfg, "analyze"]) == 1
+        assert "duplicate rows" in capsys.readouterr().err
 
     def test_missing_panel_is_error(self, tmp_path):
         cfg = write_config(tmp_path, SIM_CFG.format(out=tmp_path / "out"))

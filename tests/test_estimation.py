@@ -6,6 +6,7 @@ from firmgrowth.analysis import kde_gaussian, DensityEstimate
 from firmgrowth.distributions import GseParams, MigParams, gse_pdf, mig_sample
 from firmgrowth.estimation import (
     fit_gse_nls,
+    firm_size_volatility,
     fit_mig_mle,
     gaussian_mass_fraction,
     gse_params_from_fit,
@@ -44,6 +45,23 @@ class TestVolatilityProxies:
         for fn in (mad_volatility, sd_volatility):
             assert fn(5.0 * g) == pytest.approx(5.0 * fn(g), rel=1e-12)
             assert fn(g + 17.0) == pytest.approx(fn(g), rel=1e-9)
+
+
+class TestFirmSizeVolatility:
+    def test_gap_splits_growth_pairs(self):
+        # firm 1 skips period 2: its rates come only from 0->1 and 3->4, never
+        # from the two-period change 1->3; firm 2 has no adjacent periods
+        firm_id = np.array([1, 1, 1, 1, 2, 2, 2])
+        period = np.array([0, 1, 3, 4, 0, 2, 4])
+        size = np.array([1.0, 2.0, 8.0, 6.0, 1.0, 1.0, 1.0])
+        sizes, vols, dropped = firm_size_volatility(firm_id, period, size)
+        assert sizes.tolist() == [np.mean([1.0, 2.0, 8.0, 6.0])]
+        assert vols.tolist() == [mad_volatility([2.0 / 1.0 - 1.0, 6.0 / 8.0 - 1.0])]
+        assert dropped == 1
+
+    def test_duplicate_period_rejected(self):
+        with pytest.raises(ValueError, match="duplicate rows for firm_id 1, period 1"):
+            firm_size_volatility(np.array([1, 1, 1]), np.array([0, 1, 1]), np.ones(3))
 
 
 class TestLeaveOneOut:

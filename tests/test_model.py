@@ -193,6 +193,16 @@ class TestSimulatePanel:
         assert np.array_equal(back.size, panel.size)
         info.write_json(tmp_path / "panel.meta.json")
         assert (tmp_path / "panel.meta.json").exists()
+        # a single row
+        Panel(panel.firm_id[:1], panel.period[:1], panel.size[:1]).write_csv(path)
+        one = Panel.read_csv(path)
+        assert (one.firm_id.tolist(), one.period.tolist()) == ([0], [0])
+        assert one.size.tobytes() == panel.size[:1].tobytes()
+        # columns are found by name, whatever their order
+        lines = [line.split(",") for line in path.read_text().splitlines()]
+        path.write_text("".join(f"{s},{f},{t}\n" for f, t, s in lines))
+        swapped = Panel.read_csv(path)
+        assert swapped.firm_id.tolist() == [0] and swapped.size.tolist() == one.size.tolist()
 
     def test_validation(self):
         with pytest.raises(ValueError):

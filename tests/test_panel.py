@@ -169,7 +169,7 @@ class TestFilterFirms:
             ("drop", 2001, 1, 1.2),
         ]
         panel = make_panel(rows)
-        kept, log = filter_firms(panel, min_growth_obs=2)
+        kept, _, log = filter_firms(panel, min_growth_obs=2)
         assert set(np.unique(kept.firm_id)) == {"keep"}
         assert log == {"drop": "too_few_growth_rates"}
 
@@ -180,8 +180,8 @@ class TestFilterFirms:
             n_q = int(rng.integers(5, 30))
             rows.extend(quarterly_firm(f"f{f}", (rng.random(n_q) + 0.5).tolist()))
         panel = make_panel(rows)
-        loose, _ = filter_firms(panel, min_growth_obs=2)
-        strict, _ = filter_firms(panel, min_growth_obs=20)
+        loose, _, _ = filter_firms(panel, min_growth_obs=2)
+        strict, _, _ = filter_firms(panel, min_growth_obs=20)
         assert set(np.unique(strict.firm_id)) <= set(np.unique(loose.firm_id))
 
     def test_fiscal_december_filter_logs_missing_flag(self):
@@ -191,7 +191,7 @@ class TestFilterFirms:
         noflag = [("noflag", 2000, q, 1.0) for q in (1, 2, 3, 4)]
         noflag += [("noflag", 2001, q, 1.0) for q in (1, 2, 3, 4)]
         panel = make_panel(rows + noflag)
-        kept, log = filter_firms(panel, min_growth_obs=2, fiscal_december_only=True)
+        kept, _, log = filter_firms(panel, min_growth_obs=2, fiscal_december_only=True)
         assert set(np.unique(kept.firm_id)) == {"dec"}
         assert log["june"] == "fiscal_year_not_december"
         assert log["noflag"] == "fiscal_year_not_december"
@@ -203,14 +203,14 @@ class TestFilterFirms:
             n_q = int(rng.integers(2, 16))
             rows.extend(quarterly_firm(f"f{f}", (rng.random(n_q) + 0.5).tolist()))
         panel = make_panel(rows)
-        kept, log = filter_firms(panel, min_growth_obs=4)
+        kept, _, log = filter_firms(panel, min_growth_obs=4)
         assert len(set(np.unique(panel.firm_id))) == len(set(np.unique(kept.firm_id))) + len(log)
 
 
 class TestDescriptiveStats:
     def test_single_firm_two_equal_sizes(self):
         panel = make_panel([("f1", 2000, 1, 1.0), ("f1", 2000, 2, 1.0)])
-        rows = descriptive_stats(panel)
+        rows = descriptive_stats(panel, annual_log_growth(panel))
         size_row = next(r for r in rows if r["variable"] == "size")
         assert size_row["n"] == 2
         assert size_row["mean"] == pytest.approx(1.0)
@@ -222,14 +222,15 @@ class TestDescriptiveStats:
         rng = np.random.default_rng(4)
         for f in range(5):
             rows.extend(quarterly_firm(f"f{f}", (rng.random(n_quarters) + 0.5).tolist()))
-        stats = descriptive_stats(make_panel(rows))
+        panel = make_panel(rows)
+        stats = descriptive_stats(panel, annual_log_growth(panel))
         count_row = next(r for r in stats if r["variable"] == "n_growth_rates_per_firm")
         assert count_row["mean"] == pytest.approx(n_quarters - 4)
 
     def test_csv_writers(self, tmp_path):
         rows = quarterly_firm("f1", [1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7])
         panel = make_panel(rows)
-        write_stats_csv(descriptive_stats(panel), tmp_path / "stats.csv")
+        write_stats_csv(descriptive_stats(panel, annual_log_growth(panel)), tmp_path / "stats.csv")
         write_growth_csv(annual_log_growth(panel), tmp_path / "growth.csv")
         stats_text = (tmp_path / "stats.csv").read_text().splitlines()
         assert stats_text[0] == "variable,n,mean,sd,min,max"
