@@ -17,7 +17,7 @@ Carlo and compares them with the exponents above.
 import numpy as np
 
 from firmgrowth.analysis import loglog_ols
-from firmgrowth.model import FixedCount, ModelParams, sample_hhi
+from firmgrowth.model import FixedCount, ModelParams, sample_firm_stats
 
 MU = 1.5
 N_PER_K = 4_000
@@ -30,7 +30,7 @@ print(f"sub-unit size tail index mu = {MU}, {N_PER_K} firms per K\n")
 print(f"{'K':>6} {'E[H|K]':>10} {'E[sqrt H]':>10} {'median H':>10}")
 rows = []
 for k in K_GRID:
-    h = sample_hhi(params, k, N_PER_K, rng)
+    h = sample_firm_stats(params, k, N_PER_K, rng)[1]
     rows.append((k, h.mean(), np.sqrt(h).mean(), np.median(h)))
     print(f"{k:>6} {rows[-1][1]:>10.5f} {rows[-1][2]:>10.5f} {rows[-1][3]:>10.5f}")
 

@@ -35,7 +35,7 @@ for law in ("gaussian", "laplace"):
         print(f"  top {frac * 100:.1f}%: {index:.3f} ({se:.3f})")
     print(f"  target: mu = {MU} (plateau across fractions)")
 
-    z = growth / pop.theoretical_volatilities(SIGMA0)
+    z = growth / (SIGMA0 * np.sqrt(pop.hhi()))
     many = pop.counts >= 64
     few = pop.counts <= 2
     print("KS distance of volatility-rescaled growth vs standard normal:")

@@ -4,18 +4,12 @@
 The normalized sum of k unit Laplace variables has a closed-form density
 (a polynomial times a two-sided exponential).  Already at k = 2 the central
 cusp is gone, and by k = 8 the density is close to Gaussian while the tails
-stay exponential.  The correlated two-variable case has a characteristic
-function defined by a two-dimensional scale integral; the quoted arctan
-closed form fails its normalization and is shown here only for comparison.
+stay exponential.
 """
 
 import numpy as np
 
-from firmgrowth.distributions import (
-    correlated_laplace_cf2,
-    correlated_laplace_cf2_closed_form,
-    laplace_sum_pdf,
-)
+from firmgrowth.distributions import laplace_sum_pdf
 
 print("density at selected points (closed form vs Monte Carlo, 2e6 sums):")
 rng = np.random.default_rng(5)
@@ -28,15 +22,3 @@ for k in (1, 2, 4, 8):
     gauss_peak = 1 / np.sqrt(2 * np.pi)
     print(f"  k={k} peak {laplace_sum_pdf(k, 0.0):.5f}"
           f" (Gaussian limit {gauss_peak:.5f})\n")
-
-print("correlated pair: characteristic function at rho = 0.5")
-print(f"{'t':>5} {'quadrature':>12} {'closed form':>12} {'ratio':>8}")
-for t in (0.0, 0.5, 1.0, 2.0):
-    q = correlated_laplace_cf2(t, 0.5)
-    c = correlated_laplace_cf2_closed_form(t, 0.5)
-    print(f"{t:>5.1f} {q:>12.6f} {c:>12.6f} {c / q:>8.4f}")
-print(
-    "\nThe quoted closed form evaluates to pi/2 - 1 (not 1) at t = 0, and away"
-    "\nfrom rho = 0 its ratio to the defining integral drifts with t, so the"
-    "\nquadrature definition is the one used throughout this package."
-)

@@ -30,7 +30,7 @@ workdir = Path(tempfile.mkdtemp(prefix="firmgrowth_demo_"))
 
 # --- 1. synthesize a quarterly export (one model period = one quarter) ----
 params = ModelParams(mu=1.6, alpha=1.2, sigma0=0.12, k_mode=ParetoCount())
-panel, info = simulate_panel(params, n_firms=4_000, n_periods=24, seed=6)
+panel, _ = simulate_panel(params, n_firms=4_000, n_periods=24, seed=6)
 csv_path = workdir / "quarterly.csv"
 with open(csv_path, "w") as fh:
     fh.write("gvkey,fyearq,fqtr,saleq\n")

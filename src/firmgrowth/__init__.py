@@ -3,8 +3,8 @@
 The package covers three layers:
 
 * ``distributions`` -- samplers and density evaluators for the heavy-tailed
-  building blocks (Pareto, symmetric alpha-stable, modified inverse gamma,
-  generalized stretched exponential, Laplace sums).
+  building blocks (Pareto, modified inverse gamma, generalized stretched
+  exponential, Laplace sums).
 * ``model`` -- firm populations made of multiplicative sub-units, their
   concentration index, growth rates and panel simulation.
 * ``analysis`` / ``estimation`` / ``panel`` -- the empirical toolkit: size
@@ -18,33 +18,23 @@ line tool (``firmgrowth reproduce ...``) and the acceptance test suite share.
 from firmgrowth.distributions import (
     GseParams,
     MigParams,
-    ParetoLaw,
-    correlated_laplace_cf2,
     gse_pdf,
     laplace_sum_pdf,
-    levy_stable_pdf,
-    levy_stable_sample,
     mig_pdf,
     mig_sample,
     pareto_sample,
 )
 from firmgrowth.model import (
-    Firm,
     FirmPopulation,
     FixedCount,
     ModelParams,
     Panel,
     ParetoCount,
     aggregate_firms,
-    conditional_hhi_moment_mc,
-    draw_firm,
     draw_population,
     firm_stream,
     fraction_few_subunits,
-    growth_rate,
-    hhi,
     simulate_panel,
-    theoretical_volatility,
 )
 
 __version__ = "0.1.0"

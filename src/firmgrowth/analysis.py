@@ -67,6 +67,18 @@ def binned_volatility_moments(sizes, vols, q_list, n_bins=25):
     return out
 
 
+def upper_window_edges(sizes, lo, trim_decades, n_bins):
+    """n_bins + 1 log-spaced size-bin edges over the upper size range.
+
+    The window runs from lo up to the largest size trimmed by trim_decades:
+    the extreme order statistics alone are too noisy to bin.
+    """
+    hi = np.log10(np.max(sizes)) - trim_decades
+    if 10.0**hi <= lo:
+        raise ValueError("size range above the floor is empty")
+    return np.logspace(np.log10(lo), hi, n_bins + 1)
+
+
 # ---------------------------------------------------------------------------
 # Log-log OLS
 # ---------------------------------------------------------------------------

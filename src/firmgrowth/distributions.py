@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from math import comb, factorial
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy import special
 
 
@@ -19,113 +18,18 @@ from scipy import special
 # Pareto
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ParetoLaw:
-    """Pareto law on [x_min, inf) with survival (x / x_min) ** -exponent."""
+def pareto_sample(u, x_min, exponent):
+    """Inverse-CDF Pareto draw(s), x_min * (1.0 - u) ** (-1.0 / exponent).
 
-    x_min: float
-    exponent: float
-
-    def __post_init__(self):
-        if not self.x_min > 0:
-            raise ValueError(f"x_min must be positive, got {self.x_min}")
-        if not self.exponent > 0:
-            raise ValueError(f"exponent must be positive, got {self.exponent}")
-
-
-def pareto_sample(law: ParetoLaw, u):
-    """Exact inverse-CDF Pareto draw(s) from uniform(s) in (0, 1]."""
-    u = np.asarray(u, dtype=float)
-    if np.any(u <= 0) or np.any(u > 1):
-        raise ValueError("uniforms must lie in (0, 1]")
-    return law.x_min * u ** (-1.0 / law.exponent)
-
-
-def pareto_pdf(law: ParetoLaw, x):
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    m = x >= law.x_min
-    a = law.exponent
-    out[m] = (a / law.x_min) * (x[m] / law.x_min) ** (-(1.0 + a))
-    return out
-
-
-def pareto_ccdf(law: ParetoLaw, x):
-    x = np.asarray(x, dtype=float)
-    return np.where(x < law.x_min, 1.0, (x / law.x_min) ** (-law.exponent))
-
-
-# ---------------------------------------------------------------------------
-# Symmetric alpha-stable, 1 < alpha <= 2
-# ---------------------------------------------------------------------------
-
-def _check_stable_params(alpha, scale):
-    if not 1.0 < alpha <= 2.0:
-        raise ValueError(f"alpha must lie in (1, 2], got {alpha}")
-    if not scale > 0:
-        raise ValueError(f"scale must be positive, got {scale}")
-
-
-def levy_stable_pdf(x, alpha, scale=1.0):
-    """Density of the symmetric alpha-stable law with cf exp(-|scale*t|**alpha).
-
-    Evaluated by inverting the characteristic function,
-
-        f(x) = (1/pi) int_0^inf cos(t x) exp(-(scale t)**alpha) dt,
-
-    with the trapezoidal rule.  The integration range is cut where the
-    integrand envelope drops below 1e-12 and the step keeps both the
-    oscillation of cos(t x) resolved and the t=0 endpoint (where the
-    integrand is only C^1 for alpha < 2) from contributing more than ~1e-8.
-    For alpha = 2 this reproduces a Gaussian of variance 2 scale**2 to
-    near machine precision.
+    Takes uniform(s) in [0, 1), as ``rng.random`` returns them: 1 - u lies in
+    (0, 1], so every draw is finite and at least x_min.  No validation, and a
+    Python float input gives a Python float.
     """
-    _check_stable_params(alpha, scale)
-    scalar = np.ndim(x) == 0
-    shape = np.shape(x)
-    x = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
-
-    # work in u = scale * t, so f(x) = 1/(pi*scale) * int cos(u * y) e^{-u^alpha} du
-    # with y = x / scale
-    y = np.abs(x) / scale
-    upper = (12.0 * np.log(10.0)) ** (1.0 / alpha)
-    ymax = float(y.max()) if y.size else 0.0
-    h = min(1e-8 ** (1.0 / (1.0 + alpha)), np.pi / (20.0 * (ymax + 1.0)), upper / 2000.0)
-    n = int(np.ceil(upper / h)) + 1
-    u = np.linspace(0.0, upper, n)
-    envelope = np.exp(-u ** alpha)
-
-    out = np.empty_like(y)
-    block = max(1, int(4e7) // n)
-    for i in range(0, y.size, block):
-        yy = y[i : i + block, None]
-        integrand = np.cos(u[None, :] * yy) * envelope[None, :]
-        out[i : i + block] = np.trapezoid(integrand, dx=u[1] - u[0], axis=1)
-    out /= np.pi * scale
-    np.clip(out, 0.0, None, out=out)
-    return float(out[0]) if scalar else out.reshape(shape)
-
-
-def levy_stable_sample(alpha, scale, u1, u2):
-    """Symmetric stable draw(s) from two uniforms via the two-uniform transform.
-
-    u1 maps to an angle in (-pi/2, pi/2), u2 to a unit exponential; identical
-    inputs give identical outputs.  For alpha = 2 the output is Gaussian with
-    variance 2 scale**2, matching levy_stable_pdf.
-    """
-    _check_stable_params(alpha, scale)
-    u1 = np.asarray(u1, dtype=float)
-    u2 = np.asarray(u2, dtype=float)
-    if np.any(u1 <= 0) or np.any(u1 >= 1) or np.any(u2 <= 0) or np.any(u2 >= 1):
-        raise ValueError("uniforms must lie in (0, 1)")
-    theta = np.pi * (u1 - 0.5)
-    w = -np.log(u2)
-    out = (
-        np.sin(alpha * theta)
-        / np.cos(theta) ** (1.0 / alpha)
-        * (np.cos(theta - alpha * theta) / w) ** ((1.0 - alpha) / alpha)
-    )
-    return scale * out
+    x = 1.0 - u
+    # in place on arrays, so a draw holds one temporary the size of u
+    x **= -1.0 / exponent
+    x *= x_min
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -287,61 +191,3 @@ def laplace_sum_pdf(k, y):
     terms = log_coef[:, None] + np.arange(k)[:, None] * log_ry[None, :]
     out = np.exp(log_pref + special.logsumexp(terms, axis=0) - np.atleast_1d(ry))
     return float(out[0]) if np.ndim(y) == 0 else out.reshape(np.shape(y))
-
-
-_CF2_NODES, _CF2_WEIGHTS = leggauss(240)
-
-
-def _cf2_quadrature(t, rho):
-    # E[sig1 sig2 exp(-(A11(sig1^2+sig2^2) + 2 A12 sig1 sig2)/2)] over the
-    # positive quadrant with Rayleigh-type weight folded into the integrand.
-    hi = 9.0
-    x = 0.5 * hi * (_CF2_NODES + 1.0)
-    w = 0.5 * hi * _CF2_WEIGHTS
-    s1 = x[:, None]
-    s2 = x[None, :]
-    a11 = 1.0 + t * t
-    a12 = t * t * rho
-    q = a11 * (s1 * s1 + s2 * s2) + 2.0 * a12 * s1 * s2
-    return float(w @ (s1 * s2 * np.exp(-0.5 * q)) @ w)
-
-
-def correlated_laplace_cf2(t, rho):
-    """Characteristic function of the sum of two correlated Laplace variables.
-
-    The two variables are Gaussians with AR(1)-correlated factors (parameter
-    rho) and independent Rayleigh-distributed scales, which makes each
-    marginal a unit Laplace law.  The value is defined by 2-D Gauss-Legendre
-    quadrature of the scale average and normalized so cf(0) = 1 exactly;
-    at rho = 0 it reduces to (1 + t^2)^-2.
-
-    The companion closed form (`correlated_laplace_cf2_closed_form`) does not
-    satisfy cf(0) = 1; see that function's docstring.
-    """
-    if not abs(rho) < 1:
-        raise ValueError(f"|rho| must be < 1, got {rho}")
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    norm = _cf2_quadrature(0.0, rho)
-    out = np.array([_cf2_quadrature(abs(tt), rho) for tt in t_arr]) / norm
-    return float(out[0]) if np.ndim(t) == 0 else out
-
-
-def correlated_laplace_cf2_closed_form(t, rho):
-    """Arctan closed form quoted for the correlated two-Laplace sum.
-
-    Kept only as a cross-check: at t = 0 it evaluates to pi/2 - 1 instead
-    of 1, and away from rho = 0 it disagrees with the defining quadrature by
-    more than an overall constant (the t-dependence differs too).  At
-    rho = 0 the ratio to the quadrature value is exactly pi/2 - 1 for all t.
-    """
-    if not abs(rho) < 1:
-        raise ValueError(f"|rho| must be < 1, got {rho}")
-    t = np.asarray(t, dtype=float)
-    l1 = 1.0 + t * t * (1.0 - rho)
-    l2 = 1.0 + t * t * (1.0 + rho)
-    out = (
-        np.arctan(np.sqrt(l1 / l2)) / (l1**1.5 * np.sqrt(l2))
-        + np.arctan(np.sqrt(l2 / l1)) / (l2**1.5 * np.sqrt(l1))
-        - (np.sqrt(l2 / l1) + np.sqrt(l1 / l2)) / (np.sqrt(l1 * l2) * (l1 + l2))
-    )
-    return float(out) if np.ndim(t) == 0 else out

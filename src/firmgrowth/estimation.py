@@ -37,14 +37,6 @@ def mad_volatility(growth_rates):
     return float(vol) if g.ndim == 1 else vol
 
 
-def sd_volatility(growth_rates):
-    """Sample standard deviation (denominator n - 1)."""
-    g = np.asarray(growth_rates, dtype=float)
-    if g.size < 2:
-        raise ValueError("need at least 2 observations")
-    return float(g.std(ddof=1))
-
-
 def leave_one_out_rescale(series):
     """Standardize each element with mean and adjusted MAD of the others.
 

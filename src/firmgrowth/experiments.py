@@ -9,7 +9,7 @@ deterministic functions of their seed.
 
 from __future__ import annotations
 
-import time
+import inspect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,21 +23,7 @@ from firmgrowth.model import (
     aggregate_firms,
     draw_population,
     few_subunit_tail_slope,
-    fraction_few_subunits,
     sample_firm_stats,
-)
-
-EXPERIMENTS = (
-    "fig1_left",
-    "fig1_right",
-    "fig3",
-    "fig4",
-    "fig5",
-    "table1",
-    "prop2_scaling",
-    "prop3_tail",
-    "prop7_aggregation",
-    "laplace_sum",
 )
 
 # Published reference fit for the heterogeneously rescaled growth rates of
@@ -144,7 +130,6 @@ def _wb_stats(params, n_firms, rng, with_growth=False, chunk=2_000_000):
 # ---------------------------------------------------------------------------
 
 def run_prop2_scaling(seed=20260801, n_per_k=10_000, mu=1.5, k_exponents=range(6, 15)):
-    t0 = time.perf_counter()
     rng = _rng(seed)
     params = ModelParams(mu=mu, k_mode=FixedCount(1))
     ks, mean_h, mean_sqrt_h, median_h, se_h = [], [], [], [], []
@@ -160,7 +145,6 @@ def run_prop2_scaling(seed=20260801, n_per_k=10_000, mu=1.5, k_exponents=range(6
     fit_mean = analysis.loglog_ols(ks, np.array(mean_h))
     fit_sqrt = analysis.loglog_ols(ks, np.array(mean_sqrt_h))
     fit_med = analysis.loglog_ols(ks, np.array(median_h))
-    runtime = time.perf_counter() - t0
 
     res = ExperimentResult("prop2_scaling", seed)
     res.checks = [
@@ -178,7 +162,6 @@ def run_prop2_scaling(seed=20260801, n_per_k=10_000, mu=1.5, k_exponents=range(6
     res.scalars = {
         "mu": mu,
         "n_per_k": n_per_k,
-        "runtime_seconds": runtime,
         "fit_mean_hhi": fit_mean.to_dict(),
         "fit_mean_sqrt_hhi": fit_sqrt.to_dict(),
         "fit_median_hhi": fit_med.to_dict(),
@@ -193,23 +176,22 @@ def run_prop2_scaling(seed=20260801, n_per_k=10_000, mu=1.5, k_exponents=range(6
 def _tail_checks(population, mu, alpha, k_threshold, label):
     sizes = population.sizes()
     hill, hill_se = analysis.hill_estimator(sizes, 0.01)
-    slope, n_bins = few_subunit_tail_slope(population, k_threshold)
+    slope, n_bins, fractions = few_subunit_tail_slope(population, k_threshold)
     checks = [
         Check.within(f"{label}size_hill_top1pct", hill, alpha, 0.15),
         Check.within(f"{label}few_subunit_fraction_slope", slope, alpha - mu, 0.1),
     ]
-    return checks, {"hill": hill, "hill_se": hill_se, "slope": slope, "n_bins": n_bins}
+    info = {"hill": hill, "hill_se": hill_se, "slope": slope, "n_bins": n_bins}
+    return checks, info, fractions
 
 
 def run_prop3_tail(seed=20260803, n_firms=1_000_000, mu=1.6, alpha=1.2):
     rng = _rng(seed)
     params = ModelParams(mu=mu, alpha=alpha, k_mode=ParetoCount())
     pop = draw_population(params, n_firms, rng)
-    checks, info = _tail_checks(pop, mu, alpha, k_threshold=2, label="")
-
-    sizes = pop.sizes()
-    edges = np.logspace(np.log10(40.0), np.log10(sizes.max()) - 0.2, 11)
-    mean_size, fraction, counts = fraction_few_subunits(pop, edges, 2)
+    checks, info, (mean_size, fraction, counts) = _tail_checks(
+        pop, mu, alpha, k_threshold=2, label=""
+    )
 
     res = ExperimentResult("prop3_tail", seed)
     res.checks = checks
@@ -223,7 +205,7 @@ def run_prop3_tail(seed=20260803, n_firms=1_000_000, mu=1.6, alpha=1.2):
     )
     res.tables["hill_profile"] = (
         ["top_fraction", "hill_index", "se"],
-        [[f, *analysis.hill_estimator(sizes, f)] for f in (0.005, 0.01, 0.02, 0.05)],
+        [[f, *est] for f, est in analysis.hill_profile(pop.sizes()).items()],
     )
     res.scalars = {"mu": mu, "alpha": alpha, "n_firms": n_firms, **info}
     return res
@@ -237,7 +219,7 @@ def run_prop7_aggregation(seed=20260803, n_firms=1_000_000, mu=1.6, alpha=1.2, g
     # merging concatenates sub-unit vectors, so the few-sub-unit class of the
     # merged population is "every constituent had few sub-units": the
     # threshold scales with the group size
-    checks, info = _tail_checks(
+    checks, info, _ = _tail_checks(
         merged, mu, alpha, k_threshold=2 * group_size, label="aggregated_"
     )
     res = ExperimentResult("prop7_aggregation", seed)
@@ -286,8 +268,7 @@ def _diversified_mean_slope(counts, sizes, vols, mu, size_floor=30.0, n_bins=25)
 
 def _upper_window_moment_slopes(sizes, vols, q_list, lo=300.0, trim=0.2, n_bins=12, min_count=400):
     """Log-binned moment slopes over the upper size range (asymptotic window)."""
-    edges = np.logspace(np.log10(lo), np.log10(sizes.max()) - trim, n_bins + 1)
-    idx = np.digitize(sizes, edges)
+    idx = np.digitize(sizes, analysis.upper_window_edges(sizes, lo, trim, n_bins))
     out = {}
     for q in q_list:
         ms, mv = [], []
@@ -544,7 +525,7 @@ def run_fig3(seed=20260806, mu=1.9, n_per_class=10_000, n_bins=29,
     )
     res.tables["pooled_hill_profile"] = (
         ["top_fraction", "hill_index", "se"],
-        [[f, *analysis.hill_estimator(pooled, f)] for f in (0.005, 0.01, 0.02, 0.05)],
+        [[f, *est] for f, est in analysis.hill_profile(pooled).items()],
     )
     res.scalars = {
         "mu": mu,
@@ -602,7 +583,7 @@ def run_table1(seed=20260808, n_firms=20_000, n_periods=28, mu=1.6, alpha=1.2, s
     from firmgrowth.model import simulate_panel
 
     params = ModelParams(mu=mu, alpha=alpha, sigma0=sigma0, k_mode=ParetoCount())
-    panel, info = simulate_panel(params, n_firms, n_periods, seed)
+    panel, clamp_count = simulate_panel(params, n_firms, n_periods, seed)
 
     # per firm: one-period relative growth series
     sizes = panel.size.reshape(n_firms, n_periods)
@@ -660,7 +641,7 @@ def run_table1(seed=20260808, n_firms=20_000, n_periods=28, mu=1.6, alpha=1.2, s
     res.scalars = {
         "n_firms": n_firms,
         "n_periods": n_periods,
-        "clamp_count": info.clamp_count,
+        "clamp_count": clamp_count,
         "n_heterogeneous_obs": int(het.size),
         "fits": {k: f.to_dict() for k, f in fits.items()},
     }
@@ -727,15 +708,23 @@ _RUNNERS = {
     "prop7_aggregation": run_prop7_aggregation,
     "laplace_sum": run_laplace_sum,
 }
+EXPERIMENTS = tuple(_RUNNERS)
 
 
 def run_experiment(name, seed=None, **overrides):
-    """Run one named experiment; unknown names list the catalog."""
+    """Run one named experiment; unknown names and parameters list the choices."""
     if name not in _RUNNERS:
         raise ValueError(
             f"unknown experiment {name!r}; available: {', '.join(EXPERIMENTS)}"
         )
+    runner = _RUNNERS[name]
+    accepted = list(inspect.signature(runner).parameters)
+    unknown = sorted(set(overrides) - set(accepted))
+    if unknown:
+        raise ValueError(
+            f"unknown {name} parameter(s) {', '.join(unknown)}; accepted: {', '.join(accepted)}"
+        )
     kwargs = dict(overrides)
     if seed is not None:
         kwargs["seed"] = int(seed)
-    return _RUNNERS[name](**kwargs)
+    return runner(**kwargs)

@@ -15,12 +15,13 @@ firm order), which is deterministic for a fixed seed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
 from scipy import special
+
+from firmgrowth.distributions import pareto_sample
 
 _SEED_MASK = (1 << 64) - 1
 _MULTIPLIER_FLOOR = 1e-6
@@ -162,28 +163,6 @@ class _StreamPool:
 # Firms and populations
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Firm:
-    """A single firm: its vector of sub-unit sizes."""
-
-    sub_unit_sizes: np.ndarray
-
-    def __post_init__(self):
-        self.sub_unit_sizes = np.asarray(self.sub_unit_sizes, dtype=float)
-        if self.sub_unit_sizes.size == 0:
-            raise ValueError("a firm needs at least one sub-unit")
-        if np.any(self.sub_unit_sizes <= 0):
-            raise ValueError("sub-unit sizes must be positive")
-
-    @property
-    def size(self):
-        return float(self.sub_unit_sizes.sum())
-
-    @property
-    def n_sub_units(self):
-        return int(self.sub_unit_sizes.size)
-
-
 class FirmPopulation:
     """Ragged collection of firms stored as a flat sub-unit array."""
 
@@ -200,18 +179,12 @@ class FirmPopulation:
     def n_firms(self):
         return self.counts.size
 
-    def firm(self, i):
-        return Firm(self.sub_unit_sizes[self.offsets[i] : self.offsets[i + 1]])
-
     def sizes(self):
         return np.add.reduceat(self.sub_unit_sizes, self.offsets[:-1])
 
     def hhi(self):
         s2 = np.add.reduceat(self.sub_unit_sizes**2, self.offsets[:-1])
         return s2 / self.sizes() ** 2
-
-    def theoretical_volatilities(self, sigma0):
-        return sigma0 * np.sqrt(self.hhi())
 
     def growth_rates(self, shocks, sigma0):
         """One-period growth rates given one unit-variance shock per sub-unit."""
@@ -229,16 +202,8 @@ class FirmPopulation:
 def _draw_counts(params: ModelParams, n, rng):
     if isinstance(params.k_mode, FixedCount):
         return np.full(n, params.k_mode.count, dtype=np.int64)
-    # continuous Pareto(1, alpha) rounded up to an integer count;
-    # 1 - U keeps the uniform in (0, 1] so the draw is always finite
-    return np.ceil((1.0 - rng.random(n)) ** (-1.0 / params.alpha)).astype(np.int64)
-
-
-def draw_firm(params: ModelParams, rng) -> Firm:
-    """Draw one firm: its sub-unit count (if random), then its sizes."""
-    k = int(_draw_counts(params, 1, rng)[0])
-    sizes = params.s0 * (1.0 - rng.random(k)) ** (-1.0 / params.mu)
-    return Firm(sizes)
+    # continuous Pareto(1, alpha) rounded up to an integer count
+    return np.ceil(pareto_sample(rng.random(n), 1.0, params.alpha)).astype(np.int64)
 
 
 def draw_population(params: ModelParams, n_firms, rng) -> FirmPopulation:
@@ -252,43 +217,13 @@ def draw_population(params: ModelParams, n_firms, rng) -> FirmPopulation:
     counts = _draw_counts(params, n_firms, rng)
     total = int(counts.sum())
     flat = np.empty(total)
-    # draw in blocks to keep peak memory bounded on very large populations
+    # draw and transform in blocks to keep peak memory bounded on very large
+    # populations: nothing but `flat` grows with the total
     block = 1 << 24
     for i in range(0, total, block):
-        m = min(block, total - i)
-        flat[i : i + m] = rng.random(m)
-    np.subtract(1.0, flat, out=flat)  # uniforms in (0, 1], finite draws
-    np.power(flat, -1.0 / params.mu, out=flat)
-    flat *= params.s0
+        u = rng.random(out=flat[i : i + block])
+        flat[i : i + block] = pareto_sample(u, params.s0, params.mu)
     return FirmPopulation(flat, counts)
-
-
-# ---------------------------------------------------------------------------
-# Concentration and growth
-# ---------------------------------------------------------------------------
-
-def _sizes_of(firm):
-    return firm.sub_unit_sizes if isinstance(firm, Firm) else np.asarray(firm, dtype=float)
-
-
-def hhi(firm):
-    """Herfindahl-Hirschman index of the firm's sub-unit sizes, in [1/K, 1]."""
-    s = _sizes_of(firm)
-    return float((s**2).sum() / s.sum() ** 2)
-
-
-def growth_rate(firm, shocks, sigma0):
-    """One-period growth rate: sigma0 times the size-weighted mean shock."""
-    s = _sizes_of(firm)
-    shocks = np.asarray(shocks, dtype=float)
-    if shocks.shape != s.shape:
-        raise ValueError(f"shock vector shape {shocks.shape} does not match {s.shape}")
-    return float(sigma0 * (s * shocks).sum() / s.sum())
-
-
-def theoretical_volatility(firm, sigma0):
-    """Exact one-period growth-rate standard deviation, sigma0 * sqrt(HHI)."""
-    return float(sigma0 * np.sqrt(hhi(firm)))
 
 
 # ---------------------------------------------------------------------------
@@ -341,29 +276,6 @@ class Panel:
         return cls(rows["firm_id"], rows["period"], rows["size"])
 
 
-@dataclass
-class PanelRunInfo:
-    """Metadata recorded next to a simulated panel."""
-
-    params: ModelParams
-    seed: int
-    n_firms: int
-    n_periods: int
-    clamp_count: int
-
-    def write_json(self, path):
-        payload = {
-            "params": self.params.to_dict(),
-            "seed": int(self.seed),
-            "n_firms": int(self.n_firms),
-            "n_periods": int(self.n_periods),
-            "clamp_count": int(self.clamp_count),
-        }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-
 def _simulate_firm_block(params, seed, lo, hi, n_periods, sizes):
     pool = _StreamPool(seed)
     clamp_count = 0
@@ -372,8 +284,8 @@ def _simulate_firm_block(params, seed, lo, hi, n_periods, sizes):
         if isinstance(params.k_mode, FixedCount):
             k = params.k_mode.count
         else:
-            k = int(np.ceil((1.0 - gen.random()) ** (-1.0 / params.alpha)))
-        s = params.s0 * (1.0 - gen.random(k)) ** (-1.0 / params.mu)
+            k = int(np.ceil(pareto_sample(gen.random(), 1.0, params.alpha)))
+        s = pareto_sample(gen.random(k), params.s0, params.mu)
         out = sizes[i * n_periods : (i + 1) * n_periods]
         out[0] = s.sum()
         eta = shocks_from_uniforms(
@@ -394,12 +306,12 @@ def simulate_panel(params: ModelParams, n_firms, n_periods, seed, threads=1):
     the count draw (ParetoCount only), then the initial sizes, then one block
     of shock uniforms per period in period-major order.  Per-period size
     multipliers 1 + sigma0 * shock are floored at 1e-6 to preserve positivity;
-    the number of floored multipliers is reported in the run info.
+    the number of floored multipliers is returned as the clamp count.
 
     Because every firm owns its substream, the panel is bit-identical for any
     thread count or scheduling of the per-firm work.
 
-    Returns (Panel, PanelRunInfo).
+    Returns (Panel, clamp_count).
     """
     if n_firms < 1:
         raise ValueError("n_firms must be >= 1")
@@ -424,9 +336,7 @@ def simulate_panel(params: ModelParams, n_firms, n_periods, seed, threads=1):
 
     firm_id = np.repeat(np.arange(n_firms, dtype=np.int64), n_periods)
     period = np.tile(np.arange(n_periods, dtype=np.int64), n_firms)
-    panel = Panel(firm_id, period, sizes)
-    info = PanelRunInfo(params, int(seed), int(n_firms), int(n_periods), clamp_count)
-    return panel, info
+    return Panel(firm_id, period, sizes), clamp_count
 
 
 # ---------------------------------------------------------------------------
@@ -470,26 +380,25 @@ def few_subunit_tail_slope(
     """Log-log slope of the few-sub-unit fraction over the upper size range.
 
     Log-spaced bins run from size_floor up to the largest size trimmed by
-    trim_decades (the extreme order statistics alone are too noisy to bin).
+    trim_decades (see :func:`firmgrowth.analysis.upper_window_edges`).
     Bins need min_count firms and a nonzero fraction; the fit weights each
     bin by n * f / (1 - f), the inverse variance of log of a binomial rate.
     Per the tail structure of the size distribution the slope estimates
-    alpha - mu.  Returns (slope, n_bins_used).
+    alpha - mu.  Returns (slope, n_bins_used, table), where table is the
+    (mean_size, fraction, n_firms) result of :func:`fraction_few_subunits`
+    over all bins.
     """
-    from firmgrowth.analysis import weighted_loglog_slope
+    from firmgrowth.analysis import upper_window_edges, weighted_loglog_slope
 
-    sizes = population.sizes()
-    hi = np.log10(sizes.max()) - trim_decades
-    if 10.0**hi <= size_floor:
-        raise ValueError("size range above the floor is empty")
-    edges = np.logspace(np.log10(size_floor), hi, n_bins + 1)
-    mean_size, fraction, counts = fraction_few_subunits(population, edges, k_threshold)
+    edges = upper_window_edges(population.sizes(), size_floor, trim_decades, n_bins)
+    table = fraction_few_subunits(population, edges, k_threshold)
+    mean_size, fraction, counts = table
     keep = (counts >= min_count) & (fraction > 0) & np.isfinite(fraction)
     if keep.sum() < 3:
         raise ValueError("fewer than 3 usable bins for the tail-fraction fit")
     weights = counts[keep] * fraction[keep] / (1.0 - np.minimum(fraction[keep], 1 - 1e-9))
     slope = weighted_loglog_slope(mean_size[keep], fraction[keep], weights)
-    return slope, int(keep.sum())
+    return slope, int(keep.sum()), table
 
 
 def aggregate_firms(population: FirmPopulation, group_size, rng) -> FirmPopulation:
@@ -534,24 +443,9 @@ def sample_firm_stats(params: ModelParams, k, n_samples, rng):
     done = 0
     while done < n_samples:
         c = min(block, n_samples - done)
-        s = params.s0 * (1.0 - rng.random((c, k))) ** (-1.0 / params.mu)
+        s = pareto_sample(rng.random((c, k)), params.s0, params.mu)
         tot = s.sum(axis=1)
         sizes[done : done + c] = tot
         hhi_out[done : done + c] = (s * s).sum(axis=1) / tot**2
         done += c
     return sizes, hhi_out
-
-
-def sample_hhi(params: ModelParams, k, n_samples, rng):
-    """HHI draws for firms of exactly k sub-units."""
-    return sample_firm_stats(params, k, n_samples, rng)[1]
-
-
-def conditional_hhi_moment_mc(params: ModelParams, k, q, n_samples, rng):
-    """Monte Carlo estimate of E[HHI^q | K = k] with its standard error."""
-    if not q > 0:
-        raise ValueError("q must be positive")
-    if int(k) == 1:
-        return 1.0, 0.0
-    hq = sample_hhi(params, k, n_samples, rng) ** q
-    return float(hq.mean()), float(hq.std(ddof=1) / np.sqrt(n_samples))

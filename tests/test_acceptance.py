@@ -303,3 +303,10 @@ def test_criterion_11_determinism(tmp_path):
         assert first and first == second
     print("criterion 11 [PASS] repeated reproduce runs are byte-identical "
           f"({', '.join(e for e, _ in cases)})")
+
+
+def test_prop2_scaling_is_a_function_of_its_seed():
+    a = xp.run_prop2_scaling(n_per_k=200)
+    b = xp.run_prop2_scaling(n_per_k=200)
+    assert [c.to_dict() for c in a.checks] == [c.to_dict() for c in b.checks]
+    assert a.scalars == b.scalars

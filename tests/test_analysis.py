@@ -16,7 +16,7 @@ from firmgrowth.analysis import (
     rescale_collapse,
     weighted_loglog_slope,
 )
-from firmgrowth.distributions import ParetoLaw, pareto_sample
+from firmgrowth.distributions import pareto_sample
 
 
 class TestEqualCountBins:
@@ -193,7 +193,7 @@ class TestRescaleCollapse:
 class TestHill:
     def test_known_pareto(self):
         rng = np.random.default_rng(11)
-        draws = pareto_sample(ParetoLaw(1.0, 1.5), 1.0 - rng.random(10**6))
+        draws = pareto_sample(rng.random(10**6), 1.0, 1.5)
         index, se = hill_estimator(draws, 0.01)
         assert index == pytest.approx(1.5, abs=0.1)
         assert se == pytest.approx(index / 100, rel=1e-12)

@@ -196,6 +196,14 @@ class TestReproduce:
         err = capsys.readouterr().err
         assert "prop2_scaling" in err and "laplace_sum" in err
 
+    def test_unknown_override_lists_accepted_keys(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path, f"[run]\nout_dir = {tmp_path}\n\n[reproduce]\nbogus = 3\n"
+        )
+        assert main(["--config", cfg, "reproduce", "prop2_scaling"]) == 1
+        err = capsys.readouterr().err
+        assert "bogus" in err and "n_per_k" in err
+
     def test_reproduce_runs_and_writes_bundle(self, tmp_path):
         cfg = write_config(
             tmp_path,

@@ -5,17 +5,11 @@ from scipy import integrate, stats
 from firmgrowth.distributions import (
     GseParams,
     MigParams,
-    ParetoLaw,
-    correlated_laplace_cf2,
-    correlated_laplace_cf2_closed_form,
     gse_pdf,
     laplace_sum_pdf,
-    levy_stable_pdf,
-    levy_stable_sample,
     mig_cdf,
     mig_pdf,
     mig_sample,
-    pareto_ccdf,
     pareto_sample,
 )
 
@@ -25,109 +19,36 @@ from firmgrowth.distributions import (
 # ---------------------------------------------------------------------------
 
 class TestPareto:
-    def test_inverse_cdf_at_one_is_lower_bound(self):
-        assert pareto_sample(ParetoLaw(1.0, 2.0), 1.0) == 1.0
+    def test_inverse_cdf_at_zero_is_lower_bound(self):
+        assert pareto_sample(0.0, 1.0, 2.0) == 1.0
 
     def test_inverse_cdf_exact_value(self):
-        assert pareto_sample(ParetoLaw(1.0, 2.0), 0.25) == pytest.approx(2.0)
+        assert pareto_sample(0.75, 1.0, 2.0) == pytest.approx(2.0)
 
     def test_mean_matches_exponent_over_exponent_minus_one(self):
         # E[s] = exponent/(exponent-1) * x_min for exponent > 1
         rng = np.random.default_rng(101)
-        draws = pareto_sample(ParetoLaw(1.0, 1.5), rng.random(10**6))
+        draws = pareto_sample(rng.random(10**6), 1.0, 1.5)
         assert draws.mean() == pytest.approx(3.0, rel=0.02)
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            pareto_sample(ParetoLaw(1.0, 2.0), 0.0)
-        with pytest.raises(ValueError):
-            pareto_sample(ParetoLaw(1.0, 2.0), 1.5)
-
-    def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            ParetoLaw(0.0, 2.0)
-        with pytest.raises(ValueError):
-            ParetoLaw(1.0, -1.0)
 
     def test_samples_above_x_min_and_ccdf(self):
         # empirical CCDF within 3 binomial standard errors at a few points
-        law = ParetoLaw(2.0, 1.3)
+        x_min, exponent = 2.0, 1.3
         rng = np.random.default_rng(7)
         n = 10**5
-        draws = pareto_sample(law, rng.random(n))
-        assert draws.min() >= law.x_min
+        draws = pareto_sample(rng.random(n), x_min, exponent)
+        assert draws.min() >= x_min
         for x in (3.0, 8.0, 30.0):
-            p = pareto_ccdf(law, x)
+            p = (x / x_min) ** -exponent
             se = np.sqrt(p * (1 - p) / n)
             assert abs((draws > x).mean() - p) < 3 * se
 
-
-# ---------------------------------------------------------------------------
-# Symmetric alpha-stable
-# ---------------------------------------------------------------------------
-
-class TestLevyStable:
-    def test_cauchy_limit_peak(self):
-        # alpha -> 1+ approaches the Cauchy peak 1/pi
-        assert levy_stable_pdf(0.0, 1.0 + 1e-9, 1.0) == pytest.approx(1 / np.pi, rel=1e-3)
-
-    def test_gaussian_case_peak(self):
-        assert levy_stable_pdf(0.0, 2.0, 1.0) == pytest.approx(1 / np.sqrt(4 * np.pi), abs=1e-9)
-
-    def test_gaussian_case_pointwise(self):
-        x = np.linspace(-6.0, 6.0, 41)
-        gauss = np.exp(-(x**2) / 4.0) / np.sqrt(4 * np.pi)
-        assert np.max(np.abs(levy_stable_pdf(x, 2.0, 1.0) - gauss)) < 1e-6
-
-    def test_normalization_alpha_15(self):
-        # the power-law tail holds ~1.1e-3 of mass beyond |x| = 50, so the
-        # bulk integral alone cannot hit 1 +- 1e-4; cover the tails explicitly
-        bulk_grid = np.linspace(-50, 50, 4001)
-        bulk = np.trapezoid(levy_stable_pdf(bulk_grid, 1.5, 1.0), bulk_grid)
-        tail_grid = np.logspace(np.log10(50.0), np.log10(5000.0), 600)
-        tail = np.trapezoid(levy_stable_pdf(tail_grid, 1.5, 1.0), tail_grid)
-        assert bulk + 2 * tail == pytest.approx(1.0, abs=1e-4)
-        assert bulk == pytest.approx(0.99887, abs=2e-4)
-
-    def test_matches_scipy_reference(self):
-        for alpha in (1.3, 1.7):
-            x = np.array([-3.0, -0.5, 0.0, 1.0, 4.0])
-            ref = stats.levy_stable.pdf(x, alpha, 0.0)
-            assert np.max(np.abs(levy_stable_pdf(x, alpha, 1.0) - ref)) < 1e-6
-
-    def test_tail_exponent(self):
-        # survival ~ x^-alpha for alpha < 2: check the local log-slope of the pdf
-        alpha = 1.5
-        x1, x2 = 30.0, 60.0
-        p1, p2 = levy_stable_pdf(x1, alpha, 1.0), levy_stable_pdf(x2, alpha, 1.0)
-        slope = np.log(p2 / p1) / np.log(x2 / x1)
-        assert slope == pytest.approx(-(1 + alpha), abs=0.05)
-
-    def test_sample_gaussian_variance(self):
-        rng = np.random.default_rng(11)
-        draws = levy_stable_sample(2.0, 1.0, rng.random(10**6), rng.random(10**6))
-        assert draws.var() == pytest.approx(2.0, rel=0.02)
-
-    def test_sample_tail_index_hill(self):
-        from firmgrowth.analysis import hill_estimator
-
-        rng = np.random.default_rng(12)
-        draws = levy_stable_sample(1.5, 1.0, rng.random(10**6), rng.random(10**6))
-        index, _ = hill_estimator(np.abs(draws), 0.01)
-        assert index == pytest.approx(1.5, abs=0.1)
-
-    def test_sample_deterministic(self):
-        a = levy_stable_sample(1.5, 2.0, 0.3, 0.7)
-        b = levy_stable_sample(1.5, 2.0, 0.3, 0.7)
-        assert a == b
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            levy_stable_pdf(0.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            levy_stable_pdf(0.0, 2.1, 1.0)
-        with pytest.raises(ValueError):
-            levy_stable_sample(1.5, 1.0, 0.0, 0.5)
+    def test_python_float_stays_python_float(self):
+        # the per-firm simulation loop draws its count from a Python float
+        u = 0.3
+        out = pareto_sample(u, 1.0, 1.2)
+        assert type(out) is float
+        assert out == (1.0 - u) ** (-1.0 / 1.2)
 
 
 # ---------------------------------------------------------------------------
@@ -259,50 +180,3 @@ class TestLaplaceSum:
     def test_k_zero_rejected(self):
         with pytest.raises(ValueError):
             laplace_sum_pdf(0, 0.0)
-
-
-# ---------------------------------------------------------------------------
-# Correlated Laplace characteristic function
-# ---------------------------------------------------------------------------
-
-class TestCorrelatedLaplaceCf:
-    def test_unity_at_zero(self):
-        for rho in (-0.8, 0.0, 0.5):
-            assert correlated_laplace_cf2(0.0, rho) == pytest.approx(1.0, abs=1e-10)
-
-    def test_independent_case_product_form(self):
-        # rho = 0: product of two Laplace characteristic functions (1+t^2)^-2
-        for t in (0.5, 1.0, 2.0):
-            assert correlated_laplace_cf2(t, 0.0) == pytest.approx((1 + t * t) ** -2, rel=1e-9)
-
-    def test_monte_carlo_oracle(self):
-        # S2 = sig1*Y1 + sig2*Y2 with AR(1) Gaussian factors and Rayleigh scales
-        rho, t = 0.5, 1.0
-        rng = np.random.default_rng(21)
-        n = 2 * 10**6
-        y1 = rng.standard_normal(n)
-        y2 = rho * y1 + np.sqrt(1 - rho * rho) * rng.standard_normal(n)
-        s1 = np.sqrt(-2 * np.log(rng.random(n)))
-        s2 = np.sqrt(-2 * np.log(rng.random(n)))
-        mc = np.cos(t * (s1 * y1 + s2 * y2)).mean()
-        assert correlated_laplace_cf2(t, rho) == pytest.approx(mc, abs=3e-3)
-
-    def test_quadrature_value_frozen(self):
-        # frozen from the defining double integral (Gauss-Legendre, 240 nodes)
-        assert correlated_laplace_cf2(1.0, 0.5) == pytest.approx(0.1759103717, abs=1e-8)
-
-    def test_closed_form_constant_discrepancy_at_rho_zero(self):
-        # the printed closed form is (pi/2 - 1) times the true cf when rho = 0
-        for t in (0.0, 0.7, 1.5, 3.0):
-            ratio = correlated_laplace_cf2_closed_form(t, 0.0) / correlated_laplace_cf2(t, 0.0)
-            assert ratio == pytest.approx(np.pi / 2 - 1, rel=1e-9)
-
-    def test_closed_form_not_a_constant_multiple_for_nonzero_rho(self):
-        # documented defect: away from rho = 0 the discrepancy is t-dependent
-        r1 = correlated_laplace_cf2_closed_form(0.5, 0.5) / correlated_laplace_cf2(0.5, 0.5)
-        r2 = correlated_laplace_cf2_closed_form(2.0, 0.5) / correlated_laplace_cf2(2.0, 0.5)
-        assert abs(r1 - r2) > 0.1
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            correlated_laplace_cf2(1.0, 1.0)

@@ -13,7 +13,6 @@ from firmgrowth.estimation import (
     leave_one_out_rescale,
     mad_volatility,
     power_law_exponent_profile,
-    sd_volatility,
 )
 
 
@@ -33,18 +32,11 @@ class TestVolatilityProxies:
         with pytest.raises(ValueError):
             mad_volatility([1.0])
 
-    def test_sd_plus_minus_one(self):
-        assert sd_volatility([-1.0, 1.0]) == pytest.approx(np.sqrt(2))
-
-    def test_sd_constant(self):
-        assert sd_volatility([3.0, 3.0, 3.0]) == 0.0
-
     def test_scale_equivariance_translation_invariance(self):
         rng = np.random.default_rng(1)
         g = rng.standard_normal(40)
-        for fn in (mad_volatility, sd_volatility):
-            assert fn(5.0 * g) == pytest.approx(5.0 * fn(g), rel=1e-12)
-            assert fn(g + 17.0) == pytest.approx(fn(g), rel=1e-9)
+        assert mad_volatility(5.0 * g) == pytest.approx(5.0 * mad_volatility(g), rel=1e-12)
+        assert mad_volatility(g + 17.0) == pytest.approx(mad_volatility(g), rel=1e-9)
 
 
 class TestFirmSizeVolatility:

@@ -3,30 +3,34 @@ import pytest
 
 from firmgrowth.analysis import equal_count_bins, hill_estimator, ks_distance, loglog_ols
 from firmgrowth.model import (
-    Firm,
+    FirmPopulation,
     FixedCount,
     ModelParams,
     Panel,
     ParetoCount,
     _StreamPool,
     aggregate_firms,
-    conditional_hhi_moment_mc,
-    draw_firm,
     draw_population,
     few_subunit_tail_slope,
     firm_stream,
     fraction_few_subunits,
-    growth_rate,
-    hhi,
-    sample_hhi,
+    sample_firm_stats,
     shocks_from_uniforms,
     simulate_panel,
-    theoretical_volatility,
 )
 
 
 def wb_params(mu=1.6, alpha=1.2, sigma0=0.1):
     return ModelParams(mu=mu, alpha=alpha, sigma0=sigma0, k_mode=ParetoCount())
+
+
+def one_firm(sizes):
+    return FirmPopulation(sizes, [len(sizes)])
+
+
+def firm_sizes(pop, i):
+    """Sub-unit sizes of firm i, sliced straight from the flat layout."""
+    return pop.sub_unit_sizes[pop.offsets[i] : pop.offsets[i + 1]]
 
 
 class TestParams:
@@ -60,61 +64,51 @@ class TestShocks:
 
 class TestHhi:
     def test_single_subunit(self):
-        assert hhi([1.0]) == 1.0
+        assert one_firm([1.0]).hhi()[0] == 1.0
 
     def test_equal_split(self):
-        assert hhi([1.0, 1.0, 1.0, 1.0]) == pytest.approx(0.25)
+        assert one_firm([1.0, 1.0, 1.0, 1.0]).hhi()[0] == pytest.approx(0.25)
 
     def test_three_one(self):
-        assert hhi([3.0, 1.0]) == pytest.approx(0.625)
+        assert one_firm([3.0, 1.0]).hhi()[0] == pytest.approx(0.625)
 
     def test_bounds(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             k = rng.integers(1, 30)
             s = rng.random(k) + 0.01
-            h = hhi(s)
+            h = one_firm(s).hhi()[0]
             assert 1.0 / k - 1e-12 <= h <= 1.0 + 1e-12
 
 
 class TestGrowthRate:
     def test_cancellation(self):
-        assert growth_rate([2.0, 2.0], [1.0, -1.0], 0.1) == pytest.approx(0.0)
+        assert one_firm([2.0, 2.0]).growth_rates([1.0, -1.0], 0.1)[0] == pytest.approx(0.0)
 
     def test_single_unit(self):
-        assert growth_rate([1.0], [0.37], 0.1) == pytest.approx(0.037)
+        assert one_firm([1.0]).growth_rates([0.37], 0.1)[0] == pytest.approx(0.037)
 
     def test_weights_sum_to_one(self):
-        assert growth_rate([3.0, 1.0], [1.0, 1.0], 0.1) == pytest.approx(0.1)
+        assert one_firm([3.0, 1.0]).growth_rates([1.0, 1.0], 0.1)[0] == pytest.approx(0.1)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(1)
         s = rng.random(7) + 0.1
         eta = rng.standard_normal(7)
-        assert growth_rate(s, eta, 0.2) == pytest.approx(growth_rate(10.0 * s, eta, 0.2))
+        assert one_firm(s).growth_rates(eta, 0.2) == pytest.approx(
+            one_firm(10.0 * s).growth_rates(eta, 0.2)
+        )
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            growth_rate([1.0, 2.0], [1.0], 0.1)
-
-
-class TestTheoreticalVolatility:
-    def test_single_unit(self):
-        assert theoretical_volatility([1.0], 0.2) == pytest.approx(0.2)
-
-    def test_three_one(self):
-        assert theoretical_volatility([3.0, 1.0], 0.2) == pytest.approx(0.2 * np.sqrt(0.625))
-
-    def test_diversification_limit(self):
-        k = 400
-        assert theoretical_volatility(np.ones(k), 0.3) == pytest.approx(0.3 / np.sqrt(k))
+            one_firm([1.0, 2.0]).growth_rates([1.0], 0.1)
 
 
 class TestDrawFirm:
     def test_fixed_count_one(self):
         p = ModelParams(mu=1.5, k_mode=FixedCount(1))
-        f = draw_firm(p, np.random.default_rng(0))
-        assert f.n_sub_units == 1 and f.size >= p.s0
+        pop = draw_population(p, 1, np.random.default_rng(0))
+        assert pop.counts.tolist() == [1] and pop.sizes()[0] >= p.s0
 
     def test_pareto_count_ccdf(self):
         p = wb_params(mu=1.6, alpha=1.2)
@@ -130,15 +124,16 @@ class TestDrawFirm:
 
     def test_lln_firm_size(self):
         p = ModelParams(mu=1.5, k_mode=FixedCount(10**4))
-        f = draw_firm(p, np.random.default_rng(3))
-        assert f.size / 10**4 == pytest.approx(3.0, rel=0.05)
+        pop = draw_population(p, 1, np.random.default_rng(3))
+        assert pop.sizes()[0] / 10**4 == pytest.approx(3.0, rel=0.05)
 
     def test_population_matches_single_draws(self):
         p = wb_params()
         pop = draw_population(p, 5, np.random.default_rng(9))
         assert pop.n_firms == 5
-        assert pop.sizes() == pytest.approx([pop.firm(i).size for i in range(5)])
-        assert pop.hhi() == pytest.approx([hhi(pop.firm(i)) for i in range(5)])
+        firms = [firm_sizes(pop, i) for i in range(5)]
+        assert pop.sizes() == pytest.approx([s.sum() for s in firms])
+        assert pop.hhi() == pytest.approx([(s**2).sum() / s.sum() ** 2 for s in firms])
 
 
 class TestStreams:
@@ -157,11 +152,11 @@ class TestStreams:
 class TestSimulatePanel:
     def test_zero_sigma_constant_sizes(self):
         p = ModelParams(mu=1.5, sigma0=0.0, k_mode=FixedCount(3))
-        panel, info = simulate_panel(p, 10, 5, seed=1)
+        panel, clamp_count = simulate_panel(p, 10, 5, seed=1)
         for i in range(10):
             s = panel.size[panel.firm_id == i]
             assert np.allclose(s, s[0])
-        assert info.clamp_count == 0
+        assert clamp_count == 0
 
     def test_record_count(self):
         p = wb_params()
@@ -185,14 +180,12 @@ class TestSimulatePanel:
 
     def test_csv_roundtrip(self, tmp_path):
         p = wb_params()
-        panel, info = simulate_panel(p, 5, 3, seed=4)
+        panel, _ = simulate_panel(p, 5, 3, seed=4)
         path = tmp_path / "panel.csv"
         panel.write_csv(path)
         back = Panel.read_csv(path)
         assert np.array_equal(back.firm_id, panel.firm_id)
         assert np.array_equal(back.size, panel.size)
-        info.write_json(tmp_path / "panel.meta.json")
-        assert (tmp_path / "panel.meta.json").exists()
         # a single row
         Panel(panel.firm_id[:1], panel.period[:1], panel.size[:1]).write_csv(path)
         one = Panel.read_csv(path)
@@ -237,7 +230,7 @@ class TestFractionFewSubunits:
         # relative weight of few-sub-unit firms falls off as size^(alpha - mu)
         p = wb_params(mu=1.8, alpha=1.2)
         pop = draw_population(p, 10**6, np.random.default_rng(8))
-        slope, n_used = few_subunit_tail_slope(pop, 2)
+        slope, n_used, _ = few_subunit_tail_slope(pop, 2)
         assert n_used >= 3
         assert slope == pytest.approx(p.alpha - p.mu, abs=0.1)
 
@@ -279,7 +272,7 @@ class TestAggregateFirms:
             # compare over quantile-matched windows: merging doubles sizes,
             # so a fixed absolute window would sample a different regime
             sizes = population.sizes()
-            vols = population.theoretical_volatilities(p.sigma0)
+            vols = p.sigma0 * np.sqrt(population.hhi())
             hill, hill_se = hill_estimator(sizes, 0.01)
             keep = sizes >= np.quantile(sizes, 0.8)
             assign = equal_count_bins(sizes[keep], 15)
@@ -303,14 +296,15 @@ class TestAggregateFirms:
 class TestConditionalHhiMoments:
     def test_k1_degenerate(self):
         p = ModelParams(mu=1.5)
-        assert conditional_hhi_moment_mc(p, 1, 0.7, 100, np.random.default_rng(0)) == (1.0, 0.0)
+        sizes, h = sample_firm_stats(p, 1, 100, np.random.default_rng(0))
+        assert np.all(sizes >= p.s0) and np.all(h == 1.0)
 
     def test_mean_hhi_slope(self):
         # E[H|K] ~ K^(1-mu)
         p = ModelParams(mu=1.5)
         rng = np.random.default_rng(17)
         ks = [2**j for j in range(6, 13)]
-        means = [conditional_hhi_moment_mc(p, k, 1.0, 4000, rng)[0] for k in ks]
+        means = [sample_firm_stats(p, k, 4000, rng)[1].mean() for k in ks]
         fit = loglog_ols(np.array(ks, dtype=float), np.array(means))
         assert fit.slope == pytest.approx(1.0 - p.mu, abs=0.05)
 
@@ -319,7 +313,7 @@ class TestConditionalHhiMoments:
         p = ModelParams(mu=1.5)
         rng = np.random.default_rng(18)
         ks = [2**j for j in range(6, 13)]
-        means = [conditional_hhi_moment_mc(p, k, 0.5, 4000, rng)[0] for k in ks]
+        means = [np.sqrt(sample_firm_stats(p, k, 4000, rng)[1]).mean() for k in ks]
         fit = loglog_ols(np.array(ks, dtype=float), np.array(means))
         assert fit.slope == pytest.approx((1.0 - p.mu) / p.mu, abs=0.05)
 
@@ -337,7 +331,7 @@ class TestPopulationInvariants:
         p = ModelParams(mu=1.5)
         rng = np.random.default_rng(20)
         ks = [2**j for j in range(6, 13)]
-        med = [np.median(sample_hhi(p, k, 10**4, rng)) for k in ks]
+        med = [np.median(sample_firm_stats(p, k, 10**4, rng)[1]) for k in ks]
         fit = loglog_ols(np.array(ks, dtype=float), np.array(med))
         assert fit.slope == pytest.approx(2 * (1 - p.mu) / p.mu, abs=0.07)
 
@@ -345,11 +339,11 @@ class TestPopulationInvariants:
         # with Gaussian shocks, g / (sigma0 sqrt(H)) is exactly standard normal
         p = ModelParams(mu=1.5, sigma0=0.08, k_mode=FixedCount(64))
         rng = np.random.default_rng(21)
-        firm = draw_firm(p, rng)
+        s = draw_population(p, 1, rng).sub_unit_sizes
         reps = 10**4
-        eta = rng.standard_normal((reps, firm.n_sub_units))
-        g = p.sigma0 * (eta @ firm.sub_unit_sizes) / firm.size
-        z = g / theoretical_volatility(firm, p.sigma0)
+        eta = rng.standard_normal((reps, s.size))
+        g = p.sigma0 * (eta @ s) / s.sum()
+        z = g / (p.sigma0 * np.sqrt((s**2).sum() / s.sum() ** 2))
         from scipy.stats import kstest
 
         assert kstest(z, "norm").pvalue > 0.01
@@ -360,11 +354,12 @@ class TestPopulationInvariants:
         eta = np.random.default_rng(23).standard_normal(pop.sub_unit_sizes.size)
         g = pop.growth_rates(eta, p.sigma0)
         for i in (0, 7, 19):
-            lo, hi = pop.offsets[i], pop.offsets[i + 1]
-            assert g[i] == pytest.approx(growth_rate(pop.firm(i), eta[lo:hi], p.sigma0))
+            s = firm_sizes(pop, i)
+            shocks = eta[pop.offsets[i] : pop.offsets[i + 1]]
+            assert g[i] == pytest.approx(p.sigma0 * (s * shocks).sum() / s.sum())
 
     def test_firm_validation(self):
         with pytest.raises(ValueError):
-            Firm(np.array([]))
+            FirmPopulation([], [0])
         with pytest.raises(ValueError):
-            Firm(np.array([1.0, -2.0]))
+            FirmPopulation([1.0, 2.0], [3])
