@@ -9,7 +9,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
+import scipy
+
+from firmgrowth.groups import Groups
 
 
 # ---------------------------------------------------------------------------
@@ -51,20 +53,16 @@ def binned_volatility_moments(sizes, vols, q_list, n_bins=25):
     vols = np.asarray(vols, dtype=float)
     if sizes.shape != vols.shape:
         raise ValueError("sizes and vols must have equal length")
-    assign = equal_count_bins(sizes, n_bins)
-    out = []
-    for b in range(n_bins):
-        m = assign == b
-        v = vols[m]
-        out.append(
-            BinnedStats(
-                bin_index=b,
-                mean_size=float(sizes[m].mean()),
-                n_firms=int(m.sum()),
-                moments={q: float((v**q).mean()) for q in q_list},
-            )
+    bins = Groups.of(equal_count_bins(sizes, n_bins))
+    return [
+        BinnedStats(
+            bin_index=b,
+            mean_size=float(s.mean()),
+            n_firms=int(s.size),
+            moments={q: float((v**q).mean()) for q in q_list},
         )
-    return out
+        for b, (s, v) in enumerate(zip(bins.split(sizes), bins.split(vols)))
+    ]
 
 
 def upper_window_edges(sizes, lo, trim_decades, n_bins):
@@ -218,8 +216,21 @@ def _kde_binned(samples, grid, h):
     half_width = int(np.ceil(8.5 * h / step))
     offsets = np.arange(-half_width, half_width + 1) * step
     kernel = np.exp(-0.5 * (offsets / h) ** 2) / (h * np.sqrt(2 * np.pi))
-    dens = signal.fftconvolve(weights, kernel, mode="same") / samples.size
+    dens = _convolve_same(weights, kernel) / samples.size
     return np.interp(grid, lo + step * np.arange(n_fine), np.maximum(dens, 0.0))
+
+
+def _convolve_same(a, kernel):
+    """``scipy.signal.fftconvolve(a, kernel, mode="same")`` for 1-D real arrays.
+
+    The same transforms in the same order, so the result is bit-identical;
+    written out with ``scipy.fft`` because importing ``scipy.signal`` costs
+    about a second (it loads ``scipy.stats``, ``interpolate`` and ``optimize``).
+    """
+    n = a.size + kernel.size - 1
+    nfft = scipy.fft.next_fast_len(n, True)
+    full = scipy.fft.irfft(scipy.fft.rfft(a, nfft) * scipy.fft.rfft(kernel, nfft), nfft)
+    return full[(n - a.size) // 2 :][: a.size]
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from firmgrowth import __version__, analysis, estimation
 from firmgrowth.analysis import DensityEstimate
 from firmgrowth.distributions import GseParams, MigParams
 from firmgrowth.experiments import EXPERIMENTS, run_experiment
+from firmgrowth.groups import Groups
 from firmgrowth.model import FixedCount, ModelParams, Panel, ParetoCount, simulate_panel
 from firmgrowth import panel as panel_mod
 
@@ -120,6 +121,19 @@ def write_table_csv(path, header, rows, meta=None):
         write_json(Path(str(path) + ".meta.json"), meta)
 
 
+def _nan_to_null(o):
+    # strict JSON has no NaN or Infinity tokens: write non-finite floats as null
+    if isinstance(o, dict):
+        return {k: _nan_to_null(v) for k, v in o.items()}
+    if isinstance(o, np.ndarray):
+        o = o.tolist()
+    if isinstance(o, (list, tuple)):
+        return [_nan_to_null(v) for v in o]
+    if isinstance(o, (float, np.floating)) and not np.isfinite(o):
+        return None
+    return o
+
+
 def write_json(path, payload):
     def default(o):
         if isinstance(o, (np.integer,)):
@@ -128,12 +142,12 @@ def write_json(path, payload):
             return float(o)
         if isinstance(o, (np.bool_,)):
             return bool(o)
-        if isinstance(o, np.ndarray):
-            return o.tolist()
         raise TypeError(f"cannot serialize {type(o)}")
 
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=default, allow_nan=True)
+        json.dump(
+            _nan_to_null(payload), fh, indent=2, sort_keys=True, default=default, allow_nan=False
+        )
         fh.write("\n")
 
 
@@ -199,8 +213,8 @@ def cmd_analyze(cfg, args):
         meta=_meta(cfg, seed),
     )
 
-    assign = analysis.equal_count_bins(sizes_mean, n_bins)
-    rescaled = analysis.rescale_collapse([vols[assign == b] for b in range(n_bins)])
+    bins = Groups.of(analysis.equal_count_bins(sizes_mean, n_bins))
+    rescaled = analysis.rescale_collapse(bins.split(vols))
     rows = []
     for b, r in enumerate(rescaled):
         rows.extend([[b, v] for v in r])
@@ -233,13 +247,15 @@ def cmd_analyze(cfg, args):
 
 
 def _read_samples(path):
-    rows = Path(path).read_text().strip().splitlines()
-    start = 0
+    """The first column of a CSV as floats, skipping a header row if there is one."""
+    with open(path) as fh:
+        first = fh.readline()
     try:
-        float(rows[0].split(",")[0])
+        float(first.split(",")[0])
+        skip = 0
     except ValueError:
-        start = 1
-    return np.array([float(r.split(",")[0]) for r in rows[start:]])
+        skip = 1
+    return np.loadtxt(path, delimiter=",", usecols=0, skiprows=skip, ndmin=1)
 
 
 def cmd_fit(cfg, args):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from math import comb, factorial
 
 import numpy as np
-from scipy import special
+import scipy
 
 
 # ---------------------------------------------------------------------------
@@ -62,9 +62,9 @@ def _mig_log_norm(p: MigParams):
     # C = a^b / (Gamma(b) - Gamma(b, a/m)); the bracket is the lower
     # incomplete gamma evaluated at a/m, so C reduces to a^b/Gamma(b) at m=0.
     a, b, m = p.scale, p.shape, p.location
-    log_c = b * np.log(a) - special.gammaln(b)
+    log_c = b * np.log(a) - scipy.special.gammaln(b)
     if m > 0:
-        log_c -= np.log(special.gammainc(b, a / m))
+        log_c -= np.log(scipy.special.gammainc(b, a / m))
     return log_c
 
 
@@ -95,9 +95,9 @@ def mig_cdf(x, p: MigParams):
     """
     x = np.asarray(x, dtype=float)
     a, b, m = p.scale, p.shape, p.location
-    f_m = special.gammaincc(b, a / m) if m > 0 else 0.0
+    f_m = scipy.special.gammaincc(b, a / m) if m > 0 else 0.0
     with np.errstate(divide="ignore"):
-        f_y = special.gammaincc(b, a / np.maximum(x + m, 1e-300))
+        f_y = scipy.special.gammaincc(b, a / np.maximum(x + m, 1e-300))
     out = np.where(x <= 0, 0.0, (f_y - f_m) / (1.0 - f_m))
     return np.clip(out, 0.0, 1.0)
 
@@ -108,9 +108,9 @@ def mig_sample(p: MigParams, u):
     if np.any(u <= 0) or np.any(u >= 1):
         raise ValueError("uniforms must lie in (0, 1)")
     a, b, m = p.scale, p.shape, p.location
-    f_m = special.gammaincc(b, a / m) if m > 0 else 0.0
+    f_m = scipy.special.gammaincc(b, a / m) if m > 0 else 0.0
     prob = f_m + u * (1.0 - f_m)
-    return a / special.gammainccinv(b, prob) - m
+    return a / scipy.special.gammainccinv(b, prob) - m
 
 
 # ---------------------------------------------------------------------------
@@ -178,16 +178,17 @@ def laplace_sum_pdf(k, y):
     for l in range(k):
         if k <= 80:
             c = comb(k - 1, l) * 2**l * factorial(2 * k - 2 - l)
-            log_coef[l] = np.log(float(c)) - special.gammaln(k)
+            log_coef[l] = np.log(float(c)) - scipy.special.gammaln(k)
         else:
             log_coef[l] = (
-                special.gammaln(k) - special.gammaln(l + 1) - special.gammaln(k - l)
-                + l * np.log(2.0) + special.gammaln(2 * k - 1 - l) - special.gammaln(k)
+                scipy.special.gammaln(k) - scipy.special.gammaln(l + 1)
+                - scipy.special.gammaln(k - l) + l * np.log(2.0)
+                + scipy.special.gammaln(2 * k - 1 - l) - scipy.special.gammaln(k)
             )
-    log_pref = -2.0 * k * np.log(2.0) + np.log(2.0 * r) - special.gammaln(k)
+    log_pref = -2.0 * k * np.log(2.0) + np.log(2.0 * r) - scipy.special.gammaln(k)
 
     # floor keeps 0 * log(0) = 0 for the constant term at y = 0
     log_ry = np.log(np.maximum(np.atleast_1d(ry), 1e-300))
     terms = log_coef[:, None] + np.arange(k)[:, None] * log_ry[None, :]
-    out = np.exp(log_pref + special.logsumexp(terms, axis=0) - np.atleast_1d(ry))
+    out = np.exp(log_pref + scipy.special.logsumexp(terms, axis=0) - np.atleast_1d(ry))
     return float(out[0]) if np.ndim(y) == 0 else out.reshape(np.shape(y))

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, special
+import scipy
 
 from firmgrowth.analysis import DensityEstimate, binned_volatility_moments, loglog_ols
 from firmgrowth.distributions import GseParams, MigParams, gse_pdf
@@ -145,9 +145,9 @@ def _mig_nll(theta, x):
     if a <= 0 or b <= 0 or m < 0:
         return np.inf
     y = x + m
-    log_c = b * np.log(a) - special.gammaln(b)
+    log_c = b * np.log(a) - scipy.special.gammaln(b)
     if m > 0:
-        p_low = special.gammainc(b, a / m)
+        p_low = scipy.special.gammainc(b, a / m)
         if p_low <= 0:
             return np.inf
         log_c -= np.log(p_low)
@@ -206,7 +206,7 @@ def fit_mig_mle(samples, init: MigParams | None = None) -> FitResult:
     )
     nll0 = _mig_nll(theta0, x)
     bounds = [(1e-8, None), (1e-8, None), (0.0, None)]
-    res = optimize.minimize(
+    res = scipy.optimize.minimize(
         _mig_nll,
         theta0,
         args=(x,),
@@ -302,7 +302,7 @@ def fit_gse_nls(density: DensityEstimate, init: GseParams | None = None) -> FitR
     hi = np.array([np.inf, np.inf, np.inf, np.inf, 2.0])
     theta0 = np.clip(theta0, lo, hi)
 
-    res = optimize.least_squares(
+    res = scipy.optimize.least_squares(
         lambda t: _gse_vector(t, x) - y,
         theta0,
         jac="3-point",

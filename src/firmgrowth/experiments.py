@@ -13,9 +13,11 @@ import inspect
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy
 
 from firmgrowth import analysis, estimation
 from firmgrowth.distributions import MigParams, gse_pdf, laplace_sum_pdf, mig_sample
+from firmgrowth.groups import Groups
 from firmgrowth.model import (
     FixedCount,
     ModelParams,
@@ -397,17 +399,14 @@ def run_fig1_left(seed=20260803, n_firms=1_000_000, mu=1.6, alpha=1.2, sigma0=0.
     # standard normal; test per size bin among multi-unit firms
     z = growth / (sigma0 * np.sqrt(hhi))
     sel = counts >= k_min_clt
-    assign = analysis.equal_count_bins(sizes[sel], 25)
-    from scipy.special import ndtr
+    bins = Groups.of(analysis.equal_count_bins(sizes[sel], 25))
 
     ks_rows, ks_max = [], 0.0
-    zsel = z[sel]
-    for b in range(25):
-        m = assign == b
-        if m.sum() < min_bin_firms:
+    for b, zb in enumerate(bins.split(z[sel])):
+        if zb.size < min_bin_firms:
             continue
-        d = analysis.ks_distance(zsel[m], ndtr)
-        ks_rows.append([b, int(m.sum()), d])
+        d = analysis.ks_distance(zb, scipy.special.ndtr)
+        ks_rows.append([b, int(zb.size), d])
         ks_max = max(ks_max, d)
 
     res = ExperimentResult("fig1_left", seed)
@@ -479,8 +478,8 @@ def run_fig3(seed=20260806, mu=1.9, n_per_class=10_000, n_bins=29,
     keep = sizes >= floor
     sizes, vols, classes = sizes[keep], vols[keep], classes[keep]
 
-    assign = analysis.equal_count_bins(sizes, n_bins)
-    per_bin = [vols[assign == b] for b in range(n_bins)]
+    bins = Groups.of(analysis.equal_count_bins(sizes, n_bins))
+    per_bin = bins.split(vols)
     rescaled = analysis.rescale_collapse(per_bin)
 
     checks = []
@@ -513,9 +512,8 @@ def run_fig3(seed=20260806, mu=1.9, n_per_class=10_000, n_bins=29,
     res.tables["bins"] = (
         ["bin", "median_k_class", "mean_size", "mean_vol", "n_firms"],
         [
-            [b + 1, int(np.median(classes[assign == b])), float(sizes[assign == b].mean()),
-             float(per_bin[b].mean()), int(per_bin[b].size)]
-            for b in range(n_bins)
+            [b + 1, int(np.median(c)), float(s.mean()), float(v.mean()), int(v.size)]
+            for b, (c, s, v) in enumerate(zip(bins.split(classes), bins.split(sizes), per_bin))
         ],
     )
     deciles = np.linspace(0.05, 0.95, 19)

@@ -1,4 +1,4 @@
-"""Rows grouped by key, for per-firm reductions without a pass per firm.
+"""Rows grouped by key (a firm, a size bin), with no pass over all rows per group.
 
 The rows are stable-sorted by key once; each group is then a run of that
 order, given by its start and its row count.  A reduction gathers all
@@ -41,6 +41,10 @@ class Groups:
     def select(self, mask):
         """The groups where `mask` (one flag per group) is true, over the same rows."""
         return Groups(self.keys[mask], self.order, self.starts[mask], self.counts[mask])
+
+    def split(self, values):
+        """Each group's values as one array, rows in input order within a group."""
+        return np.split(np.asarray(values)[self.order], self.starts[1:])
 
     def reduce(self, values, rowwise):
         """One float per group: ``rowwise`` applied to blocks of equal-length groups.

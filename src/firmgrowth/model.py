@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
-from scipy import special
+import scipy
 
 from firmgrowth.distributions import pareto_sample
 
@@ -107,7 +107,7 @@ def shocks_from_uniforms(u, law="gaussian", student_dof=5.0):
     """Unit-variance shock(s) from uniform(s) by inverse CDF."""
     u = np.asarray(u, dtype=float)
     if law == "gaussian":
-        return special.ndtri(u)
+        return scipy.special.ndtri(u)
     if law == "laplace":
         b = 1.0 / np.sqrt(2.0)
         return np.where(
@@ -116,7 +116,7 @@ def shocks_from_uniforms(u, law="gaussian", student_dof=5.0):
             -b * np.log(np.maximum(2.0 * (1.0 - u), 1e-300)),
         )
     if law == "student_t":
-        return special.stdtrit(student_dof, u) * np.sqrt((student_dof - 2.0) / student_dof)
+        return scipy.special.stdtrit(student_dof, u) * np.sqrt((student_dof - 2.0) / student_dof)
     raise ValueError(f"unknown shock law {law!r}")
 
 

@@ -158,6 +158,22 @@ class TestKde:
         binned = _kde_binned(x, grid, 0.2)
         assert np.max(np.abs(exact.values - binned)) < 5e-5
 
+    # kernel half-widths in grid steps: a 3-point kernel, a mid-size one, and
+    # one longer than the grid, as when the bandwidth is wide relative to the
+    # sample range
+    @pytest.mark.parametrize("half_width", [1, 700, 40_000])
+    def test_convolution_is_bit_identical_to_fftconvolve(self, half_width):
+        from scipy.signal import fftconvolve
+
+        from firmgrowth.analysis import _convolve_same
+
+        rng = np.random.default_rng(half_width)
+        weights = rng.random(1 << 16) * (rng.random(1 << 16) < 0.3)
+        offsets = np.arange(-half_width, half_width + 1) / half_width
+        kernel = np.exp(-0.5 * (8.5 * offsets) ** 2)
+        got = _convolve_same(weights, kernel)
+        assert got.tobytes() == fftconvolve(weights, kernel, mode="same").tobytes()
+
     def test_bandwidth_matches_rule(self):
         rng = np.random.default_rng(8)
         x = rng.standard_normal(4096)

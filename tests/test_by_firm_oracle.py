@@ -1,7 +1,7 @@
-"""Grouped by-firm reductions against the per-firm loops they replaced.
+"""Grouped by-firm and by-bin reductions against the loops they replaced.
 
 Each ``loop_*`` function below is the earlier implementation, which masked
-the whole panel once per firm.  The grouped code must reproduce it byte for
+the whole panel once per firm (or once per size bin).  The grouped code must reproduce it byte for
 byte (``tobytes()`` / ``repr``) on gap-free inputs: unsorted rows, ragged
 firms, firms with one or two rows, and string keys.
 """
@@ -9,6 +9,7 @@ firms, firms with one or two rows, and string keys.
 import numpy as np
 import pytest
 
+from firmgrowth.analysis import binned_volatility_moments, equal_count_bins
 from firmgrowth.estimation import (
     _ADJ,
     firm_size_volatility,
@@ -84,6 +85,17 @@ def loop_descriptive_stats(panel):
     rows.append(_stat_row("growth_volatility_mad", vols))
     rows.append(_stat_row("n_growth_rates_per_firm", counts))
     return rows
+
+
+def loop_binned_volatility_moments(sizes, vols, q_list, n_bins):
+    assign = equal_count_bins(sizes, n_bins)
+    out = []
+    for b in range(n_bins):
+        m = assign == b
+        v = vols[m]
+        out.append((b, float(sizes[m].mean()), int(m.sum()),
+                    {q: float((v**q).mean()) for q in q_list}))
+    return out
 
 
 def loop_leave_one_out_rescale(series):
@@ -201,6 +213,23 @@ def test_descriptive_stats_matches_loop(seed):
     assert repr(descriptive_stats(panel, annual_log_growth(panel))) == repr(
         loop_descriptive_stats(panel)
     )
+
+
+@pytest.mark.parametrize("n_bins", [1, 7, 25])
+def test_size_bins_match_mask_loop(n_bins):
+    # unsorted sizes with runs of ties, so stable order within a bin matters
+    rng = np.random.default_rng(8)
+    sizes = np.round(np.exp(rng.normal(0.0, 2.0, 3001)), 1)
+    vols = np.exp(rng.normal(-2.0, 1.0, sizes.size))
+    stats = binned_volatility_moments(sizes, vols, [1, 2, 3, 4], n_bins=n_bins)
+    got = [(s.bin_index, s.mean_size, s.n_firms, s.moments) for s in stats]
+    assert repr(got) == repr(loop_binned_volatility_moments(sizes, vols, [1, 2, 3, 4], n_bins))
+    # the collapse's per-bin arrays, as cmd_analyze builds them
+    assign = equal_count_bins(sizes, n_bins)
+    per_bin = Groups.of(assign).split(vols)
+    assert len(per_bin) == n_bins
+    for b, v in enumerate(per_bin):
+        assert_same_array(v, vols[assign == b])
 
 
 def test_leave_one_out_rows_match_loop():

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from firmgrowth.cli import load_config, main, run_settings
+from firmgrowth.cli import _read_samples, load_config, main, run_settings, write_json
 
 
 def sha(path):
@@ -38,6 +38,23 @@ n_periods = 6
 n_bins = 5
 panel = {out}/panel.csv
 """
+
+
+def test_write_json_writes_non_finite_floats_as_null(tmp_path):
+    path = tmp_path / "out.json"
+    write_json(path, {
+        "a": float("nan"),
+        "b": [1.5, float("inf"), {"c": np.float64(-np.inf), "d": np.float64(2.0)}],
+        "e": np.array([np.nan, 3.0]),
+        "f": (np.float64(np.nan), 4),
+    })
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    data = json.loads(path.read_text(), parse_constant=reject)
+    assert data == {"a": None, "b": [1.5, None, {"c": None, "d": 2.0}],
+                    "e": [None, 3.0], "f": [None, 4]}
 
 
 class TestSimulate:
@@ -152,6 +169,15 @@ class TestFit:
                      "--input", str(data)]) == 0
         fit = json.loads((tmp_path / "fit" / "fit_gse.json").read_text())
         assert fit["objective"] < 1e-10
+
+    @pytest.mark.parametrize("header", ["", "value,weight\n"])
+    def test_read_samples_with_and_without_header(self, tmp_path, header):
+        samples = np.random.default_rng(3).lognormal(0.0, 2.0, 500)
+        data = tmp_path / "samples.csv"
+        data.write_text(header + "".join(f"{x!r},1\n" for x in samples.tolist()))
+        assert _read_samples(data).tobytes() == samples.tobytes()
+        data.write_text(header + "0.25,1\n")
+        assert _read_samples(data).tolist() == [0.25]
 
     def test_bad_family_or_input(self, tmp_path):
         cfg = write_config(tmp_path, "[run]\n")

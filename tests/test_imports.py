@@ -1,0 +1,85 @@
+"""Which SciPy submodules each CLI step loads.
+
+The package imports only the ``scipy`` package at top level; a submodule
+loads the first time one of its attributes is used.  Loading
+``scipy.signal`` alone takes about a second (it pulls in ``scipy.stats``,
+``interpolate`` and ``optimize``), which is most of a short CLI step.
+Each case runs in a fresh interpreter and reports the ``scipy.*`` modules
+it ended with.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import firmgrowth
+
+SRC = str(Path(firmgrowth.__file__).resolve().parents[1])
+
+
+def scipy_modules(code):
+    """The ``scipy.*`` modules loaded after running `code` in a fresh interpreter."""
+    script = code + (
+        "\nimport json, sys"
+        "\nprint(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy.'))))"
+    )
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=300,
+        check=True,
+    )
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+@pytest.fixture(scope="module")
+def bare_scipy():
+    # what `import scipy` loads by itself: private helpers, no submodule
+    return scipy_modules("import scipy")
+
+
+def run_cli(argv):
+    return f"from firmgrowth.cli import main\nassert main({argv!r}) == 0"
+
+
+def test_importing_the_cli_loads_no_scipy_submodule(bare_scipy):
+    assert scipy_modules("import firmgrowth.cli") == bare_scipy
+
+
+def test_ingest_loads_no_scipy_submodule(tmp_path, bare_scipy):
+    rng = np.random.default_rng(1)
+    rows = ["firm_id,year,quarter,size"] + [
+        f"{firm},{2000 + i // 4},{i % 4 + 1},{rng.random() + 0.5:.6f}"
+        for firm in ("a", "b", "c")
+        for i in range(10)
+    ]
+    data = tmp_path / "quarters.csv"
+    data.write_text("\n".join(rows) + "\n")
+    argv = ["ingest", "--input", str(data), "--out-dir", str(tmp_path / "out")]
+    assert scipy_modules(run_cli(argv)) == bare_scipy
+
+
+def test_analyze_loads_neither_signal_nor_stats(tmp_path):
+    # enough firms that the rescaled-volatility KDE takes the binned FFT path
+    rng = np.random.default_rng(2)
+    n_firms, n_periods = 12_000, 3
+    firm_id = np.repeat(np.arange(n_firms), n_periods)
+    period = np.tile(np.arange(n_periods), n_firms)
+    size = np.exp(rng.normal(0.0, 2.0, firm_id.size))
+    panel = tmp_path / "panel.csv"
+    panel.write_text(
+        "firm_id,period,size\n"
+        + "".join(f"{f},{p},{s!r}\n" for f, p, s in zip(firm_id, period, size.tolist()))
+    )
+    argv = ["analyze", "--panel", str(panel), "--out-dir", str(tmp_path / "out")]
+    loaded = scipy_modules(run_cli(argv))
+    assert "scipy.fft" in loaded  # the binned KDE ran
+    assert not {m for m in loaded if m.split(".")[1] in ("signal", "stats")}
