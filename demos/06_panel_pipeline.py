@@ -15,10 +15,10 @@ import numpy as np
 
 from firmgrowth.analysis import kde_gaussian
 from firmgrowth.estimation import fit_gse_nls, gaussian_mass_fraction, leave_one_out_rescale
+from firmgrowth.groups import Groups
 from firmgrowth.model import ModelParams, ParetoCount, simulate_panel
 from firmgrowth.panel import (
     DeflatorSeries,
-    QuarterlyPanel,
     deflate,
     descriptive_stats,
     filter_firms,
@@ -46,24 +46,24 @@ with open(deflator_path, "w") as fh:
 print(f"wrote synthetic export ({panel.n_records} rows) to {csv_path}")
 
 # --- 2. ingest with a schema mapping --------------------------------------
-observations = ingest_csv(
+# quarterly rows become panel rows with period = 4 * year + quarter - 1
+qp = ingest_csv(
     csv_path,
     schema={"firm_id": "gvkey", "year": "fyearq", "quarter": "fqtr", "size": "saleq"},
 )
-qp = QuarterlyPanel.from_observations(observations)
-print(f"ingested {qp.n_obs} validated observations")
+print(f"ingested {len(qp)} validated observations")
 
 # --- 3. deflate, normalize, growth, filter --------------------------------
 qp = deflate(qp, DeflatorSeries.from_csv(deflator_path))
 qp = normalize_by_year(qp)
 for year in (2000, 2003, 2005):
-    mean = qp.size[qp.year == year].mean()
+    mean = qp.size[qp.period // 4 == year].mean()
     print(f"  mean normalized size in {year}: {mean:.12f}")
 
 qp, growths, exclusions = filter_firms(qp, min_growth_obs=10)
 print(f"firm filter: kept {np.unique(qp.firm_id).size} firms,"
       f" excluded {len(exclusions)}")
-print(f"rolling annual growth rates: {growths.n_obs}"
+print(f"rolling annual growth rates: {len(growths)}"
       " (each quarter paired with the one 4 quarters later)")
 
 print("\ndescriptive statistics:")
@@ -72,12 +72,11 @@ for row in descriptive_stats(qp, growths):
           f" sd={row['sd']:>9.4f}")
 
 # --- 4. leave-one-out rescaled growth and its distribution ----------------
-rescaled = []
-for firm in np.unique(growths.firm_id):
-    g = growths.growth[growths.firm_id == firm]
-    if g.size >= 3:
-        rescaled.append(leave_one_out_rescale(g))
-rescaled = np.concatenate(rescaled)
+rescaled = np.concatenate([
+    leave_one_out_rescale(g)
+    for g in Groups.of(growths.firm_id).split(growths.growth)
+    if g.size >= 3
+])
 rescaled = rescaled[np.isfinite(rescaled)]
 
 grid = np.linspace(-8, 8, 2_500)

@@ -77,6 +77,28 @@ def upper_window_edges(sizes, lo, trim_decades, n_bins):
     return np.logspace(np.log10(lo), hi, n_bins + 1)
 
 
+def binned_means(sizes, edges, values):
+    """Per bin between consecutive `edges`: its number of sizes and the means of `values`.
+
+    `values` is an iterable of arrays aligned with `sizes`, read one at a
+    time; rows whose size lies outside the edges are ignored.  Returns
+    ``(counts, means)`` with one array of per-bin means for each values
+    array, NaN in an empty bin.  A bin's rows keep their input order, so
+    each mean sees the elements a mask per bin would select, in their order.
+    """
+    idx = np.digitize(sizes, edges) - 1
+    inside = (idx >= 0) & (idx < len(edges) - 1)
+    bins = Groups.of(idx[inside])
+    counts = np.zeros(len(edges) - 1, dtype=np.int64)
+    counts[bins.keys] = bins.counts
+    means = []
+    for v in values:
+        mean = np.full(counts.size, np.nan)
+        mean[bins.keys] = [part.mean() for part in bins.split(np.asarray(v)[inside])]
+        means.append(mean)
+    return counts, means
+
+
 # ---------------------------------------------------------------------------
 # Log-log OLS
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Command line front end: simulate, analyze, fit, ingest, reproduce.
 
 Configuration comes from an INI file (sections documented in the README);
-the --seed / --out-dir / --threads flags override the [run] section.  Exit
+the --seed / --out-dir flags override the [run] section.  Exit
 codes: 0 success, 1 validation error, 2 runtime error, 3 tolerance check
 failed under --strict.
 """
@@ -64,13 +64,7 @@ def run_settings(cfg, args):
     """[run] section with CLI flags taking precedence."""
     seed = args.seed if args.seed is not None else _get(cfg, "run", "seed", "20260801")
     out_dir = args.out_dir or _get(cfg, "run", "out_dir", "out")
-    threads = args.threads if args.threads is not None else _get(cfg, "run", "threads", "1")
-    threads = int(threads)
-    if threads <= 0:
-        import os
-
-        threads = os.cpu_count() or 1
-    return int(seed), Path(out_dir), threads
+    return int(seed), Path(out_dir)
 
 
 def model_params_from_config(cfg):
@@ -163,7 +157,7 @@ def _meta(cfg, seed, extra=None):
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(cfg, args):
-    seed, out_dir, threads = run_settings(cfg, args)
+    seed, out_dir = run_settings(cfg, args)
     params = model_params_from_config(cfg)
     sec = cfg["simulate"] if cfg.has_section("simulate") else {}
     n_firms = int(sec.get("n_firms", "1000"))
@@ -172,7 +166,7 @@ def cmd_simulate(cfg, args):
         raise ValidationError("need n_firms >= 1 and n_periods >= 2")
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    panel, clamp_count = simulate_panel(params, n_firms, n_periods, seed, threads=threads)
+    panel, clamp_count = simulate_panel(params, n_firms, n_periods, seed)
     panel_path = out_dir / "panel.csv"
     panel.write_csv(panel_path)
     meta = _meta(cfg, seed, {
@@ -187,7 +181,7 @@ def cmd_simulate(cfg, args):
 
 
 def cmd_analyze(cfg, args):
-    seed, out_dir, _ = run_settings(cfg, args)
+    seed, out_dir = run_settings(cfg, args)
     sec = cfg["analyze"] if cfg.has_section("analyze") else {}
     panel_path = args.panel or sec.get("panel")
     if not panel_path or not Path(panel_path).exists():
@@ -259,7 +253,7 @@ def _read_samples(path):
 
 
 def cmd_fit(cfg, args):
-    seed, out_dir, _ = run_settings(cfg, args)
+    seed, out_dir = run_settings(cfg, args)
     sec = cfg["fit"] if cfg.has_section("fit") else {}
     family = (args.family or sec.get("family", "")).strip().lower()
     input_path = args.input or sec.get("input")
@@ -308,7 +302,7 @@ def cmd_fit(cfg, args):
 
 
 def cmd_ingest(cfg, args):
-    seed, out_dir, _ = run_settings(cfg, args)
+    seed, out_dir = run_settings(cfg, args)
     sec = cfg["ingest"] if cfg.has_section("ingest") else {}
     input_path = args.input or sec.get("input")
     if not input_path or not Path(input_path).exists():
@@ -319,46 +313,41 @@ def cmd_ingest(cfg, args):
         if sec.get(key):
             schema[logical] = sec[key]
 
-    try:
-        observations = panel_mod.ingest_csv(input_path, schema)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from None
-    qp = panel_mod.QuarterlyPanel.from_observations(observations)
-    del observations  # one Python object per row: free them before the array stages
+    panel = panel_mod.ingest_csv(input_path, schema)
     if sec.get("deflator"):
         deflator = panel_mod.DeflatorSeries.from_csv(sec["deflator"])
-        qp = panel_mod.deflate(qp, deflator)
+        panel = panel_mod.deflate(panel, deflator)
     if sec.get("normalize", "true").strip().lower() in ("1", "true", "yes"):
-        qp = panel_mod.normalize_by_year(qp)
-    qp, growths, exclusions = panel_mod.filter_firms(
-        qp,
+        panel = panel_mod.normalize_by_year(panel)
+    panel, growths, exclusions = panel_mod.filter_firms(
+        panel,
         min_growth_obs=int(sec.get("min_growth_obs", "2")),
         fiscal_december_only=sec.get("fiscal_december_only", "false").strip().lower()
         in ("1", "true", "yes"),
     )
-    if qp.n_obs == 0:
+    if len(panel) == 0:
         raise ValidationError("no observations survive the filters")
 
     out_dir.mkdir(parents=True, exist_ok=True)
     panel_mod.write_growth_csv(growths, out_dir / "growth.csv")
     write_json(Path(str(out_dir / "growth.csv") + ".meta.json"), _meta(cfg, seed))
     panel_mod.write_stats_csv(
-        panel_mod.descriptive_stats(qp, growths), out_dir / "descriptive_stats.csv"
+        panel_mod.descriptive_stats(panel, growths), out_dir / "descriptive_stats.csv"
     )
     write_json(
         out_dir / "exclusions.json",
         {"_meta": _meta(cfg, seed), "excluded_firms": exclusions,
-         "n_retained_firms": int(np.unique(qp.firm_id).size)},
+         "n_retained_firms": int(np.unique(panel.firm_id).size)},
     )
     print(
-        f"wrote growth.csv ({growths.n_obs} growth rates), descriptive_stats.csv,"
+        f"wrote growth.csv ({len(growths)} growth rates), descriptive_stats.csv,"
         f" exclusions.json ({len(exclusions)} firms excluded) to {out_dir}"
     )
     return EXIT_OK
 
 
 def cmd_reproduce(cfg, args):
-    seed, out_dir, _ = run_settings(cfg, args)
+    seed, out_dir = run_settings(cfg, args)
     name = args.experiment
     overrides = {}
     if cfg.has_section("reproduce"):
@@ -404,8 +393,6 @@ def build_parser():
     common.add_argument("--config", help="INI config file")
     common.add_argument("--seed", type=int, help="master seed (overrides config)")
     common.add_argument("--out-dir", help="output directory (overrides config)")
-    common.add_argument("--threads", type=int,
-                        help="simulate worker threads, default 1, 0 = all cores (overrides config)")
     common.add_argument("--strict", action="store_true",
                         help="exit 3 when a tolerance check fails")
 
@@ -447,9 +434,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     # backfill attributes suppressed by the shared flag group or specific to
     # other subcommands
-    defaults = {"config": None, "seed": None, "out_dir": None, "threads": None,
-                "strict": False, "panel": None, "family": None, "input": None,
-                "experiment": None}
+    defaults = {"config": None, "seed": None, "out_dir": None, "strict": False,
+                "panel": None, "family": None, "input": None, "experiment": None}
     for attr, value in defaults.items():
         if not hasattr(args, attr):
             setattr(args, attr, value)

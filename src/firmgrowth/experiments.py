@@ -10,6 +10,7 @@ deterministic functions of their seed.
 from __future__ import annotations
 
 import inspect
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -270,19 +271,12 @@ def _diversified_mean_slope(counts, sizes, vols, mu, size_floor=30.0, n_bins=25)
 
 def _upper_window_moment_slopes(sizes, vols, q_list, lo=300.0, trim=0.2, n_bins=12, min_count=400):
     """Log-binned moment slopes over the upper size range (asymptotic window)."""
-    idx = np.digitize(sizes, analysis.upper_window_edges(sizes, lo, trim, n_bins))
-    out = {}
-    for q in q_list:
-        ms, mv = [], []
-        for b in range(1, n_bins + 1):
-            m = idx == b
-            if m.sum() < min_count:
-                continue
-            ms.append(sizes[m].mean())
-            mv.append((vols[m] ** q).mean())
-        fit = analysis.loglog_ols(np.array(ms), np.array(mv))
-        out[q] = fit
-    return out
+    edges = analysis.upper_window_edges(sizes, lo, trim, n_bins)
+    # a generator, so only one power of the volatilities exists at a time
+    values = itertools.chain([sizes], (vols**q for q in q_list))
+    counts, (mean_size, *moments) = analysis.binned_means(sizes, edges, values)
+    full = counts >= min_count
+    return {q: analysis.loglog_ols(mean_size[full], m[full]) for q, m in zip(q_list, moments)}
 
 
 def run_fig4(seed=20260804, n_firms=8_000_000, mu=1.25, alpha=1.1, sigma0=0.1):

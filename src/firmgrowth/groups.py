@@ -44,7 +44,8 @@ class Groups:
 
     def split(self, values):
         """Each group's values as one array, rows in input order within a group."""
-        return np.split(np.asarray(values)[self.order], self.starts[1:])
+        ordered = np.asarray(values)[self.order]
+        return [ordered[s : s + n] for s, n in zip(self.starts.tolist(), self.counts.tolist())]
 
     def reduce(self, values, rowwise):
         """One float per group: ``rowwise`` applied to blocks of equal-length groups.

@@ -21,6 +21,7 @@ from typing import Union
 import numpy as np
 import scipy
 
+from firmgrowth.analysis import binned_means, upper_window_edges, weighted_loglog_slope
 from firmgrowth.distributions import pareto_sample
 
 _SEED_MASK = (1 << 64) - 1
@@ -174,13 +175,21 @@ class FirmPopulation:
         if self.counts.sum() != self.sub_unit_sizes.size:
             raise ValueError("counts do not match the flat sub-unit array")
         self.offsets = np.concatenate(([0], np.cumsum(self.counts)))
+        self._sizes = None
 
     @property
     def n_firms(self):
         return self.counts.size
 
     def sizes(self):
-        return np.add.reduceat(self.sub_unit_sizes, self.offsets[:-1])
+        """Each firm's size, the sum of its sub-units: summed on the first call only.
+
+        The array is shared between calls, so it is read-only.
+        """
+        if self._sizes is None:
+            self._sizes = np.add.reduceat(self.sub_unit_sizes, self.offsets[:-1])
+            self._sizes.flags.writeable = False
+        return self._sizes
 
     def hhi(self):
         s2 = np.add.reduceat(self.sub_unit_sizes**2, self.offsets[:-1])
@@ -235,22 +244,45 @@ _PANEL_COLUMNS = [("firm_id", np.int64), ("period", np.int64), ("size", float)]
 
 @dataclass
 class Panel:
-    """Firm-by-period size observations (long format, sorted by firm then period)."""
+    """Firm-by-period size observations in long format, one row per firm and period.
+
+    ``period`` is an integer index: 0, 1, ... on a simulated panel and
+    ``4 * year + quarter - 1`` on quarterly data, so one period is one
+    quarter and a year is four.  ``fiscal_year_end_month`` holds each row's
+    fiscal year-end month (-1 where unknown), or None on a simulated panel.
+    ``dataclasses.replace(panel, size=...)`` copies it with new sizes.
+    """
 
     firm_id: np.ndarray
     period: np.ndarray
     size: np.ndarray
+    fiscal_year_end_month: np.ndarray | None = None
 
     def __post_init__(self):
-        self.firm_id = np.asarray(self.firm_id, dtype=np.int64)
+        self.firm_id = np.asarray(self.firm_id)
         self.period = np.asarray(self.period, dtype=np.int64)
         self.size = np.asarray(self.size, dtype=float)
-        if not (self.firm_id.size == self.period.size == self.size.size):
+        columns = [self.firm_id, self.period, self.size]
+        if self.fiscal_year_end_month is not None:
+            self.fiscal_year_end_month = np.asarray(self.fiscal_year_end_month, dtype=np.int64)
+            columns.append(self.fiscal_year_end_month)
+        if len({len(col) for col in columns}) != 1:
             raise ValueError("panel columns must have equal length")
+
+    def __len__(self):
+        return len(self.firm_id)
 
     @property
     def n_records(self):
-        return self.firm_id.size
+        return len(self)
+
+    def select(self, mask):
+        """The rows where `mask` is true, in their order."""
+        months = self.fiscal_year_end_month
+        return Panel(
+            self.firm_id[mask], self.period[mask], self.size[mask],
+            None if months is None else months[mask],
+        )
 
     def write_csv(self, path):
         with open(path, "w") as fh:
@@ -260,7 +292,11 @@ class Panel:
 
     @classmethod
     def read_csv(cls, path):
-        """Read a panel CSV whose header names the three columns, in any order."""
+        """Read a panel CSV whose header names the three columns, in any order.
+
+        Every size must be a positive finite number; the first that is not
+        raises ValueError with its 1-based data row.
+        """
         with open(path) as fh:
             header = [name.strip() for name in fh.readline().split(",")]
             missing = [name for name, _ in _PANEL_COLUMNS if name not in header]
@@ -273,13 +309,38 @@ class Panel:
                 dtype=_PANEL_COLUMNS,
                 ndmin=1,
             )
+        bad = np.flatnonzero(~(np.isfinite(rows["size"]) & (rows["size"] > 0)))
+        if bad.size:
+            raise ValueError(
+                f"panel CSV {path}, row {bad[0] + 1}: size {float(rows['size'][bad[0]])!r}"
+                " is not a positive finite number"
+            )
         return cls(rows["firm_id"], rows["period"], rows["size"])
 
 
-def _simulate_firm_block(params, seed, lo, hi, n_periods, sizes):
+def simulate_panel(params: ModelParams, n_firms, n_periods, seed):
+    """Simulate a panel of firm sizes under multiplicative sub-unit shocks.
+
+    Each firm evolves on its own substream (see :func:`firm_stream`): first
+    the count draw (ParetoCount only), then the initial sizes, then one block
+    of shock uniforms per period in period-major order.  Per-period size
+    multipliers 1 + sigma0 * shock are floored at 1e-6 to preserve positivity;
+    the number of floored multipliers is returned as the clamp count.
+
+    Because every firm owns its substream, no firm's sizes depend on the
+    order in which the firms are simulated.
+
+    Returns (Panel, clamp_count).
+    """
+    if n_firms < 1:
+        raise ValueError("n_firms must be >= 1")
+    if n_periods < 2:
+        raise ValueError("n_periods must be >= 2")
+
+    sizes = np.empty(n_firms * n_periods)
     pool = _StreamPool(seed)
     clamp_count = 0
-    for i in range(lo, hi):
+    for i in range(n_firms):
         gen = pool.stream(i)
         if isinstance(params.k_mode, FixedCount):
             k = params.k_mode.count
@@ -296,43 +357,6 @@ def _simulate_firm_block(params, seed, lo, hi, n_periods, sizes):
         np.maximum(mult, _MULTIPLIER_FLOOR, out=mult)
         np.cumprod(mult, axis=0, out=mult)
         out[1:] = mult @ s
-    return clamp_count
-
-
-def simulate_panel(params: ModelParams, n_firms, n_periods, seed, threads=1):
-    """Simulate a panel of firm sizes under multiplicative sub-unit shocks.
-
-    Each firm evolves on its own substream (see :func:`firm_stream`): first
-    the count draw (ParetoCount only), then the initial sizes, then one block
-    of shock uniforms per period in period-major order.  Per-period size
-    multipliers 1 + sigma0 * shock are floored at 1e-6 to preserve positivity;
-    the number of floored multipliers is returned as the clamp count.
-
-    Because every firm owns its substream, the panel is bit-identical for any
-    thread count or scheduling of the per-firm work.
-
-    Returns (Panel, clamp_count).
-    """
-    if n_firms < 1:
-        raise ValueError("n_firms must be >= 1")
-    if n_periods < 2:
-        raise ValueError("n_periods must be >= 2")
-
-    sizes = np.empty(n_firms * n_periods)
-    threads = max(1, int(threads))
-    if threads == 1 or n_firms < 2048:
-        clamp_count = _simulate_firm_block(params, seed, 0, n_firms, n_periods, sizes)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        block = 4096
-        ranges = [(lo, min(lo + block, n_firms)) for lo in range(0, n_firms, block)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(_simulate_firm_block, params, seed, lo, hi, n_periods, sizes)
-                for lo, hi in ranges
-            ]
-            clamp_count = sum(f.result() for f in futures)
 
     firm_id = np.repeat(np.arange(n_firms, dtype=np.int64), n_periods)
     period = np.tile(np.arange(n_periods, dtype=np.int64), n_firms)
@@ -353,19 +377,9 @@ def fraction_few_subunits(population: FirmPopulation, size_bin_edges, k_threshol
     if edges.size < 2 or np.any(np.diff(edges) <= 0):
         raise ValueError("size_bin_edges must be increasing with at least two entries")
     sizes = population.sizes()
-    few = population.counts <= int(k_threshold)
-    idx = np.digitize(sizes, edges) - 1
-    n_bins = edges.size - 1
-    mean_size = np.full(n_bins, np.nan)
-    fraction = np.full(n_bins, np.nan)
-    n_firms = np.zeros(n_bins, dtype=np.int64)
-    for b in range(n_bins):
-        m = idx == b
-        n = int(m.sum())
-        n_firms[b] = n
-        if n:
-            mean_size[b] = sizes[m].mean()
-            fraction[b] = few[m].mean()
+    n_firms, (mean_size, fraction) = binned_means(
+        sizes, edges, (sizes, population.counts <= int(k_threshold))
+    )
     return mean_size, fraction, n_firms
 
 
@@ -388,8 +402,6 @@ def few_subunit_tail_slope(
     (mean_size, fraction, n_firms) result of :func:`fraction_few_subunits`
     over all bins.
     """
-    from firmgrowth.analysis import upper_window_edges, weighted_loglog_slope
-
     edges = upper_window_edges(population.sizes(), size_floor, trim_decades, n_bins)
     table = fraction_few_subunits(population, edges, k_threshold)
     mean_size, fraction, counts = table

@@ -11,12 +11,13 @@ reason code so input counts always reconcile.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from firmgrowth.estimation import mad_volatility
 from firmgrowth.groups import Groups
+from firmgrowth.model import Panel
 
 DEFAULT_SCHEMA = {
     "firm_id": "firm_id",
@@ -27,78 +28,24 @@ DEFAULT_SCHEMA = {
 }
 
 
-@dataclass(frozen=True)
-class RawObservation:
-    firm_id: str
-    year: int
-    quarter: int
-    nominal_size: float
-    fiscal_year_end_month: int | None = None
-
-
-@dataclass
-class QuarterlyPanel:
-    """Column-oriented quarterly observations (one row per firm-quarter)."""
-
-    firm_id: np.ndarray  # unicode
-    year: np.ndarray
-    quarter: np.ndarray
-    size: np.ndarray
-    fiscal_year_end_month: np.ndarray  # -1 where unknown
-
-    def __post_init__(self):
-        n = len(self.firm_id)
-        for col in (self.year, self.quarter, self.size, self.fiscal_year_end_month):
-            if len(col) != n:
-                raise ValueError("panel columns must align")
-
-    @property
-    def n_obs(self):
-        return len(self.firm_id)
-
-    @classmethod
-    def from_observations(cls, observations):
-        obs = list(observations)
-        return cls(
-            firm_id=np.array([o.firm_id for o in obs]),
-            year=np.array([o.year for o in obs], dtype=np.int64),
-            quarter=np.array([o.quarter for o in obs], dtype=np.int64),
-            size=np.array([o.nominal_size for o in obs], dtype=float),
-            fiscal_year_end_month=np.array(
-                [-1 if o.fiscal_year_end_month is None else o.fiscal_year_end_month for o in obs],
-                dtype=np.int64,
-            ),
-        )
-
-    def replace_sizes(self, sizes):
-        return QuarterlyPanel(
-            self.firm_id, self.year, self.quarter, np.asarray(sizes, dtype=float),
-            self.fiscal_year_end_month,
-        )
-
-    def select(self, mask):
-        return QuarterlyPanel(
-            self.firm_id[mask], self.year[mask], self.quarter[mask], self.size[mask],
-            self.fiscal_year_end_month[mask],
-        )
-
-
 # ---------------------------------------------------------------------------
 # Ingestion
 # ---------------------------------------------------------------------------
 
-def ingest_csv(path, schema=None):
+def ingest_csv(path, schema=None) -> Panel:
     """Parse and validate quarterly observations from a CSV file.
 
     `schema` maps the logical fields (firm_id, year, quarter, size, and
     optionally fiscal_year_end_month) to column names, so arbitrary exports
     work without code changes.  Rows failing validation raise ValueError with
     the 1-based data row number; duplicate (firm, year, quarter) keys are
-    rejected the same way.
+    rejected the same way.  Returns a :class:`Panel` with one row per CSV
+    row, in file order: string firm ids, period ``4 * year + quarter - 1``,
+    nominal sizes, and fiscal year-end months (-1 where unknown).
     """
     schema = dict(DEFAULT_SCHEMA if schema is None else schema)
     fiscal_col = schema.get("fiscal_year_end_month")
-    out = []
+    firm_ids, periods, sizes, months = [], [], [], []
     seen = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -131,9 +78,15 @@ def ingest_csv(path, schema=None):
                 ) from None
             if not size > 0 or not np.isfinite(size):
                 raise ValueError(f"row {row_no}: non-positive size {size!r}")
-            fiscal = None
-            if fiscal_col is not None and row.get(fiscal_col, "").strip():
-                fiscal = int(row[fiscal_col])
+            fiscal = -1
+            # a row that ends before the fiscal month column leaves it unknown
+            if fiscal_col is not None and (row[fiscal_col] or "").strip():
+                try:
+                    fiscal = int(row[fiscal_col])
+                except ValueError:
+                    raise ValueError(
+                        f"row {row_no}: non-integer fiscal month {row[fiscal_col]!r}"
+                    ) from None
                 if not 1 <= fiscal <= 12:
                     raise ValueError(f"row {row_no}: fiscal month {fiscal} outside 1..12")
             key = (firm, year, quarter)
@@ -142,8 +95,11 @@ def ingest_csv(path, schema=None):
                     f"row {row_no}: duplicate observation for {key} (first seen at row {seen[key]})"
                 )
             seen[key] = row_no
-            out.append(RawObservation(firm, year, quarter, size, fiscal))
-    return out
+            firm_ids.append(firm)
+            periods.append(4 * year + quarter - 1)
+            sizes.append(size)
+            months.append(fiscal)
+    return Panel(firm_ids, periods, sizes, months)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +114,8 @@ class DeflatorSeries:
 
     @classmethod
     def from_csv(cls, path):
-        table = {}
+        """Read year,quarter,index rows; a repeated (year, quarter) raises ValueError."""
+        table, first_row = {}, {}
         with open(path, newline="") as fh:
             for row_no, row in enumerate(csv.DictReader(fh), start=1):
                 try:
@@ -168,6 +125,11 @@ class DeflatorSeries:
                     raise ValueError(f"deflator row {row_no}: need year,quarter,index") from None
                 if not value > 0:
                     raise ValueError(f"deflator row {row_no}: non-positive index")
+                if key in first_row:
+                    raise ValueError(
+                        f"deflator rows {first_row[key]} and {row_no} both give {key[0]}Q{key[1]}"
+                    )
+                first_row[key] = row_no
                 table[key] = value
         return cls(table)
 
@@ -178,27 +140,34 @@ class DeflatorSeries:
             raise ValueError(f"deflator does not cover {int(year)}Q{int(quarter)}") from None
 
 
-def deflate(panel: QuarterlyPanel, deflator: DeflatorSeries) -> QuarterlyPanel:
+def deflate(panel: Panel, deflator: DeflatorSeries) -> Panel:
     """Real sizes: nominal divided by the period's price index."""
-    idx = np.array([deflator.lookup(y, q) for y, q in zip(panel.year, panel.quarter)])
-    return panel.replace_sizes(panel.size / idx)
+    periods, period_of_row = np.unique(panel.period, return_inverse=True)
+    index = np.array([deflator.lookup(*_year_quarter(p)) for p in periods.tolist()])
+    return replace(panel, size=panel.size / index[period_of_row])
 
 
-def normalize_by_year(panel: QuarterlyPanel) -> QuarterlyPanel:
+def _year_quarter(period):
+    year, q = divmod(period, 4)
+    return year, q + 1
+
+
+def normalize_by_year(panel: Panel) -> Panel:
     """Within each year, rescale sizes so their mean is exactly one.
 
     The normalized size is N_y * S / sum(S) over the observations of year y,
     which removes secular drift and makes the size distribution stationary
     across years.  Years scale independently.
     """
-    sizes = panel.size.astype(float).copy()
-    for y in np.unique(panel.year):
-        m = panel.year == y
+    sizes = panel.size.copy()
+    year = panel.period // 4
+    for y in np.unique(year):
+        m = year == y
         total = sizes[m].sum()
         if total <= 0:
             raise ValueError(f"year {y} has non-positive total size")
         sizes[m] = m.sum() * sizes[m] / total
-    return panel.replace_sizes(sizes)
+    return replace(panel, size=sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -210,21 +179,17 @@ class GrowthRecords:
     """Annual log growth rates, one per observation with a match 4 quarters on."""
 
     firm_id: np.ndarray
-    year: np.ndarray       # base-period year
-    quarter: np.ndarray    # base-period quarter
+    period: np.ndarray  # the base period, 4 * year + quarter - 1
     growth: np.ndarray
 
-    @property
-    def n_obs(self):
+    def __len__(self):
         return len(self.growth)
 
     def select(self, mask):
-        return GrowthRecords(
-            self.firm_id[mask], self.year[mask], self.quarter[mask], self.growth[mask]
-        )
+        return GrowthRecords(self.firm_id[mask], self.period[mask], self.growth[mask])
 
 
-def annual_log_growth(panel: QuarterlyPanel) -> GrowthRecords:
+def annual_log_growth(panel: Panel) -> GrowthRecords:
     """Rolling annual growth: log size difference exactly four quarters apart.
 
     Quarters with no same-firm observation four quarters later produce no
@@ -232,7 +197,7 @@ def annual_log_growth(panel: QuarterlyPanel) -> GrowthRecords:
     """
     if np.any(panel.size <= 0):
         raise ValueError("sizes must be positive to take logs")
-    t = panel.year * 4 + (panel.quarter - 1)
+    t = panel.period
     firms, codes = np.unique(panel.firm_id, return_inverse=True)
     key = codes.astype(np.int64) * (t.max() + 5) + t
     order = np.argsort(key, kind="stable")
@@ -244,19 +209,14 @@ def annual_log_growth(panel: QuarterlyPanel) -> GrowthRecords:
     base = np.flatnonzero(found)
     later = order[pos_clip[base]]
     growth = np.log(panel.size[later]) - np.log(panel.size[base])
-    return GrowthRecords(
-        firm_id=panel.firm_id[base],
-        year=panel.year[base],
-        quarter=panel.quarter[base],
-        growth=growth,
-    )
+    return GrowthRecords(panel.firm_id[base], t[base], growth)
 
 
 # ---------------------------------------------------------------------------
 # Filters
 # ---------------------------------------------------------------------------
 
-def filter_firms(panel: QuarterlyPanel, min_growth_obs=2, fiscal_december_only=False):
+def filter_firms(panel: Panel, min_growth_obs=2, fiscal_december_only=False):
     """Keep firms meeting the active criteria; log every exclusion.
 
     Returns (filtered_panel, filtered_growths, exclusion_log): the filtered
@@ -272,6 +232,8 @@ def filter_firms(panel: QuarterlyPanel, min_growth_obs=2, fiscal_december_only=F
     n_growth = np.bincount(firm_of_growth, minlength=firms.size)
     december = np.ones(firms.size, dtype=bool)
     if fiscal_december_only:
+        if panel.fiscal_year_end_month is None:
+            raise ValueError("fiscal_december_only needs fiscal year-end months")
         december[firm_of_row[panel.fiscal_year_end_month != 12]] = False
     keep = december & (n_growth >= min_growth_obs)
 
@@ -301,12 +263,12 @@ def _stat_row(name, values):
     }
 
 
-def descriptive_stats(panel: QuarterlyPanel, growths: GrowthRecords):
+def descriptive_stats(panel: Panel, growths: GrowthRecords):
     """Six-column summary rows for sizes, growth rates, volatilities, counts.
 
     `growths` are the panel's annual growth records (:func:`annual_log_growth`).
     """
-    if panel.n_obs == 0:
+    if len(panel) == 0:
         raise ValueError("panel is empty")
     firms = Groups.of(growths.firm_id)
     vols = firms.select(firms.counts >= 2).reduce(growths.growth, mad_volatility)
@@ -329,5 +291,7 @@ def write_stats_csv(rows, path):
 def write_growth_csv(growths: GrowthRecords, path):
     with open(path, "w") as fh:
         fh.write("firm_id,year,quarter,g\n")
-        for f, y, q, g in zip(growths.firm_id, growths.year, growths.quarter, growths.growth):
-            fh.write(f"{f},{y},{q},{float(g)!r}\n")
+        rows = zip(growths.firm_id.tolist(), growths.period.tolist(), growths.growth.tolist())
+        for f, p, g in rows:
+            y, q = _year_quarter(p)
+            fh.write(f"{f},{y},{q},{g!r}\n")

@@ -9,16 +9,22 @@ firms, firms with one or two rows, and string keys.
 import numpy as np
 import pytest
 
-from firmgrowth.analysis import binned_volatility_moments, equal_count_bins
+from firmgrowth.analysis import (
+    binned_volatility_moments,
+    equal_count_bins,
+    loglog_ols,
+    upper_window_edges,
+)
 from firmgrowth.estimation import (
     _ADJ,
     firm_size_volatility,
     leave_one_out_rescale,
     mad_volatility,
 )
+from firmgrowth.experiments import _upper_window_moment_slopes
 from firmgrowth.groups import Groups
+from firmgrowth.model import FirmPopulation, Panel, fraction_few_subunits
 from firmgrowth.panel import (
-    QuarterlyPanel,
     _stat_row,
     annual_log_growth,
     descriptive_stats,
@@ -98,6 +104,39 @@ def loop_binned_volatility_moments(sizes, vols, q_list, n_bins):
     return out
 
 
+def loop_fraction_few_subunits(population, edges, k_threshold):
+    sizes = population.sizes()
+    few = population.counts <= int(k_threshold)
+    idx = np.digitize(sizes, edges) - 1
+    n_bins = edges.size - 1
+    mean_size = np.full(n_bins, np.nan)
+    fraction = np.full(n_bins, np.nan)
+    n_firms = np.zeros(n_bins, dtype=np.int64)
+    for b in range(n_bins):
+        m = idx == b
+        n = int(m.sum())
+        n_firms[b] = n
+        if n:
+            mean_size[b] = sizes[m].mean()
+            fraction[b] = few[m].mean()
+    return mean_size, fraction, n_firms
+
+
+def loop_upper_window_moment_slopes(sizes, vols, q_list, lo, trim, n_bins, min_count):
+    idx = np.digitize(sizes, upper_window_edges(sizes, lo, trim, n_bins))
+    out = {}
+    for q in q_list:
+        ms, mv = [], []
+        for b in range(1, n_bins + 1):
+            m = idx == b
+            if m.sum() < min_count:
+                continue
+            ms.append(sizes[m].mean())
+            mv.append((vols[m] ** q).mean())
+        out[q] = loglog_ols(np.array(ms), np.array(mv))
+    return out
+
+
 def loop_leave_one_out_rescale(series):
     g = np.asarray(series, dtype=float)
     n = g.size
@@ -149,10 +188,9 @@ def quarterly_panel(seed, n_firms=300):
     fyr = np.where(rng.random(n_firms) < 0.2, 6, 12)
     shuffle = rng.permutation(t.size)
     firm, t = firm[shuffle], t[shuffle]
-    return QuarterlyPanel(
+    return Panel(
         firm_id=np.array([f"F{f:05d}" for f in firm.tolist()]),
-        year=2000 + t // 4,
-        quarter=t % 4 + 1,
+        period=4 * 2000 + t,
         size=np.exp(rng.normal(0.0, 1.5, t.size)),
         fiscal_year_end_month=fyr[firm],
     )
@@ -197,13 +235,13 @@ def test_filter_firms_matches_loop(min_growth_obs, fiscal_december_only):
     panel = quarterly_panel(3)
     kept, growths, log = filter_firms(panel, min_growth_obs, fiscal_december_only)
     ref_kept, ref_log = loop_filter_firms(panel, min_growth_obs, fiscal_december_only)
-    for column in ("firm_id", "year", "quarter", "size", "fiscal_year_end_month"):
+    for column in ("firm_id", "period", "size", "fiscal_year_end_month"):
         assert_same_array(getattr(kept, column), getattr(ref_kept, column))
     assert repr(log) == repr(ref_log)
     assert log
     # the selected growth records are those of the filtered panel
     ref_growths = annual_log_growth(ref_kept)
-    for column in ("firm_id", "year", "quarter", "growth"):
+    for column in ("firm_id", "period", "growth"):
         assert_same_array(getattr(growths, column), getattr(ref_growths, column))
 
 
@@ -230,6 +268,41 @@ def test_size_bins_match_mask_loop(n_bins):
     assert len(per_bin) == n_bins
     for b, v in enumerate(per_bin):
         assert_same_array(v, vols[assign == b])
+
+
+def tied_population(seed, n_firms=20_000):
+    """Unsorted firms of 1 to 6 sub-units, with runs of tied sizes."""
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(1, 7, n_firms)
+    sub_units = np.round(np.exp(rng.normal(0.0, 1.5, counts.sum())), 1) + 1.0
+    return FirmPopulation(sub_units, counts)
+
+
+@pytest.mark.parametrize("edges, empty_bins", [
+    ([2.0, 5.0, 10.0, 40.0, 200.0], 0),
+    # edges beyond the largest size
+    ([1.5, 1.6, 1.7, 3.0, 1e6, 2e6], 1),
+    ([1e6, 2e6, 3e6], 2),
+])
+def test_fraction_few_subunits_matches_loop(edges, empty_bins):
+    population = tied_population(9)
+    edges = np.asarray(edges)
+    got = fraction_few_subunits(population, edges, 2)
+    ref = loop_fraction_few_subunits(population, edges, 2)
+    for a, b in zip(got, ref):
+        assert_same_array(a, b)
+    assert (ref[2] == 0).sum() == empty_bins
+
+
+def test_upper_window_moment_slopes_match_loop():
+    population = tied_population(10, n_firms=60_000)
+    sizes = population.sizes()
+    vols = np.exp(np.random.default_rng(11).normal(-2.0, 0.5, sizes.size))
+    args = ([2, 3, 4], 5.0, 0.2, 12, 400)
+    got = _upper_window_moment_slopes(sizes, vols, *args)
+    ref = loop_upper_window_moment_slopes(sizes, vols, *args)
+    assert repr(got) == repr(ref)
+    assert len(np.unique([fit.slope for fit in got.values()])) == 3
 
 
 def test_leave_one_out_rows_match_loop():
@@ -260,5 +333,7 @@ def test_groups_layout():
     assert groups.reduce(values, lambda rows: rows.sum(axis=-1)).tolist() == [9.0, 4.0, 2.0]
     two = groups.select(groups.counts >= 2)
     assert two.reduce(values, lambda rows: rows[:, -1]).tolist() == [5.0, 4.0]
+    assert [part.tolist() for part in two.split(values)] == [[1.0, 3.0, 5.0], [0.0, 4.0]]
     empty = Groups.of(np.array([], dtype=np.int64))
     assert empty.keys.size == 0 and empty.reduce([], np.sum).size == 0
+    assert empty.split([]) == []

@@ -1,12 +1,10 @@
 import hashlib
 import json
-import os
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from firmgrowth.cli import _read_samples, load_config, main, run_settings, write_json
+from firmgrowth.cli import _read_samples, main, write_json
 
 
 def sha(path):
@@ -75,14 +73,6 @@ class TestSimulate:
         assert main(["--config", cfg_b, "simulate"]) == 0
         assert sha(tmp_path / "a" / "panel.csv") == sha(tmp_path / "b" / "panel.csv")
 
-    def test_thread_count_does_not_change_output(self, tmp_path):
-        cfg = write_config(tmp_path, SIM_CFG.format(out=tmp_path / "t1"))
-        assert main(["--config", cfg, "--threads", "1", "simulate"]) == 0
-        (tmp_path / "config.ini").unlink()
-        cfg = write_config(tmp_path, SIM_CFG.format(out=tmp_path / "t4"))
-        assert main(["--config", cfg, "--threads", "4", "simulate"]) == 0
-        assert sha(tmp_path / "t1" / "panel.csv") == sha(tmp_path / "t4" / "panel.csv")
-
     def test_flag_position_equivalent(self, tmp_path):
         # global flags are accepted before or after the subcommand
         cfg = write_config(tmp_path, SIM_CFG.format(out=tmp_path / "pre"))
@@ -93,16 +83,6 @@ class TestSimulate:
         assert sha(tmp_path / "pre" / "panel.csv") == sha(tmp_path / "post" / "panel.csv")
         meta = json.loads((tmp_path / "pre" / "panel.meta.json").read_text())
         assert meta["seed"] == 55  # flag beats the config's 777
-
-    def test_threads_default_is_one(self, tmp_path):
-        def threads(flag, body="[run]\n"):
-            args = SimpleNamespace(seed=None, out_dir=None, threads=flag)
-            return run_settings(load_config(write_config(tmp_path, body)), args)[2]
-
-        assert threads(None) == 1
-        assert threads(0) == (os.cpu_count() or 1)
-        assert threads(None, "[run]\nthreads = 0\n") == (os.cpu_count() or 1)
-        assert threads(3, "[run]\nthreads = 0\n") == 3
 
     def test_zero_firms_is_validation_error(self, tmp_path):
         body = SIM_CFG.format(out=tmp_path / "out").replace("n_firms = 400", "n_firms = 0")
@@ -132,6 +112,18 @@ class TestAnalyze:
         panel.write_text("\n".join(lines + [lines[7]]) + "\n")
         assert main(["--config", cfg, "analyze"]) == 1
         assert "duplicate rows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("size", ["nan", "inf", "0.0", "-2.5"])
+    def test_bad_size_is_validation_error_citing_row(self, tmp_path, capsys, size):
+        cfg = write_config(tmp_path, SIM_CFG.format(out=tmp_path / "out"))
+        assert main(["--config", cfg, "simulate"]) == 0
+        panel = tmp_path / "out" / "panel.csv"
+        lines = panel.read_text().splitlines()
+        firm, period, _ = lines[10].split(",")
+        lines[10] = f"{firm},{period},{size}"
+        panel.write_text("\n".join(lines) + "\n")
+        assert main(["--config", cfg, "analyze"]) == 1
+        assert "row 10: size" in capsys.readouterr().err
 
     def test_missing_panel_is_error(self, tmp_path):
         cfg = write_config(tmp_path, SIM_CFG.format(out=tmp_path / "out"))
@@ -185,6 +177,42 @@ class TestFit:
         assert main(["--config", cfg, "fit", "--family", "mig", "--input", "nope.csv"]) == 1
 
 
+PINNED_QUARTERS = [
+    # gvkey, first (year, quarter), sizes (None: a missing quarter), fyr ("": unknown)
+    ("001004", (2000, 1), [812.5, 840.25, 861.0, 902.75, 951.5, 930.0, 977.25, 1004.5, 1050.0,
+                           1101.25, 1093.5, 1150.75], "12"),
+    ("001010", (2000, 2), [55.1, 57.3, 60.8, 59.9, 62.4, None, 64.7, 66.0, 71.2, 69.8], "12"),
+    ("001045", (2000, 1), [3021.0, 3105.5, 3240.25, 3188.0, 3302.5, 3410.0, 3395.75, 3522.0], "6"),
+    ("001078", (2000, 4), [14.2, 15.05, 13.9, 16.4, 17.25, 18.1, 17.7], "12"),
+    ("001166", (2001, 1), [240.0, 251.5, 262.25, 259.0, 270.5], "12"),
+    ("001209", (2000, 1), [99.0, 101.5, 104.25, 108.0, 111.5, 115.0], ""),
+]
+
+
+def write_pinned_ingest(tmp_path):
+    """A small Compustat-shaped export, its deflator and an ingest config; returns the config."""
+    rows = ["gvkey,fyearq,fqtr,atq,fyr"]
+    for gvkey, (year, quarter), sizes, fyr in PINNED_QUARTERS:
+        t = 4 * year + quarter - 1
+        for i, size in enumerate(sizes):
+            if size is not None:
+                rows.append(f"{gvkey},{(t + i) // 4},{(t + i) % 4 + 1},{size},{fyr}")
+    # rows out of firm and period order
+    rows[1:] = rows[1:][::3] + rows[1:][1::3] + rows[1:][2::3]
+    (tmp_path / "quarters.csv").write_text("\n".join(rows) + "\n")
+    deflator = ["year,quarter,index"]
+    for t in range(4 * 2000, 4 * 2003):
+        deflator.append(f"{t // 4},{t % 4 + 1},{1.0 + 0.0125 * (t - 8000)}")
+    (tmp_path / "deflator.csv").write_text("\n".join(deflator) + "\n")
+    return write_config(
+        tmp_path,
+        f"[run]\nout_dir = {tmp_path / 'out'}\n\n[ingest]\ninput = {tmp_path / 'quarters.csv'}\n"
+        f"deflator = {tmp_path / 'deflator.csv'}\nfirm_id_col = gvkey\nyear_col = fyearq\n"
+        "quarter_col = fqtr\nsize_col = atq\nfiscal_year_end_month_col = fyr\n"
+        "fiscal_december_only = true\nmin_growth_obs = 3\n",
+    )
+
+
 class TestIngest:
     def test_pipeline_outputs(self, tmp_path):
         rows = ["firm_id,year,quarter,size"]
@@ -207,6 +235,28 @@ class TestIngest:
         assert stats[0] == "variable,n,mean,sd,min,max"
         exclusions = json.loads((out / "exclusions.json").read_text())
         assert exclusions["n_retained_firms"] == 3
+
+    def test_pinned_output_bytes(self, tmp_path):
+        # string ids under renamed columns, a gap, a non-December and an
+        # unknown fiscal year end under fiscal_december_only, and a deflator
+        assert main(["--config", str(write_pinned_ingest(tmp_path)), "ingest"]) == 0
+        out = tmp_path / "out"
+        assert sha(out / "growth.csv") == (
+            "7df0f7e5b2961e362c10af6b49d47ba3cb6c9665282e24d319ba99cd798bb5a3"
+        )
+        assert sha(out / "descriptive_stats.csv") == (
+            "c7af374aec8771c99bac421d37b5ee097dd616b9b5ae9c9f09b5c9353dae60dc"
+        )
+        exclusions = json.loads((out / "exclusions.json").read_text())
+        del exclusions["_meta"]
+        assert exclusions == {
+            "excluded_firms": {
+                "001045": "fiscal_year_not_december",
+                "001166": "too_few_growth_rates",
+                "001209": "fiscal_year_not_december",
+            },
+            "n_retained_firms": 3,
+        }
 
     def test_bad_csv_is_validation_error(self, tmp_path):
         data = tmp_path / "bad.csv"

@@ -135,6 +135,13 @@ class TestDrawFirm:
         assert pop.sizes() == pytest.approx([s.sum() for s in firms])
         assert pop.hhi() == pytest.approx([(s**2).sum() / s.sum() ** 2 for s in firms])
 
+    def test_sizes_are_summed_once_and_read_only(self):
+        pop = draw_population(wb_params(), 5, np.random.default_rng(9))
+        sizes = pop.sizes()
+        assert pop.sizes() is sizes
+        with pytest.raises(ValueError):
+            sizes[0] = 1.0
+
 
 class TestStreams:
     def test_pool_matches_fresh_streams(self):
@@ -196,6 +203,18 @@ class TestSimulatePanel:
         path.write_text("".join(f"{s},{f},{t}\n" for f, t, s in lines))
         swapped = Panel.read_csv(path)
         assert swapped.firm_id.tolist() == [0] and swapped.size.tolist() == one.size.tolist()
+
+    def test_select(self):
+        panel, _ = simulate_panel(wb_params(), 4, 3, seed=4)
+        assert panel.fiscal_year_end_month is None and len(panel) == panel.n_records == 12
+        later = panel.select(panel.period >= 1)
+        assert later.period.tolist() == [1, 2] * 4
+        assert later.size.tobytes() == panel.size[panel.period >= 1].tobytes()
+        quarterly = Panel(["b", "a"], [8000, 8001], [1.0, 2.0], [12, -1])
+        assert quarterly.select([False, True]).fiscal_year_end_month.tolist() == [-1]
+        assert quarterly.firm_id.tolist() == ["b", "a"]
+        with pytest.raises(ValueError, match="equal length"):
+            Panel(["a"], [8000], [1.0], [12, 12])
 
     def test_validation(self):
         with pytest.raises(ValueError):

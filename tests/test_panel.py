@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
 
+from firmgrowth.model import Panel
 from firmgrowth.panel import (
     DeflatorSeries,
-    GrowthRecords,
-    QuarterlyPanel,
-    RawObservation,
     annual_log_growth,
     deflate,
     descriptive_stats,
@@ -19,8 +17,12 @@ from firmgrowth.panel import (
 
 def make_panel(rows):
     # rows: (firm, year, quarter, size[, fiscal_month])
-    obs = [RawObservation(r[0], r[1], r[2], r[3], r[4] if len(r) > 4 else None) for r in rows]
-    return QuarterlyPanel.from_observations(obs)
+    return Panel(
+        np.array([r[0] for r in rows]),
+        [4 * r[1] + r[2] - 1 for r in rows],
+        [r[3] for r in rows],
+        [r[4] if len(r) > 4 else -1 for r in rows],
+    )
 
 
 def quarterly_firm(firm, sizes, start_year=2000, fiscal=12):
@@ -36,14 +38,15 @@ class TestIngest:
         path.write_text(
             "firm_id,year,quarter,size\nf1,2000,1,10.5\nf2,2000,1,3.25\n"
         )
-        obs = ingest_csv(path)
-        assert len(obs) == 2
-        assert obs[0] == RawObservation("f1", 2000, 1, 10.5, None)
+        panel = ingest_csv(path)
+        assert len(panel) == 2
+        first = (panel.firm_id[0], panel.period[0], panel.size[0], panel.fiscal_year_end_month[0])
+        assert first == ("f1", 4 * 2000 + 1 - 1, 10.5, -1)
 
     def test_custom_schema(self, tmp_path):
         path = tmp_path / "export.csv"
         path.write_text("gvkey,fyearq,fqtr,saleq,fyr\nA,1999,4,7.0,12\n")
-        obs = ingest_csv(
+        panel = ingest_csv(
             path,
             schema={
                 "firm_id": "gvkey",
@@ -53,7 +56,23 @@ class TestIngest:
                 "fiscal_year_end_month": "fyr",
             },
         )
-        assert obs[0].fiscal_year_end_month == 12
+        assert panel.firm_id[0] == "A" and panel.period[0] == 4 * 1999 + 4 - 1
+        assert panel.fiscal_year_end_month[0] == 12
+
+    def test_short_row_leaves_fiscal_month_unknown(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text("firm_id,year,quarter,size,fyr\nf1,2000,1,1.0,12\nf1,2000,2,1.0\n")
+        schema = {"firm_id": "firm_id", "year": "year", "quarter": "quarter", "size": "size",
+                  "fiscal_year_end_month": "fyr"}
+        assert ingest_csv(path, schema).fiscal_year_end_month.tolist() == [12, -1]
+
+    def test_non_integer_fiscal_month_cites_row(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("firm_id,year,quarter,size,fyr\nf1,2000,1,1.0,12\nf1,2000,2,1.0,Dec\n")
+        schema = {"firm_id": "firm_id", "year": "year", "quarter": "quarter", "size": "size",
+                  "fiscal_year_end_month": "fyr"}
+        with pytest.raises(ValueError, match="row 2: non-integer fiscal month 'Dec'"):
+            ingest_csv(path, schema)
 
     def test_non_numeric_size_cites_row(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -102,6 +121,12 @@ class TestDeflate:
         d = DeflatorSeries.from_csv(path)
         assert d.lookup(2000, 2) == pytest.approx(0.9)
 
+    def test_from_csv_rejects_repeated_quarter(self, tmp_path):
+        path = tmp_path / "deflator.csv"
+        path.write_text("year,quarter,index\n2000,1,0.8\n2000,2,0.9\n2000,1,0.85\n")
+        with pytest.raises(ValueError, match="rows 1 and 3 both give 2000Q1"):
+            DeflatorSeries.from_csv(path)
+
 
 class TestNormalize:
     def test_two_observations(self):
@@ -116,7 +141,7 @@ class TestNormalize:
             rows.append((f"f{i % 10}", 2000 + i % 3, i % 4 + 1, float(rng.random() + 0.1)))
         out = normalize_by_year(make_panel(rows))
         for y in (2000, 2001, 2002):
-            assert out.size[out.year == y].mean() == pytest.approx(1.0, abs=1e-12)
+            assert out.size[out.period // 4 == y].mean() == pytest.approx(1.0, abs=1e-12)
 
     def test_years_scale_independently(self):
         panel = make_panel([("f1", 2000, 1, 2.0), ("f1", 2001, 1, 200.0)])
@@ -128,24 +153,24 @@ class TestAnnualGrowth:
     def test_log_two(self):
         panel = make_panel([("f1", 2000, 1, 100.0), ("f1", 2001, 1, 200.0)])
         g = annual_log_growth(panel)
-        assert g.n_obs == 1
+        assert len(g) == 1
         assert g.growth[0] == pytest.approx(np.log(2))
-        assert (g.year[0], g.quarter[0]) == (2000, 1)
+        assert divmod(g.period[0], 4) == (2000, 1 - 1)
 
     def test_gap_produces_no_record(self):
         panel = make_panel([("f1", 2000, 1, 100.0), ("f1", 2001, 2, 200.0)])
-        assert annual_log_growth(panel).n_obs == 0
+        assert len(annual_log_growth(panel)) == 0
 
     def test_constant_sizes_zero_growth(self):
         panel = make_panel(quarterly_firm("f1", [5.0] * 8))
         g = annual_log_growth(panel)
-        assert g.n_obs == 4
+        assert len(g) == 4
         assert np.allclose(g.growth, 0.0)
 
     def test_rolling_overlap(self):
         panel = make_panel(quarterly_firm("f1", np.linspace(1, 2, 12).tolist()))
         g = annual_log_growth(panel)
-        assert g.n_obs == 8  # 12 quarters - 4
+        assert len(g) == 8  # 12 quarters - 4
 
     def test_normalization_shifts_growth_by_year_constant(self):
         rng = np.random.default_rng(1)
@@ -157,8 +182,9 @@ class TestAnnualGrowth:
         g_norm = annual_log_growth(normalize_by_year(panel))
         # difference depends only on the base year (log of the yearly factors)
         diff = g_norm.growth - g_raw.growth
-        for y in np.unique(g_raw.year):
-            d = diff[g_raw.year == y]
+        base_year = g_raw.period // 4
+        for y in np.unique(base_year):
+            d = diff[base_year == y]
             assert np.max(np.abs(d - d[0])) < 1e-12
 
 
