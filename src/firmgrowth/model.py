@@ -10,11 +10,16 @@ firm from the master seed (stream id = firm index, Philox key
 ``(firm_id << 64) | seed``), so any scheduling of per-firm work produces
 bit-identical results.  Batch experiment samplers instead consume a single
 generator with a documented draw order (counts first, then sizes, both in
-firm order), which is deterministic for a fixed seed.
+firm order), which is deterministic for a fixed seed.  They draw that one
+stream in contiguous segments, one thread per core, each from a copy of the
+generator jumped to the segment's first word (see :func:`_in_segments`), so
+the numbers do not depend on the core count.
 """
 
 from __future__ import annotations
 
+import copy
+import os
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -26,6 +31,8 @@ from firmgrowth.distributions import pareto_sample
 
 _SEED_MASK = (1 << 64) - 1
 _MULTIPLIER_FLOOR = 1e-6
+# doubles per sampler block: 1 MB, so a block and its temporaries stay in cache
+_BLOCK = 1 << 17
 
 
 # ---------------------------------------------------------------------------
@@ -215,23 +222,90 @@ def _draw_counts(params: ModelParams, n, rng):
     return np.ceil(pareto_sample(rng.random(n), 1.0, params.alpha)).astype(np.int64)
 
 
+def _advanced(bit_generator, words):
+    """A copy of `bit_generator` moved on by `words` 64-bit words, or None.
+
+    The copy stands where `words` calls of ``random_raw`` would leave the
+    original, which does not move.  Philox and PCG64 can jump there without
+    drawing the words in between; for any other bit generator this returns
+    None.
+    """
+    before = bit_generator.state
+    jumped = copy.deepcopy(bit_generator)
+    if isinstance(jumped, np.random.Philox):
+        # Philox makes 4 words per counter block: use up the buffered block,
+        # skip whole blocks, then draw the rest of the last one, so that its
+        # buffer holds what a serial draw would leave there
+        left = min(words, 4 - before["buffer_pos"])
+        jumped.random_raw(left)
+        if words > left:
+            blocks, rest = divmod(words - left - 1, 4)
+            jumped.advance(blocks)
+            jumped.random_raw(rest + 1)
+    elif isinstance(jumped, np.random.PCG64):
+        jumped.advance(words)
+    else:
+        return None
+    # advance() also drops a held 32-bit half word, which no 64-bit draw uses
+    state = jumped.state
+    state["has_uint32"], state["uinteger"] = before["has_uint32"], before["uinteger"]
+    jumped.state = state
+    return jumped
+
+
+def _in_segments(rng, n_rows, row_words, fill, n_segments=None):
+    """Call ``fill(gen, lo, hi)`` on segments of rows [0, n_rows), as one serial draw would.
+
+    Row i owns words ``[i * row_words, (i + 1) * row_words)`` of `rng`'s
+    stream, and `fill` must draw exactly those for rows lo to hi from `gen`.
+    The rows are cut into `n_segments` contiguous segments (one per usable
+    core by default), each filled on its own thread from a copy of the bit
+    generator jumped to its first row (:func:`_advanced`); then `rng` is set
+    to where the serial draw would leave it.  So the numbers do not depend on
+    the segment count.  When the bit generator cannot jump, one segment is
+    filled on the calling thread from `rng` itself.
+    """
+    if n_segments is None:
+        # the cores this process may run on (all of them where that is unknown)
+        affinity = getattr(os, "sched_getaffinity", None)
+        n_segments = len(affinity(0)) if affinity else os.cpu_count() or 1
+    bounds = sorted({n_rows * i // n_segments for i in range(n_segments + 1)})
+    bit_generator = rng.bit_generator
+    gens = [_advanced(bit_generator, lo * row_words) for lo in bounds[:-1]]
+    if len(gens) == 1 or gens[0] is None:
+        fill(rng, 0, n_rows)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    # NumPy releases the GIL in Generator.random(out=) and in the ufunc loops
+    with ThreadPoolExecutor(len(gens)) as pool:
+        futures = [
+            pool.submit(fill, np.random.Generator(gen), lo, hi)
+            for gen, lo, hi in zip(gens, bounds, bounds[1:])
+        ]
+        for future in futures:
+            future.result()
+    bit_generator.state = _advanced(bit_generator, n_rows * row_words).state
+
+
 def draw_population(params: ModelParams, n_firms, rng) -> FirmPopulation:
-    """Draw a population in one vectorized pass.
+    """Draw a population of `n_firms` firms.
 
     Draw order is fixed: all counts in firm order, then all sub-unit sizes in
     firm order, so a given generator state determines the population exactly.
+    The sizes are drawn in blocks of ``_BLOCK`` on :func:`_in_segments`' threads.
     """
     if n_firms < 1:
         raise ValueError("n_firms must be >= 1")
     counts = _draw_counts(params, n_firms, rng)
-    total = int(counts.sum())
-    flat = np.empty(total)
-    # draw and transform in blocks to keep peak memory bounded on very large
-    # populations: nothing but `flat` grows with the total
-    block = 1 << 24
-    for i in range(0, total, block):
-        u = rng.random(out=flat[i : i + block])
-        flat[i : i + block] = pareto_sample(u, params.s0, params.mu)
+    flat = np.empty(int(counts.sum()))
+
+    def fill(gen, lo, hi):
+        for a in range(lo, hi, _BLOCK):
+            u = gen.random(out=flat[a : min(a + _BLOCK, hi)])
+            u[:] = pareto_sample(u, params.s0, params.mu)
+
+    _in_segments(rng, flat.size, 1, fill)
     return FirmPopulation(flat, counts)
 
 
@@ -240,6 +314,17 @@ def draw_population(params: ModelParams, n_firms, rng) -> FirmPopulation:
 # ---------------------------------------------------------------------------
 
 _PANEL_COLUMNS = [("firm_id", np.int64), ("period", np.int64), ("size", float)]
+_CSV_CHUNK = 1 << 13
+
+
+def row_chunks(*columns):
+    """The rows of equal-length `columns` as tuples of Python scalars, 8,192 at a time.
+
+    A CSV writer joins one chunk's lines per write, so the Python objects it
+    holds stay near 1 MB however long the table is.
+    """
+    for lo in range(0, len(columns[0]), _CSV_CHUNK):
+        yield zip(*(col[lo : lo + _CSV_CHUNK].tolist() for col in columns))
 
 
 @dataclass
@@ -287,8 +372,8 @@ class Panel:
     def write_csv(self, path):
         with open(path, "w") as fh:
             fh.write("firm_id,period,size\n")
-            for i, t, s in zip(self.firm_id, self.period, self.size):
-                fh.write(f"{i},{t},{float(s)!r}\n")
+            for rows in row_chunks(self.firm_id, self.period, self.size):
+                fh.write("".join([f"{i},{t},{s!r}\n" for i, t, s in rows]))
 
     @classmethod
     def read_csv(cls, path):
@@ -445,19 +530,32 @@ def _gather_indices(population, perm):
 
 
 def sample_firm_stats(params: ModelParams, k, n_samples, rng):
-    """(size, HHI) draws for firms of exactly k sub-units (bounded blocks)."""
+    """(size, HHI) draws for `n_samples` firms of exactly k sub-units.
+
+    Firm i takes draws ``[i * k, (i + 1) * k)`` of `rng`, as one
+    ``rng.random((n_samples, k))`` call would give them; the firms are drawn in
+    blocks of about ``_BLOCK`` doubles on :func:`_in_segments`' threads.
+    """
     k = int(k)
+    n_samples = int(n_samples)
     if k < 1:
         raise ValueError("k must be >= 1")
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     sizes = np.empty(n_samples)
     hhi_out = np.empty(n_samples)
-    block = max(1, int(8e6) // k)
-    done = 0
-    while done < n_samples:
-        c = min(block, n_samples - done)
-        s = pareto_sample(rng.random((c, k)), params.s0, params.mu)
-        tot = s.sum(axis=1)
-        sizes[done : done + c] = tot
-        hhi_out[done : done + c] = (s * s).sum(axis=1) / tot**2
-        done += c
+    rows = max(1, _BLOCK // k)
+
+    def fill(gen, lo, hi):
+        # a row's sums do not depend on how many rows share its block
+        buf = np.empty((min(rows, hi - lo), k))
+        for a in range(lo, hi, rows):
+            b = min(a + rows, hi)
+            u = gen.random(out=buf[: b - a])
+            s = pareto_sample(u, params.s0, params.mu)
+            tot = s.sum(axis=1)
+            sizes[a:b] = tot
+            hhi_out[a:b] = np.multiply(s, s, out=u).sum(axis=1) / tot**2
+
+    _in_segments(rng, n_samples, k, fill)
     return sizes, hhi_out

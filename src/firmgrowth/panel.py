@@ -17,7 +17,7 @@ import numpy as np
 
 from firmgrowth.estimation import mad_volatility
 from firmgrowth.groups import Groups
-from firmgrowth.model import Panel
+from firmgrowth.model import Panel, row_chunks
 
 DEFAULT_SCHEMA = {
     "firm_id": "firm_id",
@@ -291,7 +291,6 @@ def write_stats_csv(rows, path):
 def write_growth_csv(growths: GrowthRecords, path):
     with open(path, "w") as fh:
         fh.write("firm_id,year,quarter,g\n")
-        rows = zip(growths.firm_id.tolist(), growths.period.tolist(), growths.growth.tolist())
-        for f, p, g in rows:
-            y, q = _year_quarter(p)
-            fh.write(f"{f},{y},{q},{g!r}\n")
+        year, quarter = _year_quarter(growths.period)
+        for rows in row_chunks(growths.firm_id, year, quarter, growths.growth):
+            fh.write("".join([f"{f},{y},{q},{g!r}\n" for f, y, q, g in rows]))

@@ -280,6 +280,12 @@ class TestReproduce:
         err = capsys.readouterr().err
         assert "bogus" in err and "n_per_k" in err
 
+    @pytest.mark.parametrize("experiment, key", [("prop2_scaling", "n_per_k"), ("fig3", "n_per_class")])
+    def test_zero_sample_count_is_validation_error(self, tmp_path, capsys, experiment, key):
+        cfg = write_config(tmp_path, f"[run]\nout_dir = {tmp_path}\n\n[reproduce]\n{key} = 0\n")
+        assert main(["--config", cfg, "reproduce", experiment]) == 1
+        assert "n_samples must be >= 1, got 0" in capsys.readouterr().err
+
     def test_reproduce_runs_and_writes_bundle(self, tmp_path):
         cfg = write_config(
             tmp_path,
