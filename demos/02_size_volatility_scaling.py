@@ -15,7 +15,7 @@ prints both the headline 25-bin table and the class-resolved slopes.
 
 import numpy as np
 
-from firmgrowth.analysis import binned_volatility_moments, loglog_ols
+from firmgrowth.analysis import binned_volatility_moments, equal_count_bins
 from firmgrowth.estimation import power_law_exponent_profile
 from firmgrowth.experiments import _diversified_mean_slope, _upper_window_moment_slopes, _wb_stats
 from firmgrowth.model import ModelParams, ParetoCount
@@ -32,13 +32,13 @@ print(f"double granularity: mu={MU}, alpha={ALPHA}, {N_FIRMS} firms")
 print(f"expected count per firm {counts.mean():.1f}, size range"
       f" [{sizes.min():.2f}, {sizes.max():.0f}]\n")
 
-stats = binned_volatility_moments(sizes, vols, [1], n_bins=25)
+stats = binned_volatility_moments(equal_count_bins(sizes, 25), sizes, vols, [1, 2, 3, 4])
 print("25 equal-count size bins (every 4th shown):")
 print(f"{'bin':>4} {'mean size':>12} {'mean vol':>10}")
 for b in stats[::4]:
     print(f"{b.bin_index:>4} {b.mean_size:>12.2f} {b.moments[1]:>10.5f}")
 
-profile = power_law_exponent_profile(sizes, vols, [1, 2, 3, 4], n_bins=25)
+profile = power_law_exponent_profile(stats, [1, 2, 3, 4])
 print("\nunconditional binned slopes (all firms pooled):")
 for q in (1, 2, 3, 4):
     print(f"  q={q}: {profile[q].slope:+.3f}")

@@ -19,11 +19,11 @@ from firmgrowth.groups import Groups
 # ---------------------------------------------------------------------------
 
 def equal_count_bins(keys, n_bins):
-    """Assign each key to one of n_bins contiguous rank bins.
+    """Group rows into n_bins contiguous rank bins of the keys.
 
-    Keys are sorted (stable, so ties keep input order) and split into groups
-    whose sizes differ by at most one, larger groups first.  Returns an int
-    array of bin indices aligned with the input.
+    Keys are sorted (stable, so ties keep input order) and split into bins
+    whose sizes differ by at most one, larger bins first.  Returns the
+    :class:`Groups` with keys 0..n_bins-1, rows in input order within a bin.
     """
     keys = np.asarray(keys)
     if keys.size == 0:
@@ -34,7 +34,7 @@ def equal_count_bins(keys, n_bins):
     assign = np.empty(keys.size, dtype=np.int64)
     for b, group in enumerate(np.array_split(order, n_bins)):
         assign[group] = b
-    return assign
+    return Groups.of(assign)
 
 
 @dataclass
@@ -47,13 +47,12 @@ class BinnedStats:
     moments: dict  # q -> mean of vol^q within the bin
 
 
-def binned_volatility_moments(sizes, vols, q_list, n_bins=25):
-    """Equal-count size bins with per-bin volatility moments E[vol^q]."""
+def binned_volatility_moments(bins, sizes, vols, q_list):
+    """Per-bin mean size and volatility moments E[vol^q] over the size `bins`."""
     sizes = np.asarray(sizes, dtype=float)
     vols = np.asarray(vols, dtype=float)
-    if sizes.shape != vols.shape:
-        raise ValueError("sizes and vols must have equal length")
-    bins = Groups.of(equal_count_bins(sizes, n_bins))
+    if not sizes.shape == vols.shape == bins.order.shape:
+        raise ValueError("bins, sizes and vols must cover the same rows")
     return [
         BinnedStats(
             bin_index=b,
@@ -263,14 +262,18 @@ def rescale_collapse(bins):
     """Divide the volatilities of each bin by that bin's mean.
 
     Input is a sequence of per-bin arrays; output preserves the layout and
-    every output bin has mean one by construction.
+    every output bin has mean one by construction.  A bin whose mean is not
+    positive raises ValueError naming the bin.
     """
     out = []
-    for b in bins:
+    for i, b in enumerate(bins):
         b = np.asarray(b, dtype=float)
         if b.size == 0:
             raise ValueError("every bin must be non-empty")
-        out.append(b / b.mean())
+        mean = b.mean()
+        if not mean > 0:
+            raise ValueError(f"bin {i} has mean {float(mean)!r}, so it cannot be rescaled by it")
+        out.append(b / mean)
     return out
 
 

@@ -21,7 +21,6 @@ from firmgrowth import __version__, analysis, estimation
 from firmgrowth.analysis import DensityEstimate
 from firmgrowth.distributions import GseParams, MigParams
 from firmgrowth.experiments import EXPERIMENTS, run_experiment
-from firmgrowth.groups import Groups
 from firmgrowth.model import FixedCount, ModelParams, Panel, ParetoCount, simulate_panel
 from firmgrowth import panel as panel_mod
 
@@ -198,33 +197,32 @@ def cmd_analyze(cfg, args):
             "not enough firms with >= 2 one-period growth rates for the requested bins"
         )
 
+    bins = analysis.equal_count_bins(sizes_mean, n_bins)
+    stats = analysis.binned_volatility_moments(bins, sizes_mean, vols, q_list)
+    rescaled = analysis.rescale_collapse(bins.split(vols))
+    pooled = np.concatenate(rescaled)
+    grid = np.linspace(0.0, max(float(np.quantile(pooled, 0.999)) * 1.5, 1.0), 2000)
+    dens = analysis.kde_gaussian(pooled, grid)
+    profile = estimation.power_law_exponent_profile(stats, q_list)
+
+    # every table is computed above, so a failure leaves no partial bundle
     out_dir.mkdir(parents=True, exist_ok=True)
-    stats = analysis.binned_volatility_moments(sizes_mean, vols, q_list, n_bins=n_bins)
     write_table_csv(
         out_dir / "binned_stats.csv",
         ["bin", "mean_size", "n"] + [f"q{q}" for q in q_list],
         [[b.bin_index, b.mean_size, b.n_firms] + [b.moments[q] for q in q_list] for b in stats],
         meta=_meta(cfg, seed),
     )
-
-    bins = Groups.of(analysis.equal_count_bins(sizes_mean, n_bins))
-    rescaled = analysis.rescale_collapse(bins.split(vols))
     rows = []
     for b, r in enumerate(rescaled):
         rows.extend([[b, v] for v in r])
     write_table_csv(out_dir / "collapse.csv", ["bin", "rescaled_vol"], rows, meta=_meta(cfg, seed))
-
-    pooled = np.concatenate(rescaled)
-    grid = np.linspace(0.0, max(float(np.quantile(pooled, 0.999)) * 1.5, 1.0), 2000)
-    dens = analysis.kde_gaussian(pooled, grid)
     write_table_csv(
         out_dir / "rescaled_vol_density.csv",
         ["x", "density"],
         list(zip(dens.grid, dens.values)),
         meta=_meta(cfg, seed),
     )
-
-    profile = estimation.power_law_exponent_profile(sizes_mean, vols, q_list, n_bins=n_bins)
     write_json(
         out_dir / "scaling_fits.json",
         {"_meta": _meta(cfg, seed, {"dropped_firms": dropped}),

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 
-from firmgrowth.analysis import DensityEstimate, binned_volatility_moments, loglog_ols
-from firmgrowth.distributions import GseParams, MigParams, gse_pdf
+from firmgrowth.analysis import DensityEstimate, loglog_ols
+from firmgrowth.distributions import GseParams, MigParams, _mig_log_norm
 from firmgrowth.groups import Groups
 
 _ADJ = np.sqrt(np.pi / 2.0)
@@ -142,15 +142,12 @@ class FitResult:
 
 def _mig_nll(theta, x):
     a, b, m = theta
-    if a <= 0 or b <= 0 or m < 0:
+    if not (a > 0 and b > 0 and m >= 0):
         return np.inf
     y = x + m
-    log_c = b * np.log(a) - scipy.special.gammaln(b)
-    if m > 0:
-        p_low = scipy.special.gammainc(b, a / m)
-        if p_low <= 0:
-            return np.inf
-        log_c -= np.log(p_low)
+    # a lower incomplete gamma of 0 makes log_c +inf, and the value inf below
+    with np.errstate(divide="ignore"):
+        log_c = _mig_log_norm(MigParams(a, b, m))
     val = -(x.size * log_c) + (1.0 + b) * np.log(y).sum() + a * (1.0 / y).sum()
     return val if np.isfinite(val) else np.inf
 
@@ -362,16 +359,11 @@ def gaussian_mass_fraction(density: DensityEstimate, w):
     return float(np.clip(np.trapezoid(ys, xs), 0.0, 1.0))
 
 
-def power_law_exponent_profile(sizes, vols, q_list, n_bins=25):
-    """Log-log OLS slope of every requested volatility moment against size.
+def power_law_exponent_profile(stats, q_list):
+    """Log-log OLS slope of every requested volatility moment against bin mean size.
 
-    Composes equal-count binning, per-bin moments and the scaling fit; the
-    headline comparison table of the toolkit.  Returns {q: ScalingFit}.
+    Reads the per-bin table of ``binned_volatility_moments``; the headline
+    comparison table of the toolkit.  Returns {q: ScalingFit}.
     """
-    stats = binned_volatility_moments(sizes, vols, q_list, n_bins=n_bins)
-    sizes_b = np.array([b.mean_size for b in stats])
-    out = {}
-    for q in q_list:
-        moments = np.array([b.moments[q] for b in stats])
-        out[q] = loglog_ols(sizes_b, moments)
-    return out
+    sizes = np.array([b.mean_size for b in stats])
+    return {q: loglog_ols(sizes, np.array([b.moments[q] for b in stats])) for q in q_list}

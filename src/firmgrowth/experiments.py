@@ -18,7 +18,6 @@ import scipy
 
 from firmgrowth import analysis, estimation
 from firmgrowth.distributions import MigParams, gse_pdf, laplace_sum_pdf, mig_sample
-from firmgrowth.groups import Groups
 from firmgrowth.model import (
     FixedCount,
     ModelParams,
@@ -262,11 +261,11 @@ def _diversified_mean_slope(counts, sizes, vols, mu, size_floor=30.0, n_bins=25)
     """
     mean_s = mu / (mu - 1.0)
     sel = (counts * mean_s >= 0.5 * sizes) & (sizes >= size_floor)
-    stats = analysis.binned_volatility_moments(sizes[sel], vols[sel], [1], n_bins=n_bins)
-    fit = analysis.loglog_ols(
-        np.array([b.mean_size for b in stats]), np.array([b.moments[1] for b in stats])
+    sizes, vols = sizes[sel], vols[sel]
+    stats = analysis.binned_volatility_moments(
+        analysis.equal_count_bins(sizes, n_bins), sizes, vols, [1]
     )
-    return fit, int(sel.sum())
+    return estimation.power_law_exponent_profile(stats, [1])[1], sizes.size
 
 
 def _upper_window_moment_slopes(sizes, vols, q_list, lo=300.0, trim=0.2, n_bins=12, min_count=400):
@@ -285,7 +284,10 @@ def run_fig4(seed=20260804, n_firms=8_000_000, mu=1.25, alpha=1.1, sigma0=0.1):
     counts, sizes, hhi = _wb_stats(params, n_firms, rng)
     vols = sigma0 * np.sqrt(hhi)
 
-    profile = estimation.power_law_exponent_profile(sizes, vols, [1, 2, 3, 4], n_bins=25)
+    stats = analysis.binned_volatility_moments(
+        analysis.equal_count_bins(sizes, 25), sizes, vols, [1, 2, 3, 4]
+    )
+    profile = estimation.power_law_exponent_profile(stats, [1, 2, 3, 4])
     div_fit, n_div = _diversified_mean_slope(counts, sizes, vols, mu)
     upper = _upper_window_moment_slopes(sizes, vols, [2, 3, 4])
 
@@ -297,7 +299,6 @@ def run_fig4(seed=20260804, n_firms=8_000_000, mu=1.25, alpha=1.1, sigma0=0.1):
         Check.within("q3_slope_upper_window", upper[3].slope, alpha - mu, 0.1),
         Check.within("q4_slope_upper_window", upper[4].slope, alpha - mu, 0.1),
     ]
-    stats = analysis.binned_volatility_moments(sizes, vols, [1, 2, 3, 4], n_bins=25)
     res.tables["binned_moments"] = (
         ["bin", "mean_size", "n_firms", "q1", "q2", "q3", "q4"],
         [
@@ -326,10 +327,10 @@ def run_fig1_right(seed=20260804, n_firms=4_000_000, mu=1.25, alpha=1.1, sigma0=
     params = ModelParams(mu=mu, alpha=alpha, sigma0=sigma0, k_mode=ParetoCount())
     counts, sizes, hhi = _wb_stats(params, n_firms, rng)
     vols = sigma0 * np.sqrt(hhi)
-    stats = analysis.binned_volatility_moments(sizes, vols, [1], n_bins=25)
-    fit_all = analysis.loglog_ols(
-        np.array([b.mean_size for b in stats]), np.array([b.moments[1] for b in stats])
+    stats = analysis.binned_volatility_moments(
+        analysis.equal_count_bins(sizes, 25), sizes, vols, [1]
     )
+    fit_all = estimation.power_law_exponent_profile(stats, [1])[1]
     div_fit, n_div = _diversified_mean_slope(counts, sizes, vols, mu)
 
     # the OLS slope s.e. on binned points ignores within-bin sampling error;
@@ -340,12 +341,9 @@ def run_fig1_right(seed=20260804, n_firms=4_000_000, mu=1.25, alpha=1.1, sigma0=
     boot_slopes = []
     for _ in range(50):
         take = boot_rng.integers(0, n_sub, n_sub)
-        bs = analysis.binned_volatility_moments(sizes[take], vols[take], [1], n_bins=25)
-        boot_slopes.append(
-            analysis.loglog_ols(
-                np.array([b.mean_size for b in bs]), np.array([b.moments[1] for b in bs])
-            ).slope
-        )
+        s, v = sizes[take], vols[take]
+        bs = analysis.binned_volatility_moments(analysis.equal_count_bins(s, 25), s, v, [1])
+        boot_slopes.append(estimation.power_law_exponent_profile(bs, [1])[1].slope)
     bootstrap_se = float(np.std(boot_slopes, ddof=1) * np.sqrt(n_sub / sizes.size))
 
     beta = (mu - 1.0) / mu
@@ -393,7 +391,7 @@ def run_fig1_left(seed=20260803, n_firms=1_000_000, mu=1.6, alpha=1.2, sigma0=0.
     # standard normal; test per size bin among multi-unit firms
     z = growth / (sigma0 * np.sqrt(hhi))
     sel = counts >= k_min_clt
-    bins = Groups.of(analysis.equal_count_bins(sizes[sel], 25))
+    bins = analysis.equal_count_bins(sizes[sel], 25)
 
     ks_rows, ks_max = [], 0.0
     for b, zb in enumerate(bins.split(z[sel])):
@@ -472,7 +470,7 @@ def run_fig3(seed=20260806, mu=1.9, n_per_class=10_000, n_bins=29,
     keep = sizes >= floor
     sizes, vols, classes = sizes[keep], vols[keep], classes[keep]
 
-    bins = Groups.of(analysis.equal_count_bins(sizes, n_bins))
+    bins = analysis.equal_count_bins(sizes, n_bins)
     per_bin = bins.split(vols)
     rescaled = analysis.rescale_collapse(per_bin)
 

@@ -159,14 +159,16 @@ def normalize_by_year(panel: Panel) -> Panel:
     which removes secular drift and makes the size distribution stationary
     across years.  Years scale independently.
     """
-    sizes = panel.size.copy()
-    year = panel.period // 4
-    for y in np.unique(year):
-        m = year == y
-        total = sizes[m].sum()
-        if total <= 0:
-            raise ValueError(f"year {y} has non-positive total size")
-        sizes[m] = m.sum() * sizes[m] / total
+    years = Groups.of(panel.period // 4)
+    totals = years.reduce(panel.size, lambda rows: rows.sum(axis=-1))
+    bad = np.flatnonzero(totals <= 0)
+    if bad.size:
+        raise ValueError(f"year {years.keys[bad[0]]} has non-positive total size")
+    sizes = np.empty_like(panel.size)
+    sizes[years.order] = (
+        np.repeat(years.counts, years.counts) * panel.size[years.order]
+        / np.repeat(totals, years.counts)
+    )
     return replace(panel, size=sizes)
 
 

@@ -17,31 +17,67 @@ from firmgrowth.analysis import (
     weighted_loglog_slope,
 )
 from firmgrowth.distributions import pareto_sample
+from firmgrowth.groups import Groups
+
+
+def rank_split(keys, n_bins):
+    """Each key's equal-count bin: a stable argsort cut into n_bins runs."""
+    order = np.argsort(np.asarray(keys), kind="stable")
+    assign = np.empty(order.size, dtype=np.int64)
+    for b, group in enumerate(np.array_split(order, n_bins)):
+        assign[group] = b
+    return assign
+
+
+def labels(bins):
+    """Each row's bin, read back from the Groups."""
+    out = np.empty(bins.order.size, dtype=np.int64)
+    out[bins.order] = np.repeat(bins.keys, bins.counts)
+    return out
+
+
+def moments(keys, vols, q_list, n_bins):
+    return binned_volatility_moments(equal_count_bins(keys, n_bins), keys, vols, q_list)
 
 
 class TestEqualCountBins:
     def test_two_bins_of_two(self):
-        assign = equal_count_bins([3.0, 1.0, 4.0, 2.0], 2)
+        assign = labels(equal_count_bins([3.0, 1.0, 4.0, 2.0], 2))
         assert assign.tolist() == [1, 0, 1, 0]
 
     def test_paper_sized_split(self):
         rng = np.random.default_rng(0)
-        assign = equal_count_bins(rng.random(24233), 25)
-        counts = np.bincount(assign, minlength=25)
-        assert sorted(set(counts.tolist())) == [969, 970]
+        bins = equal_count_bins(rng.random(24233), 25)
+        assert bins.keys.tolist() == list(range(25))
+        assert sorted(set(bins.counts.tolist())) == [969, 970]
 
     def test_all_equal_keys_stable(self):
-        assign = equal_count_bins(np.ones(10), 5)
+        assign = labels(equal_count_bins(np.ones(10), 5))
         assert assign.tolist() == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4]
 
     def test_partition(self):
         rng = np.random.default_rng(1)
         keys = rng.random(1000)
-        assign = equal_count_bins(keys, 7)
-        assert np.bincount(assign).sum() == 1000
+        bins = equal_count_bins(keys, 7)
+        assert np.sort(bins.order).tolist() == list(range(1000))
         # bin boundaries are monotone in the key
+        per_bin = bins.split(keys)
         for b in range(6):
-            assert keys[assign == b].max() <= keys[assign == b + 1].min() + 1e-15
+            assert per_bin[b].max() <= per_bin[b + 1].min() + 1e-15
+
+    @pytest.mark.parametrize("keys, n_bins", [
+        ([2.0, 1.0, 2.0, 2.0, 1.0, 3.0, 2.0], 3),          # ties across bin edges
+        ([np.nan, 1.0, np.nan, 0.5, 2.0, np.nan], 4),      # NaN ranks last
+        (np.round(np.random.default_rng(2).random(1001), 1), 1),
+        (np.round(np.random.default_rng(3).random(1001), 1), 1001),
+        (np.round(np.random.default_rng(4).random(1001), 1), 25),
+    ])
+    def test_is_groups_of_rank_split(self, keys, n_bins):
+        got = equal_count_bins(keys, n_bins)
+        ref = Groups.of(rank_split(keys, n_bins))
+        for field in ("keys", "order", "starts", "counts"):
+            a, b = getattr(got, field), getattr(ref, field)
+            assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), field
 
     def test_too_many_bins(self):
         with pytest.raises(ValueError):
@@ -50,7 +86,7 @@ class TestEqualCountBins:
 
 class TestBinnedMoments:
     def test_single_bin_second_moment(self):
-        stats = binned_volatility_moments([1.0, 2.0], [1.0, 2.0], [2], n_bins=1)
+        stats = moments([1.0, 2.0], [1.0, 2.0], [2], n_bins=1)
         assert stats[0].moments[2] == pytest.approx(2.5)
         assert stats[0].n_firms == 2
 
@@ -58,7 +94,7 @@ class TestBinnedMoments:
         # one firm per bin: the binned points sit exactly on the input curve
         sizes = np.logspace(0, 2, 12)
         vols = 3.0 * sizes**-0.2
-        stats = binned_volatility_moments(sizes, vols, [1], n_bins=12)
+        stats = moments(sizes, vols, [1], n_bins=12)
         ms = np.array([b.mean_size for b in stats])
         mv = np.array([b.moments[1] for b in stats])
         assert mv == pytest.approx(3.0 * ms**-0.2, rel=1e-12)
@@ -66,19 +102,22 @@ class TestBinnedMoments:
         # with coarse bins over a light-tailed key the distortion stays mild
         rng = np.random.default_rng(2)
         big = np.sort(1.0 + 99.0 * rng.random(5000))
-        stats = binned_volatility_moments(big, 3.0 * big**-0.2, [1], n_bins=25)
+        stats = moments(big, 3.0 * big**-0.2, [1], n_bins=25)
         fit = loglog_ols([b.mean_size for b in stats], [b.moments[1] for b in stats])
         assert fit.slope == pytest.approx(-0.2, abs=0.01)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            binned_volatility_moments([1.0], [1.0, 2.0], [1])
+            binned_volatility_moments(equal_count_bins([1.0], 1), [1.0], [1.0, 2.0], [1])
+        # bins over other rows than the sizes
+        with pytest.raises(ValueError):
+            binned_volatility_moments(equal_count_bins([1.0], 1), [1.0, 2.0], [1.0, 2.0], [1])
 
     def test_within_bin_permutation_invariance(self):
         sizes = np.array([1.0, 1.1, 5.0, 5.1])
         vols = np.array([0.2, 0.4, 0.6, 0.8])
-        a = binned_volatility_moments(sizes, vols, [1, 2], n_bins=2)
-        b = binned_volatility_moments(sizes[[1, 0, 3, 2]], vols[[1, 0, 3, 2]], [1, 2], n_bins=2)
+        a = moments(sizes, vols, [1, 2], n_bins=2)
+        b = moments(sizes[[1, 0, 3, 2]], vols[[1, 0, 3, 2]], [1, 2], n_bins=2)
         for x, y in zip(a, b):
             assert x.moments == pytest.approx(y.moments)
 
@@ -204,6 +243,11 @@ class TestRescaleCollapse:
     def test_empty_bin_rejected(self):
         with pytest.raises(ValueError):
             rescale_collapse([np.array([])])
+
+    @pytest.mark.parametrize("bad", [[0.0, 0.0], [np.nan, 1.0]])
+    def test_non_positive_mean_names_bin(self, bad):
+        with pytest.raises(ValueError, match="bin 1 has mean"):
+            rescale_collapse([[1.0, 2.0], bad, [3.0]])
 
 
 class TestHill:

@@ -29,6 +29,7 @@ from firmgrowth.panel import (
     annual_log_growth,
     descriptive_stats,
     filter_firms,
+    normalize_by_year,
 )
 
 
@@ -51,6 +52,18 @@ def loop_firm_stats(firm_id, period, size):
         sizes_mean.append(s.mean())
         vols.append(mad_volatility(growth))
     return np.array(sizes_mean), np.array(vols), dropped
+
+
+def loop_normalize_by_year(panel):
+    sizes = panel.size.copy()
+    year = panel.period // 4
+    for y in np.unique(year):
+        m = year == y
+        total = sizes[m].sum()
+        if total <= 0:
+            raise ValueError(f"year {y} has non-positive total size")
+        sizes[m] = m.sum() * sizes[m] / total
+    return sizes
 
 
 def loop_filter_firms(panel, min_growth_obs=2, fiscal_december_only=False):
@@ -93,8 +106,17 @@ def loop_descriptive_stats(panel):
     return rows
 
 
+def rank_split(keys, n_bins):
+    """Each key's equal-count bin: a stable argsort cut into n_bins runs."""
+    order = np.argsort(keys, kind="stable")
+    assign = np.empty(keys.size, dtype=np.int64)
+    for b, group in enumerate(np.array_split(order, n_bins)):
+        assign[group] = b
+    return assign
+
+
 def loop_binned_volatility_moments(sizes, vols, q_list, n_bins):
-    assign = equal_count_bins(sizes, n_bins)
+    assign = rank_split(sizes, n_bins)
     out = []
     for b in range(n_bins):
         m = assign == b
@@ -246,6 +268,22 @@ def test_filter_firms_matches_loop(min_growth_obs, fiscal_december_only):
 
 
 @pytest.mark.parametrize("seed", [4, 5])
+def test_normalize_by_year_matches_loop(seed):
+    panel = quarterly_panel(seed)
+    # one more row alone in its year, placed mid-panel
+    at = panel.size.size // 2
+    panel = Panel(
+        firm_id=np.insert(panel.firm_id, at, "F99999"),
+        period=np.insert(panel.period, at, 4 * 1990 + 2),
+        size=np.insert(panel.size, at, 3.25),
+        fiscal_year_end_month=np.insert(panel.fiscal_year_end_month, at, 12),
+    )
+    assert np.count_nonzero(panel.period // 4 == 1990) == 1
+    assert np.any(np.diff(panel.period) < 0)
+    assert_same_array(normalize_by_year(panel).size, loop_normalize_by_year(panel))
+
+
+@pytest.mark.parametrize("seed", [4, 5])
 def test_descriptive_stats_matches_loop(seed):
     panel = quarterly_panel(seed)
     assert repr(descriptive_stats(panel, annual_log_growth(panel))) == repr(
@@ -253,18 +291,36 @@ def test_descriptive_stats_matches_loop(seed):
     )
 
 
-@pytest.mark.parametrize("n_bins", [1, 7, 25])
+@pytest.mark.parametrize("n_bins", [1, 7, 25, 3001])
 def test_size_bins_match_mask_loop(n_bins):
     # unsorted sizes with runs of ties, so stable order within a bin matters
     rng = np.random.default_rng(8)
     sizes = np.round(np.exp(rng.normal(0.0, 2.0, 3001)), 1)
     vols = np.exp(rng.normal(-2.0, 1.0, sizes.size))
-    stats = binned_volatility_moments(sizes, vols, [1, 2, 3, 4], n_bins=n_bins)
+    check_size_bins(sizes, vols, n_bins)
+
+
+@pytest.mark.parametrize("n_bins", [1, 7, 60])
+def test_size_bins_with_nan_keys_match_mask_loop(n_bins):
+    # NaN sizes rank last, in input order
+    rng = np.random.default_rng(9)
+    sizes = np.round(np.exp(rng.normal(0.0, 2.0, 60)), 1)
+    sizes[rng.choice(sizes.size, 8, replace=False)] = np.nan
+    check_size_bins(sizes, np.exp(rng.normal(-2.0, 1.0, sizes.size)), n_bins)
+
+
+def check_size_bins(sizes, vols, n_bins):
+    bins = equal_count_bins(sizes, n_bins)
+    # the binning is the grouping of the rank split
+    ref = Groups.of(rank_split(sizes, n_bins))
+    for field in ("keys", "order", "starts", "counts"):
+        assert_same_array(getattr(bins, field), getattr(ref, field))
+    stats = binned_volatility_moments(bins, sizes, vols, [1, 2, 3, 4])
     got = [(s.bin_index, s.mean_size, s.n_firms, s.moments) for s in stats]
     assert repr(got) == repr(loop_binned_volatility_moments(sizes, vols, [1, 2, 3, 4], n_bins))
     # the collapse's per-bin arrays, as cmd_analyze builds them
-    assign = equal_count_bins(sizes, n_bins)
-    per_bin = Groups.of(assign).split(vols)
+    assign = rank_split(sizes, n_bins)
+    per_bin = bins.split(vols)
     assert len(per_bin) == n_bins
     for b, v in enumerate(per_bin):
         assert_same_array(v, vols[assign == b])

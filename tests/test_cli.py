@@ -4,11 +4,26 @@ import json
 import numpy as np
 import pytest
 
+from firmgrowth import analysis
+from firmgrowth.analysis import equal_count_bins
 from firmgrowth.cli import _read_samples, main, write_json
 
 
 def sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.fixture
+def bin_calls(monkeypatch):
+    """The number of keys binned by each equal_count_bins call."""
+    calls = []
+
+    def counted(keys, n_bins):
+        calls.append(len(keys))
+        return equal_count_bins(keys, n_bins)
+
+    monkeypatch.setattr(analysis, "equal_count_bins", counted)
+    return calls
 
 
 def write_config(tmp_path, body):
@@ -128,6 +143,51 @@ class TestAnalyze:
     def test_missing_panel_is_error(self, tmp_path):
         cfg = write_config(tmp_path, SIM_CFG.format(out=tmp_path / "out"))
         assert main(["--config", cfg, "analyze"]) == 1
+
+    def test_pinned_output_bytes(self, tmp_path, monkeypatch):
+        # relative paths, so the config hash in scaling_fits.json is fixed too
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, SIM_CFG.format(out="out"))
+        assert main(["--config", cfg, "simulate"]) == 0
+        assert main(["--config", cfg, "analyze"]) == 0
+        out = tmp_path / "out"
+        assert {name: sha(out / name) for name in PINNED_ANALYZE} == PINNED_ANALYZE
+
+    def test_bins_sizes_once(self, tmp_path, bin_calls):
+        cfg = write_config(tmp_path, SIM_CFG.format(out=tmp_path / "out"))
+        assert main(["--config", cfg, "simulate"]) == 0
+        assert main(["--config", cfg, "analyze"]) == 0
+        assert bin_calls == [400]
+
+    def test_bin_of_constant_firms_writes_nothing(self, tmp_path, capsys):
+        # the 60 smallest of 200 firms never change size, so with 5 bins the
+        # whole first bin has volatility 0 and cannot be rescaled by its mean
+        rng = np.random.default_rng(4)
+        rows = ["firm_id,period,size"]
+        for firm in range(200):
+            if firm < 60:
+                sizes = np.full(6, 1.0 + 0.01 * firm)
+            else:
+                sizes = 10.0 * np.cumprod(1.0 + 0.05 * rng.standard_normal(6))
+            rows += [f"{firm},{t},{s!r}" for t, s in enumerate(sizes.tolist())]
+        (tmp_path / "panel.csv").write_text("\n".join(rows) + "\n")
+        out = tmp_path / "out"
+        cfg = write_config(
+            tmp_path, f"[run]\nout_dir = {out}\n[analyze]\npanel = {tmp_path / 'panel.csv'}\n"
+            "n_bins = 5\n",
+        )
+        assert main(["--config", cfg, "analyze"]) == 1
+        assert "bin 0" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+
+PINNED_ANALYZE = {
+    "binned_stats.csv": "da3c28ce69dd5064b4b3ec3e4c94f5c28486d2cf276d10d2cc736ae6d27f4bae",
+    "collapse.csv": "b65f6a82baea0df7c161be015da17deaa45d2e9868e7d9366ece40fc228c99ba",
+    "rescaled_vol_density.csv": "26af0d898eb4bc703e5d1c909fe35689fd61dd310ead3088f61130825744c372",
+    "exponent_profile.csv": "787b2d5c57112f8f17b110ba6fd6f2ba65a24946200944bf36dcc8a8db6e2653",
+    "scaling_fits.json": "52fe6f28e58ee88929d4df0f0967289a48d841ebcfdad0e552dc1f724b694178",
+}
 
 
 class TestFit:
@@ -285,6 +345,15 @@ class TestReproduce:
         cfg = write_config(tmp_path, f"[run]\nout_dir = {tmp_path}\n\n[reproduce]\n{key} = 0\n")
         assert main(["--config", cfg, "reproduce", experiment]) == 1
         assert "n_samples must be >= 1, got 0" in capsys.readouterr().err
+
+    def test_fig4_bins_population_once(self, tmp_path, bin_calls):
+        # one binning feeds the moments table and the exponent profile; the
+        # second call bins the diversified firms only
+        cfg = write_config(
+            tmp_path, f"[run]\nout_dir = {tmp_path}\n\n[reproduce]\nn_firms = 1000000\n"
+        )
+        assert main(["--config", cfg, "reproduce", "fig4"]) == 0
+        assert len(bin_calls) == 2 and bin_calls[0] == 1_000_000 > bin_calls[1]
 
     def test_reproduce_runs_and_writes_bundle(self, tmp_path):
         cfg = write_config(

@@ -1,10 +1,18 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.stats import norm
 
-from firmgrowth.analysis import kde_gaussian, DensityEstimate
-from firmgrowth.distributions import GseParams, MigParams, gse_pdf, mig_sample
+from firmgrowth.analysis import (
+    DensityEstimate,
+    binned_volatility_moments,
+    equal_count_bins,
+    kde_gaussian,
+)
+from firmgrowth.distributions import GseParams, MigParams, gse_pdf, mig_logpdf, mig_sample
 from firmgrowth.estimation import (
+    _mig_nll,
     fit_gse_nls,
     firm_size_volatility,
     fit_mig_mle,
@@ -120,9 +128,21 @@ class TestMigMle:
         x = mig_sample(p, rng.random(2_000))
         init = MigParams(1.0, 1.0, 0.01)
         fit = fit_mig_mle(x, init=init)
-        from firmgrowth.estimation import _mig_nll
-
         assert fit.objective <= _mig_nll(np.array([1.0, 1.0, 0.01]), x) + 1e-9
+
+    @pytest.mark.parametrize("params", [(4.0, 4.0, 0.3), (2.5, 0.7, 0.0), (0.5, 3.0, 0.2)])
+    def test_nll_is_minus_summed_logpdf(self, params):
+        x = mig_sample(MigParams(*params), np.random.default_rng(5).random(2000))
+        expect = -mig_logpdf(x, MigParams(*params)).sum()
+        assert _mig_nll(np.array(params), x) == pytest.approx(expect, rel=1e-12)
+
+    def test_nll_infinite_where_lower_gamma_vanishes(self):
+        # gammainc(200, 1e-6) underflows to 0, so the density has no normalizer
+        x = np.linspace(0.1, 5.0, 200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert _mig_nll(np.array([1e-6, 200.0, 1.0]), x) == np.inf
+            assert _mig_nll(np.array([np.nan, 1.0, 0.5]), x) == np.inf
 
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
@@ -204,7 +224,8 @@ class TestExponentProfile:
     def test_pure_power_law_slopes(self):
         sizes = np.logspace(0, 3, 25)
         vols = sizes**-0.2
-        profile = power_law_exponent_profile(sizes, vols, [1, 2, 3, 4], n_bins=25)
+        stats = binned_volatility_moments(equal_count_bins(sizes, 25), sizes, vols, [1, 2, 3, 4])
+        profile = power_law_exponent_profile(stats, [1, 2, 3, 4])
         for q, target in ((1, -0.2), (2, -0.4), (3, -0.6), (4, -0.8)):
             assert profile[q].slope == pytest.approx(target, abs=1e-10)
             assert profile[q].r_squared == pytest.approx(1.0, abs=1e-10)

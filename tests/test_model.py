@@ -294,9 +294,9 @@ class TestAggregateFirms:
             vols = p.sigma0 * np.sqrt(population.hhi())
             hill, hill_se = hill_estimator(sizes, 0.01)
             keep = sizes >= np.quantile(sizes, 0.8)
-            assign = equal_count_bins(sizes[keep], 15)
-            ms = np.array([sizes[keep][assign == b].mean() for b in range(15)])
-            mv = np.array([vols[keep][assign == b].mean() for b in range(15)])
+            bins = equal_count_bins(sizes[keep], 15)
+            ms = np.array([s.mean() for s in bins.split(sizes[keep])])
+            mv = np.array([v.mean() for v in bins.split(vols[keep])])
             fit = loglog_ols(ms, mv)
             return hill, hill_se, fit.slope, fit.slope_se
 

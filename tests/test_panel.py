@@ -148,6 +148,12 @@ class TestNormalize:
         out = normalize_by_year(panel)
         assert out.size == pytest.approx([1.0, 1.0])
 
+    def test_non_positive_year_total_named(self):
+        panel = make_panel([("f1", 2002, 1, 2.0), ("f1", 2001, 1, 2.0), ("f2", 2001, 2, 3.0)])
+        panel.size[1:] *= -1.0
+        with pytest.raises(ValueError, match="year 2001 has non-positive total size"):
+            normalize_by_year(panel)
+
 
 class TestAnnualGrowth:
     def test_log_two(self):
