@@ -66,9 +66,23 @@ def run_settings(cfg, args):
     return int(seed), Path(out_dir)
 
 
+_MODEL_KEYS = ("mu", "alpha", "s0", "sigma0", "k_mode", "k", "shock_law", "student_dof")
+
+
+def _check_keys(cfg, section, accepted):
+    """Reject any key of `section` outside `accepted`, which the run would ignore."""
+    if cfg.has_section(section):
+        unknown = sorted(set(cfg[section]) - set(cfg.defaults()) - set(accepted))
+        if unknown:
+            raise ValidationError(
+                f"unknown [{section}] key(s) {', '.join(unknown)}; accepted: {', '.join(accepted)}"
+            )
+
+
 def model_params_from_config(cfg):
     if not cfg.has_section("model"):
         raise ValidationError("config needs a [model] section")
+    _check_keys(cfg, "model", _MODEL_KEYS)
     sec = cfg["model"]
     mode = sec.get("k_mode", "pareto").strip().lower()
     if mode == "fixed":
@@ -158,6 +172,7 @@ def _meta(cfg, seed, extra=None):
 def cmd_simulate(cfg, args):
     seed, out_dir = run_settings(cfg, args)
     params = model_params_from_config(cfg)
+    _check_keys(cfg, "simulate", ("n_firms", "n_periods"))
     sec = cfg["simulate"] if cfg.has_section("simulate") else {}
     n_firms = int(sec.get("n_firms", "1000"))
     n_periods = int(sec.get("n_periods", "8"))

@@ -91,26 +91,45 @@ def mig_cdf(x, p: MigParams):
     """CDF of the modified inverse gamma law.
 
     Uses the incomplete-gamma representation: x + location follows an inverse
-    gamma law truncated to [location, inf).
+    gamma law truncated to [location, inf).  When the truncation keeps less
+    than half of the upper tail, the CDF is taken from the lower tails, so
+    it stays accurate where the upper tail rounds to 1.
     """
     x = np.asarray(x, dtype=float)
     a, b, m = p.scale, p.shape, p.location
     f_m = scipy.special.gammaincc(b, a / m) if m > 0 else 0.0
     with np.errstate(divide="ignore"):
-        f_y = scipy.special.gammaincc(b, a / np.maximum(x + m, 1e-300))
-    out = np.where(x <= 0, 0.0, (f_y - f_m) / (1.0 - f_m))
-    return np.clip(out, 0.0, 1.0)
+        z = a / np.maximum(x + m, 1e-300)
+    if f_m > 0.5:
+        out = 1.0 - scipy.special.gammainc(b, z) / scipy.special.gammainc(b, a / m)
+    else:
+        out = (scipy.special.gammaincc(b, z) - f_m) / (1.0 - f_m)
+    return np.clip(np.where(x <= 0, 0.0, out), 0.0, 1.0)
 
 
 def mig_sample(p: MigParams, u):
-    """Inverse-CDF draw(s); monotone in u, exact to machine precision."""
+    """Inverse-CDF draw(s); monotone in u, exact to machine precision.
+
+    x + location is scale / G, with G a Gamma(shape) variable truncated to
+    G <= scale / location.  The draw inverts G's upper tail; where that
+    rounds to 1 (so the draw would be infinite), it inverts the lower tail.
+    Raises ValueError if that is not finite either.
+    """
     u = np.asarray(u, dtype=float)
     if np.any(u <= 0) or np.any(u >= 1):
         raise ValueError("uniforms must lie in (0, 1)")
     a, b, m = p.scale, p.shape, p.location
     f_m = scipy.special.gammaincc(b, a / m) if m > 0 else 0.0
     prob = f_m + u * (1.0 - f_m)
-    return a / scipy.special.gammainccinv(b, prob) - m
+    with np.errstate(divide="ignore"):
+        x = np.asarray(a / scipy.special.gammainccinv(b, prob) - m)
+        lost = ~np.isfinite(x)
+        if lost.any():
+            kept = scipy.special.gammainc(b, a / m) if m > 0 else 1.0
+            x[lost] = a / scipy.special.gammaincinv(b, (1.0 - u[lost]) * kept) - m
+    if not np.isfinite(x).all():
+        raise ValueError(f"{p} has draws beyond double precision")
+    return x[()]
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,12 @@ supported: a fixed sub-unit count per firm, and a Pareto-distributed count
 (heavy-tailed in both the number and the size of sub-units).  Large-scale
 Monte Carlo work uses :class:`FirmPopulation`, a flat ragged-array layout.
 
-Randomness contract: panel simulation derives one counter-based substream per
-firm from the master seed (stream id = firm index, Philox key
-``(firm_id << 64) | seed``), so any scheduling of per-firm work produces
-bit-identical results.  Batch experiment samplers instead consume a single
+Randomness contract: each firm of a simulated panel has its own Philox4x64-10
+substream, keyed by the master seed and the firm index (:func:`firm_stream`).
+:func:`simulate_panel` builds no generator per firm: it computes the Philox
+blocks of a whole block of firms at once in NumPy (:func:`_philox_doubles`),
+so every firm gets exactly the numbers its own generator would draw, however
+the firms are blocked.  Batch experiment samplers instead consume a single
 generator with a documented draw order (counts first, then sizes, both in
 firm order), which is deterministic for a fixed seed.  They draw that one
 stream in contiguous segments, one thread per core, each from a copy of the
@@ -19,6 +21,7 @@ the numbers do not depend on the core count.
 from __future__ import annotations
 
 import copy
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Union
@@ -28,10 +31,12 @@ import scipy
 
 from firmgrowth.analysis import binned_means, upper_window_edges, weighted_loglog_slope
 from firmgrowth.distributions import pareto_sample
+from firmgrowth.groups import Groups
 
 _SEED_MASK = (1 << 64) - 1
 _MULTIPLIER_FLOOR = 1e-6
-# doubles per sampler block: 1 MB, so a block and its temporaries stay in cache
+# doubles per sampler block, and words per firm block of a panel: 1 MB, so a
+# block and its temporaries stay in cache
 _BLOCK = 1 << 17
 
 
@@ -136,35 +141,57 @@ def firm_stream(seed, firm_id):
     """Independent counter-based substream for one firm.
 
     Philox keyed by ``(firm_id << 64) | (seed mod 2**64)``; the counter starts
-    at zero.  This is the documented seed -> firm split used by
-    :func:`simulate_panel`.
+    at zero.  This is the documented seed -> firm split of
+    :func:`simulate_panel`, which computes these streams with
+    :func:`_philox_doubles` instead of making one generator per firm.
     """
     return np.random.Generator(np.random.Philox(key=((int(firm_id) << 64) | (int(seed) & _SEED_MASK))))
 
 
-class _StreamPool:
-    """Reusable Philox generator cycled through per-firm keys.
+# Philox4x64-10 as NumPy computes it: round multipliers and key (Weyl) bumps
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+# Philox blocks per kernel pass: each temporary is 128 kB and stays in cache
+_PHILOX_CHUNK = 1 << 14
+_LO32 = np.uint64(0xFFFFFFFF)
 
-    Produces streams bit-identical to `firm_stream(seed, i)` while avoiding
-    the construction cost of a fresh bit generator per firm.
+
+def _mulhilo(a, m):
+    """The high and low 64-bit words of the 128-bit products ``a * m``, from 32-bit halves."""
+    a_lo, a_hi = a & _LO32, a >> 32
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    mid = a_hi * m_lo + ((a_lo * m_lo) >> 32)
+    cross = a_lo * m_hi + (mid & _LO32)
+    return a_hi * m_hi + (mid >> 32) + (cross >> 32), a * np.uint64(m)
+
+
+def _philox_doubles(seed, firm_ids, counters):
+    """Row i: the 4 doubles of block ``counters[i]`` of ``firm_stream(seed, firm_ids[i])``.
+
+    Block b of a firm's stream holds its words 4b to 4b + 3: Philox4x64-10
+    under key ``(seed mod 2**64, firm_id)`` and counter ``(b + 1, 0, 0, 0)``,
+    each word made a double in [0, 1) as ``(word >> 11) * 2**-53``.  So the
+    rows of one firm's blocks 0, 1, ... flatten to what its generator's
+    ``random`` returns.
     """
-
-    def __init__(self, seed):
-        self._seed = int(seed) & _SEED_MASK
-        self._bg = np.random.Philox(key=0)
-        self._gen = np.random.Generator(self._bg)
-        self._state = self._bg.state
-
-    def stream(self, firm_id):
-        st = self._state
-        st["state"]["key"][0] = self._seed
-        st["state"]["key"][1] = int(firm_id)
-        st["state"]["counter"][:] = 0
-        st["buffer_pos"] = 4
-        st["uinteger"] = 0
-        st["has_uint32"] = 0
-        self._bg.state = st
-        return self._gen
+    firm_ids = np.asarray(firm_ids, dtype=np.uint64)
+    counters = np.asarray(counters, dtype=np.uint64)
+    out = np.empty((firm_ids.size, 4))
+    for lo in range(0, firm_ids.size, _PHILOX_CHUNK):
+        hi = min(lo + _PHILOX_CHUNK, firm_ids.size)
+        key0, key1 = int(seed) & _SEED_MASK, firm_ids[lo:hi].copy()
+        zero = np.zeros(hi - lo, dtype=np.uint64)
+        ctr = (counters[lo:hi] + np.uint64(1), zero, zero, zero)
+        for r in range(10):
+            if r:
+                key0 = (key0 + _PHILOX_W[0]) & _SEED_MASK
+                key1 += np.uint64(_PHILOX_W[1])
+            hi0, lo0 = _mulhilo(ctr[0], _PHILOX_M[0])
+            hi1, lo1 = _mulhilo(ctr[2], _PHILOX_M[1])
+            ctr = (hi1 ^ ctr[1] ^ np.uint64(key0), lo1, hi0 ^ ctr[3] ^ key1, lo0)
+        for j, word in enumerate(ctr):
+            np.multiply(word >> 11, 2.0**-53, out=out[lo:hi, j])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +439,12 @@ def simulate_panel(params: ModelParams, n_firms, n_periods, seed):
     multipliers 1 + sigma0 * shock are floored at 1e-6 to preserve positivity;
     the number of floored multipliers is returned as the clamp count.
 
-    Because every firm owns its substream, no firm's sizes depend on the
-    order in which the firms are simulated.
+    The firms go in blocks of about ``_BLOCK`` words.  One
+    :func:`_philox_doubles` pass makes a block's streams, and the firms of
+    each sub-unit count k are reduced together as one (firms, periods, k)
+    array, row by row with the operations of a single firm.  So every firm's
+    sizes are bit-identical to simulating it alone from its own generator,
+    and none depends on the order or blocking of the firms.
 
     Returns (Panel, clamp_count).
     """
@@ -422,30 +453,48 @@ def simulate_panel(params: ModelParams, n_firms, n_periods, seed):
     if n_periods < 2:
         raise ValueError("n_periods must be >= 2")
 
-    sizes = np.empty(n_firms * n_periods)
-    pool = _StreamPool(seed)
+    ids = np.arange(n_firms)
+    if isinstance(params.k_mode, FixedCount):
+        head = 0
+        counts = np.full(n_firms, params.k_mode.count, dtype=np.int64)
+    else:
+        # the count is word 0; its Pareto draw stays a Python float, whose
+        # power may differ from the array one in the last bit
+        head = 1
+        u = _philox_doubles(seed, ids, np.zeros_like(ids))[:, 0].tolist()
+        counts = np.array([math.ceil(pareto_sample(x, 1.0, params.alpha)) for x in u])
+    words = head + counts * n_periods
+    # firm blocks of about _BLOCK words; a firm with more words is a block of its own
+    ends = np.cumsum(words)
+    cuts = np.searchsorted(ends, np.arange(_BLOCK, ends[-1], _BLOCK)) + 1
+    bounds = np.unique(np.concatenate(([0], cuts, [n_firms]))).tolist()
+
+    sizes = np.empty((n_firms, n_periods))
     clamp_count = 0
-    for i in range(n_firms):
-        gen = pool.stream(i)
-        if isinstance(params.k_mode, FixedCount):
-            k = params.k_mode.count
-        else:
-            k = int(np.ceil(pareto_sample(gen.random(), 1.0, params.alpha)))
-        s = pareto_sample(gen.random(k), params.s0, params.mu)
-        out = sizes[i * n_periods : (i + 1) * n_periods]
-        out[0] = s.sum()
-        eta = shocks_from_uniforms(
-            gen.random((n_periods - 1, k)), params.shock_law, params.student_dof
-        )
-        mult = 1.0 + params.sigma0 * eta
-        clamp_count += int((mult < _MULTIPLIER_FLOOR).sum())
-        np.maximum(mult, _MULTIPLIER_FLOOR, out=mult)
-        np.cumprod(mult, axis=0, out=mult)
-        out[1:] = mult @ s
+    for lo, hi in zip(bounds, bounds[1:]):
+        n_blocks = (words[lo:hi] + 3) // 4
+        first = np.cumsum(n_blocks) - n_blocks
+        block = np.arange(first[-1] + n_blocks[-1]) - np.repeat(first, n_blocks)
+        u = _philox_doubles(seed, np.repeat(ids[lo:hi], n_blocks), block).ravel()
+        groups = Groups.of(counts[lo:hi])
+        by_count = zip(groups.keys.tolist(), groups.starts.tolist(), groups.counts.tolist())
+        for k, start, n in by_count:
+            firms = groups.order[start : start + n]
+            # (firm, period, sub-unit): the sizes' uniforms, then each period's shocks'
+            draws = u[(4 * first[firms] + head)[:, None] + np.arange(k * n_periods)]
+            draws = draws.reshape(n, n_periods, k)
+            s = pareto_sample(draws[:, 0], params.s0, params.mu)
+            sizes[lo + firms, 0] = s.sum(axis=1)
+            eta = shocks_from_uniforms(draws[:, 1:], params.shock_law, params.student_dof)
+            mult = 1.0 + params.sigma0 * eta
+            clamp_count += int(np.count_nonzero(mult < _MULTIPLIER_FLOOR))
+            np.maximum(mult, _MULTIPLIER_FLOOR, out=mult)
+            np.cumprod(mult, axis=1, out=mult)
+            sizes[lo + firms, 1:] = np.matmul(mult, s[..., None])[..., 0]
 
     firm_id = np.repeat(np.arange(n_firms, dtype=np.int64), n_periods)
     period = np.tile(np.arange(n_periods, dtype=np.int64), n_firms)
-    return Panel(firm_id, period, sizes), clamp_count
+    return Panel(firm_id, period, sizes.ravel()), clamp_count
 
 
 # ---------------------------------------------------------------------------

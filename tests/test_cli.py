@@ -1,12 +1,19 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import firmgrowth
 from firmgrowth import analysis
 from firmgrowth.analysis import equal_count_bins
 from firmgrowth.cli import _read_samples, main, write_json
+
+SRC = str(Path(firmgrowth.__file__).resolve().parents[1])
 
 
 def sha(path):
@@ -70,6 +77,24 @@ def test_write_json_writes_non_finite_floats_as_null(tmp_path):
                     "e": [None, 3.0], "f": [None, 4]}
 
 
+# [model] lines and the pinned sha256 of simulate's outputs, per shock law; the
+# laplace config floors some multipliers, so its clamp_count is not zero
+PINNED_SIMULATE = {
+    "gaussian": ("k_mode = pareto\nalpha = 1.2\nsigma0 = 0.1", {
+        "panel.csv": "6192ccdef92ea7b8dd33bd82599bc536e9b10bd0bbdf2547b1f88f4eb01b20c5",
+        "panel.meta.json": "3cbed2c7229f18de213ddae8b38db75bacde0c219c726bad52379b87a1ac3a73",
+    }),
+    "laplace": ("k_mode = fixed\nk = 3\nsigma0 = 0.9", {
+        "panel.csv": "f428ec28a7cda467bb20bce23a56f045a570cfd20216ec4d6d1778b8002792ed",
+        "panel.meta.json": "5d30c9ca4eb918eba3a36a9b07b7804558227e13eb0408a197a9b3944d203ed8",
+    }),
+    "student_t": ("k_mode = pareto\nalpha = 1.4\nsigma0 = 0.2\nstudent_dof = 4", {
+        "panel.csv": "f74cdf6fbdb473a69bc97fbeaf0419bbac24648822e4c4dcac0653f9a8be17b9",
+        "panel.meta.json": "9992448a07a4d7dd52ac4dd8669611fcb7702f00c44c8bcd2d637ecc0ab78c66",
+    }),
+}
+
+
 class TestSimulate:
     def test_simulate_writes_panel_and_metadata(self, tmp_path):
         cfg = write_config(tmp_path, SIM_CFG.format(out=tmp_path / "out"))
@@ -99,10 +124,51 @@ class TestSimulate:
         meta = json.loads((tmp_path / "pre" / "panel.meta.json").read_text())
         assert meta["seed"] == 55  # flag beats the config's 777
 
+    @pytest.mark.parametrize("law", sorted(PINNED_SIMULATE))
+    def test_pinned_output_bytes(self, tmp_path, monkeypatch, law):
+        # relative paths, so the config hash in panel.meta.json is fixed too
+        monkeypatch.chdir(tmp_path)
+        model_lines, pinned = PINNED_SIMULATE[law]
+        cfg = write_config(
+            tmp_path,
+            f"[run]\nseed = 31\nout_dir = out\n[model]\nmu = 1.6\nshock_law = {law}\n"
+            f"{model_lines}\n[simulate]\nn_firms = 300\nn_periods = 5\n",
+        )
+        assert main(["--config", cfg, "simulate"]) == 0
+        assert {name: sha(tmp_path / "out" / name) for name in pinned} == pinned
+
     def test_zero_firms_is_validation_error(self, tmp_path):
         body = SIM_CFG.format(out=tmp_path / "out").replace("n_firms = 400", "n_firms = 0")
         cfg = write_config(tmp_path, body)
         assert main(["--config", cfg, "simulate"]) == 1
+
+    @pytest.mark.parametrize("section, line", [
+        ("model", "k_count = 4"),
+        ("simulate", "n_firm = 50"),
+    ])
+    def test_unknown_key_is_validation_error(self, tmp_path, capsys, section, line):
+        # a misspelt key would otherwise fall back to its default without a word
+        body = SIM_CFG.format(out=tmp_path / "out").replace(
+            f"[{section}]\n", f"[{section}]\n{line}\n"
+        )
+        cfg = write_config(tmp_path, body.replace("k_mode = pareto", "k_mode = fixed"))
+        assert main(["--config", cfg, "simulate"]) == 1
+        assert f"unknown [{section}] key(s) {line.split()[0]}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_python_dash_m_runs_the_cli(self, tmp_path):
+        cfg = write_config(tmp_path, SIM_CFG.format(out=tmp_path / "out"))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [SRC, os.environ.get("PYTHONPATH")])
+        )}
+        run = [sys.executable, "-m", "firmgrowth", "--config", cfg]
+        done = subprocess.run(run + ["simulate"], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert len((tmp_path / "out" / "panel.csv").read_text().splitlines()) == 1 + 400 * 6
+        # an argparse error exits 2
+        done = subprocess.run(run + ["no_such_command"], env=env, capture_output=True, text=True)
+        assert done.returncode == 2
+        assert "invalid choice" in done.stderr
 
 
 class TestAnalyze:

@@ -1,6 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from firmgrowth.distributions import (
     GseParams,
@@ -96,6 +98,31 @@ class TestMig:
         u = np.linspace(0.01, 0.99, 99)
         x = mig_sample(p, u)
         assert np.all(np.diff(x) > 0)
+
+    def test_sample_where_the_upper_tail_rounds_to_one(self):
+        # gammaincc(12, 0.05 / 1.5) rounds to 1, so inverting the upper tail
+        # gives infinity for every u
+        p = MigParams(0.05, 12.0, 1.5)
+        assert special.gammaincc(p.shape, p.scale / p.location) == 1.0
+        u = np.random.default_rng(7).random(10_000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = mig_sample(p, u)
+        assert np.isfinite(x).all() and (x > 0).all()
+        assert np.max(np.abs(mig_cdf(x, p) - u)) < 1e-9
+        assert np.all(np.diff(mig_sample(p, np.linspace(0.01, 0.99, 99))) > 0)
+
+    def test_sample_beyond_double_precision_is_error(self):
+        # gammainc(200, 1e-4) underflows to 0, so neither tail can be inverted
+        with pytest.raises(ValueError, match="double precision"):
+            mig_sample(MigParams(0.001, 200.0, 10.0), [0.5])
+
+    def test_cdf_from_lower_tails_integrates_pdf(self):
+        # gammaincc(2, 1) = 2/e > 1/2 keeps the lower-tail branch
+        p = MigParams(1.0, 2.0, 1.0)
+        for x in (0.1, 0.7, 3.0):
+            val, _ = integrate.quad(lambda t: mig_pdf(t, p), 0, x)
+            assert mig_cdf(x, p) == pytest.approx(val, rel=1e-9)
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):

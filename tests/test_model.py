@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from firmgrowth import model
 from firmgrowth.analysis import equal_count_bins, hill_estimator, ks_distance, loglog_ols
 from firmgrowth.model import (
     FirmPopulation,
@@ -8,7 +9,7 @@ from firmgrowth.model import (
     ModelParams,
     Panel,
     ParetoCount,
-    _StreamPool,
+    _philox_doubles,
     aggregate_firms,
     draw_population,
     few_subunit_tail_slope,
@@ -144,11 +145,13 @@ class TestDrawFirm:
 
 
 class TestStreams:
-    def test_pool_matches_fresh_streams(self):
-        pool = _StreamPool(987654321)
+    def test_philox_doubles_match_fresh_streams(self):
+        # three kernel chunks of blocks, the last one partial
+        n_blocks = 2 * model._PHILOX_CHUNK + 5
         for fid in (0, 1, 17, 2**40):
-            a = firm_stream(987654321, fid).random(6)
-            assert np.array_equal(pool.stream(fid).random(6), a)
+            blocks = _philox_doubles(987654321, np.full(n_blocks, fid), np.arange(n_blocks))
+            stream = firm_stream(987654321, fid).random(4 * n_blocks - 3)
+            assert blocks.ravel()[: stream.size].tobytes() == stream.tobytes()
 
     def test_distinct_firms_distinct_streams(self):
         a = firm_stream(1, 0).random(4)
