@@ -19,7 +19,6 @@ import numpy as np
 
 from firmgrowth import __version__, analysis, estimation
 from firmgrowth.analysis import DensityEstimate
-from firmgrowth.distributions import GseParams, MigParams
 from firmgrowth.experiments import EXPERIMENTS, run_experiment
 from firmgrowth.model import FixedCount, ModelParams, Panel, ParetoCount, simulate_panel
 from firmgrowth import panel as panel_mod
@@ -38,12 +37,45 @@ class ValidationError(Exception):
 # Config plumbing
 # ---------------------------------------------------------------------------
 
+_SCHEMA_FIELDS = ("firm_id", "year", "quarter", "size", "fiscal_year_end_month")
+
+# Every config section with its keys and their defaults (None: no default).
+# load_config rejects any other section or key; [reproduce] takes the chosen
+# experiment's parameters, which run_experiment checks against its runner.
+CONFIG_KEYS = {
+    "run": {"seed": "20260801", "out_dir": "out"},
+    "model": {
+        "mu": None, "alpha": None, "s0": "1.0", "sigma0": "0.1", "k_mode": "pareto", "k": "1",
+        "shock_law": "gaussian", "student_dof": "5.0",
+    },
+    "simulate": {"n_firms": "1000", "n_periods": "8"},
+    "analyze": {"panel": None, "n_bins": "25", "q_list": "1,2,3,4"},
+    "fit": {"family": "", "input": None},
+    "ingest": {
+        "input": None, "deflator": None, "min_growth_obs": "2", "fiscal_december_only": "false",
+        **{f"{logical}_col": panel_mod.DEFAULT_SCHEMA.get(logical) for logical in _SCHEMA_FIELDS},
+    },
+    "reproduce": None,
+}
+
+
 def load_config(path):
     cfg = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     if path is not None:
-        read = cfg.read(path)
-        if not read:
+        if not cfg.read(path):
             raise ValidationError(f"config file not found: {path}")
+    for name in cfg.sections():
+        if name not in CONFIG_KEYS:
+            raise ValidationError(f"unknown section [{name}]; accepted: {', '.join(CONFIG_KEYS)}")
+        accepted = CONFIG_KEYS[name]
+        if accepted is None:
+            continue
+        # [DEFAULT] keys show up in every section, where no command reads them
+        unknown = sorted(set(cfg[name]) - set(cfg.defaults()) - set(accepted))
+        if unknown:
+            raise ValidationError(
+                f"unknown [{name}] key(s) {', '.join(unknown)}; accepted: {', '.join(accepted)}"
+            )
     return cfg
 
 
@@ -53,57 +85,44 @@ def config_hash(cfg: configparser.ConfigParser):
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _get(cfg, section, key, fallback=None):
-    if cfg.has_option(section, key):
-        return cfg.get(section, key)
-    return fallback
+def _settings(cfg, section):
+    """The values of `section`, over the table's defaults."""
+    given = cfg[section] if cfg.has_section(section) else {}
+    return {key: given.get(key, default) for key, default in CONFIG_KEYS[section].items()}
+
+
+def _boolean(section, key, value):
+    states = configparser.ConfigParser.BOOLEAN_STATES
+    if value.strip().lower() not in states:
+        raise ValidationError(f"[{section}] {key} = {value!r} is not one of {', '.join(states)}")
+    return states[value.strip().lower()]
 
 
 def run_settings(cfg, args):
     """[run] section with CLI flags taking precedence."""
-    seed = args.seed if args.seed is not None else _get(cfg, "run", "seed", "20260801")
-    out_dir = args.out_dir or _get(cfg, "run", "out_dir", "out")
-    return int(seed), Path(out_dir)
-
-
-_MODEL_KEYS = ("mu", "alpha", "s0", "sigma0", "k_mode", "k", "shock_law", "student_dof")
-
-
-def _check_keys(cfg, section, accepted):
-    """Reject any key of `section` outside `accepted`, which the run would ignore."""
-    if cfg.has_section(section):
-        unknown = sorted(set(cfg[section]) - set(cfg.defaults()) - set(accepted))
-        if unknown:
-            raise ValidationError(
-                f"unknown [{section}] key(s) {', '.join(unknown)}; accepted: {', '.join(accepted)}"
-            )
+    run = _settings(cfg, "run")
+    seed = args.seed if args.seed is not None else run["seed"]
+    return int(seed), Path(args.out_dir or run["out_dir"])
 
 
 def model_params_from_config(cfg):
     if not cfg.has_section("model"):
         raise ValidationError("config needs a [model] section")
-    _check_keys(cfg, "model", _MODEL_KEYS)
-    sec = cfg["model"]
-    mode = sec.get("k_mode", "pareto").strip().lower()
-    if mode == "fixed":
-        k_mode = FixedCount(sec.getint("k", 1))
-        alpha = None
-    elif mode == "pareto":
-        k_mode = ParetoCount()
-        if "alpha" not in sec:
-            raise ValidationError("pareto k_mode needs alpha in [model]")
-        alpha = sec.getfloat("alpha")
-    else:
+    model = _settings(cfg, "model")
+    mode = model["k_mode"].strip().lower()
+    if mode not in ("fixed", "pareto"):
         raise ValidationError(f"unknown k_mode {mode!r} (use fixed or pareto)")
+    if mode == "pareto" and model["alpha"] is None:
+        raise ValidationError("pareto k_mode needs alpha in [model]")
     try:
         return ModelParams(
-            mu=sec.getfloat("mu"),
-            alpha=alpha,
-            s0=sec.getfloat("s0", 1.0),
-            sigma0=sec.getfloat("sigma0", 0.1),
-            k_mode=k_mode,
-            shock_law=sec.get("shock_law", "gaussian").strip().lower(),
-            student_dof=sec.getfloat("student_dof", 5.0),
+            mu=float(model["mu"]),
+            alpha=float(model["alpha"]) if mode == "pareto" else None,
+            s0=float(model["s0"]),
+            sigma0=float(model["sigma0"]),
+            k_mode=FixedCount(int(model["k"])) if mode == "fixed" else ParetoCount(),
+            shock_law=model["shock_law"].strip().lower(),
+            student_dof=float(model["student_dof"]),
         )
     except (ValueError, TypeError) as exc:
         raise ValidationError(str(exc)) from None
@@ -172,10 +191,8 @@ def _meta(cfg, seed, extra=None):
 def cmd_simulate(cfg, args):
     seed, out_dir = run_settings(cfg, args)
     params = model_params_from_config(cfg)
-    _check_keys(cfg, "simulate", ("n_firms", "n_periods"))
-    sec = cfg["simulate"] if cfg.has_section("simulate") else {}
-    n_firms = int(sec.get("n_firms", "1000"))
-    n_periods = int(sec.get("n_periods", "8"))
+    sim = _settings(cfg, "simulate")
+    n_firms, n_periods = int(sim["n_firms"]), int(sim["n_periods"])
     if n_firms < 1 or n_periods < 2:
         raise ValidationError("need n_firms >= 1 and n_periods >= 2")
 
@@ -196,12 +213,12 @@ def cmd_simulate(cfg, args):
 
 def cmd_analyze(cfg, args):
     seed, out_dir = run_settings(cfg, args)
-    sec = cfg["analyze"] if cfg.has_section("analyze") else {}
-    panel_path = args.panel or sec.get("panel")
+    ana = _settings(cfg, "analyze")
+    panel_path = args.panel or ana["panel"]
     if not panel_path or not Path(panel_path).exists():
         raise ValidationError(f"panel file not found: {panel_path!r}")
-    n_bins = int(sec.get("n_bins", "25"))
-    q_list = [int(q) for q in sec.get("q_list", "1,2,3,4").split(",")]
+    n_bins = int(ana["n_bins"])
+    q_list = [int(q) for q in ana["q_list"].split(",")]
 
     panel = Panel.read_csv(panel_path)
     sizes_mean, vols, dropped = estimation.firm_size_volatility(
@@ -267,41 +284,22 @@ def _read_samples(path):
 
 def cmd_fit(cfg, args):
     seed, out_dir = run_settings(cfg, args)
-    sec = cfg["fit"] if cfg.has_section("fit") else {}
-    family = (args.family or sec.get("family", "")).strip().lower()
-    input_path = args.input or sec.get("input")
+    fit_cfg = _settings(cfg, "fit")
+    family = (args.family or fit_cfg["family"]).strip().lower()
+    input_path = args.input or fit_cfg["input"]
     if family not in ("mig", "gse"):
         raise ValidationError("fit family must be 'mig' or 'gse'")
     if not input_path or not Path(input_path).exists():
         raise ValidationError(f"fit input not found: {input_path!r}")
 
     if family == "mig":
-        samples = _read_samples(input_path)
-        init = None
-        if sec.get("init_scale"):
-            try:
-                init = MigParams(
-                    float(sec["init_scale"]), float(sec["init_shape"]), float(sec["init_location"])
-                )
-            except (KeyError, ValueError) as exc:
-                raise ValidationError(f"bad mig init bounds: {exc}") from None
-        fit = estimation.fit_mig_mle(samples, init=init)
+        fit = estimation.fit_mig_mle(_read_samples(input_path))
     else:
         data = np.genfromtxt(input_path, delimiter=",", names=True)
         if "x" not in data.dtype.names or "density" not in data.dtype.names:
             raise ValidationError("gse input needs columns x,density")
         dens = DensityEstimate(data["x"], data["density"], bandwidth=0.0, n_samples=0)
-        init = None
-        if sec.get("init_amplitude"):
-            try:
-                init = GseParams(
-                    float(sec["init_amplitude"]), float(sec["init_core_width"]),
-                    float(sec["init_center"]), float(sec["init_crossover"]),
-                    float(sec["init_stretch"]),
-                )
-            except (KeyError, ValueError) as exc:
-                raise ValidationError(f"bad gse init bounds: {exc}") from None
-        fit = estimation.fit_gse_nls(dens, init=init)
+        fit = estimation.fit_gse_nls(dens)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     out = dict(fit.to_dict())
@@ -316,27 +314,19 @@ def cmd_fit(cfg, args):
 
 def cmd_ingest(cfg, args):
     seed, out_dir = run_settings(cfg, args)
-    sec = cfg["ingest"] if cfg.has_section("ingest") else {}
-    input_path = args.input or sec.get("input")
+    ing = _settings(cfg, "ingest")
+    input_path = args.input or ing["input"]
     if not input_path or not Path(input_path).exists():
         raise ValidationError(f"ingest input not found: {input_path!r}")
-    schema = dict(panel_mod.DEFAULT_SCHEMA)
-    for logical in ("firm_id", "year", "quarter", "size", "fiscal_year_end_month"):
-        key = f"{logical}_col"
-        if sec.get(key):
-            schema[logical] = sec[key]
+    min_growth_obs = int(ing["min_growth_obs"])
+    december_only = _boolean("ingest", "fiscal_december_only", ing["fiscal_december_only"])
+    schema = {logical: ing[f"{logical}_col"] for logical in _SCHEMA_FIELDS}
 
     panel = panel_mod.ingest_csv(input_path, schema)
-    if sec.get("deflator"):
-        deflator = panel_mod.DeflatorSeries.from_csv(sec["deflator"])
-        panel = panel_mod.deflate(panel, deflator)
-    if sec.get("normalize", "true").strip().lower() in ("1", "true", "yes"):
-        panel = panel_mod.normalize_by_year(panel)
+    if ing["deflator"]:
+        panel = panel_mod.deflate(panel, panel_mod.DeflatorSeries.from_csv(ing["deflator"]))
     panel, growths, exclusions = panel_mod.filter_firms(
-        panel,
-        min_growth_obs=int(sec.get("min_growth_obs", "2")),
-        fiscal_december_only=sec.get("fiscal_december_only", "false").strip().lower()
-        in ("1", "true", "yes"),
+        panel_mod.normalize_by_year(panel), min_growth_obs, december_only
     )
     if len(panel) == 0:
         raise ValidationError("no observations survive the filters")
@@ -401,7 +391,7 @@ def cmd_reproduce(cfg, args):
 
 def build_parser():
     # SUPPRESS keeps a flag parsed before the subcommand from being clobbered
-    # by the subparser's defaults; main() backfills anything never set
+    # by the subparser's defaults; main() pre-fills anything never set
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument("--config", help="INI config file")
     common.add_argument("--seed", type=int, help="master seed (overrides config)")
@@ -444,14 +434,12 @@ _COMMANDS = {
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
-    # backfill attributes suppressed by the shared flag group or specific to
-    # other subcommands
-    defaults = {"config": None, "seed": None, "out_dir": None, "strict": False,
-                "panel": None, "family": None, "input": None, "experiment": None}
-    for attr, value in defaults.items():
-        if not hasattr(args, attr):
-            setattr(args, attr, value)
+    # the attributes suppressed by the shared flag group or specific to other
+    # subcommands start out unset
+    args = parser.parse_args(argv, argparse.Namespace(
+        config=None, seed=None, out_dir=None, strict=False,
+        panel=None, family=None, input=None, experiment=None,
+    ))
     try:
         cfg = load_config(args.config)
         return _COMMANDS[args.command](cfg, args)

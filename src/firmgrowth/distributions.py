@@ -68,7 +68,14 @@ def _mig_log_norm(p: MigParams):
     return log_c
 
 
+def _check_mig_mass(p: MigParams):
+    """Raise ValueError if gammainc(shape, scale / location), the normalizer, is 0."""
+    if p.location > 0 and scipy.special.gammainc(p.shape, p.scale / p.location) == 0:
+        raise ValueError(f"{p} keeps no probability mass in double precision")
+
+
 def mig_logpdf(x, p: MigParams):
+    _check_mig_mass(p)
     x = np.asarray(x, dtype=float)
     a, m = p.scale, p.location
     y = x + m
@@ -95,6 +102,7 @@ def mig_cdf(x, p: MigParams):
     than half of the upper tail, the CDF is taken from the lower tails, so
     it stays accurate where the upper tail rounds to 1.
     """
+    _check_mig_mass(p)
     x = np.asarray(x, dtype=float)
     a, b, m = p.scale, p.shape, p.location
     f_m = scipy.special.gammaincc(b, a / m) if m > 0 else 0.0

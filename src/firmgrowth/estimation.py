@@ -93,8 +93,9 @@ def firm_size_volatility(firm_id, period, size):
     exactly one period apart, so a gap in a firm's periods never passes for
     a one-period change.  Firms with fewer than two such rates are dropped.
     Rows may come in any order; a repeated (firm, period) pair raises
-    ValueError.  Returns ``(mean_sizes, volatilities, n_dropped)`` with the
-    kept firms in ascending id order.
+    ValueError citing the 1-based rows of its first two occurrences.
+    Returns ``(mean_sizes, volatilities, n_dropped)`` with the kept firms in
+    ascending id order.
     """
     order = np.lexsort((period, firm_id))
     fid, per, siz = (np.asarray(col)[order] for col in (firm_id, period, size))
@@ -102,8 +103,13 @@ def firm_size_volatility(firm_id, period, size):
     step = per[1:] - per[:-1]
     repeated = np.flatnonzero(same_firm & (step == 0))
     if repeated.size:
-        i = repeated[0]
-        raise ValueError(f"duplicate rows for firm_id {fid[i]}, period {per[i]}")
+        # the sort is stable, so order[i] and order[i + 1] are the rows of a
+        # repeat in file order; cite the repeat whose second row comes first
+        i = repeated[np.argmin(order[repeated + 1])]
+        raise ValueError(
+            f"row {order[i + 1] + 1}: duplicate rows for firm_id {fid[i]}, period {per[i]}"
+            f" (first seen at row {order[i] + 1})"
+        )
     pair = same_firm & (step == 1)
     rated = Groups.of(fid[:-1][pair])
     rated = rated.select(rated.counts >= 2)
@@ -275,7 +281,7 @@ def _gse_init(x, y):
     return np.array([c0, u0, v0, 2.0 * u0, 1.0])
 
 
-def fit_gse_nls(density: DensityEstimate, init: GseParams | None = None) -> FitResult:
+def fit_gse_nls(density: DensityEstimate) -> FitResult:
     """Least-squares fit of the stretched-exponential family to a density.
 
     The fit runs on the grid points inside [-8, 8]; the estimate's grid must
@@ -289,12 +295,7 @@ def fit_gse_nls(density: DensityEstimate, init: GseParams | None = None) -> FitR
     sel = (grid >= -_GSE_WINDOW) & (grid <= _GSE_WINDOW)
     x, y = grid[sel], density.values[sel]
 
-    if init is not None:
-        theta0 = np.array(
-            [init.amplitude, init.core_width, init.center, init.crossover, init.stretch]
-        )
-    else:
-        theta0 = _gse_init(x, y)
+    theta0 = _gse_init(x, y)
     lo = np.array([1e-6, 1e-6, -np.inf, 1e-6, 0.0])
     hi = np.array([np.inf, np.inf, np.inf, np.inf, 2.0])
     theta0 = np.clip(theta0, lo, hi)

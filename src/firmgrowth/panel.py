@@ -199,7 +199,8 @@ def annual_log_growth(panel: Panel) -> GrowthRecords:
     """
     if np.any(panel.size <= 0):
         raise ValueError("sizes must be positive to take logs")
-    t = panel.period
+    # periods from 0 up, so one firm's keys never reach into another's
+    t = panel.period - panel.period.min()
     firms, codes = np.unique(panel.firm_id, return_inverse=True)
     key = codes.astype(np.int64) * (t.max() + 5) + t
     order = np.argsort(key, kind="stable")
@@ -211,7 +212,7 @@ def annual_log_growth(panel: Panel) -> GrowthRecords:
     base = np.flatnonzero(found)
     later = order[pos_clip[base]]
     growth = np.log(panel.size[later]) - np.log(panel.size[base])
-    return GrowthRecords(panel.firm_id[base], t[base], growth)
+    return GrowthRecords(panel.firm_id[base], panel.period[base], growth)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 import firmgrowth
 from firmgrowth import analysis
 from firmgrowth.analysis import equal_count_bins
-from firmgrowth.cli import _read_samples, main, write_json
+from firmgrowth.cli import CONFIG_KEYS, _read_samples, load_config, main, write_json
 
 SRC = str(Path(firmgrowth.__file__).resolve().parents[1])
 
@@ -192,7 +192,11 @@ class TestAnalyze:
         lines = panel.read_text().splitlines()
         panel.write_text("\n".join(lines + [lines[7]]) + "\n")
         assert main(["--config", cfg, "analyze"]) == 1
-        assert "duplicate rows" in capsys.readouterr().err
+        firm, period, _ = lines[7].split(",")
+        assert (
+            f"row {len(lines)}: duplicate rows for firm_id {firm}, period {period}"
+            " (first seen at row 7)"
+        ) in capsys.readouterr().err
 
     @pytest.mark.parametrize("size", ["nan", "inf", "0.0", "-2.5"])
     def test_bad_size_is_validation_error_citing_row(self, tmp_path, capsys, size):
@@ -466,3 +470,90 @@ class TestReproduce:
             f"[reproduce]\nn_sums = 20000\n",
         )
         assert main(["--config", cfg, "--strict", "reproduce", "laplace_sum"]) == 3
+
+
+# a config with every section the table knows; the files it names need not
+# exist, since the file is checked before any command reads them
+ALL_SECTIONS_CFG = """
+[run]
+out_dir = {out}
+
+[model]
+mu = 1.6
+alpha = 1.2
+
+[simulate]
+n_firms = 50
+n_periods = 4
+
+[analyze]
+panel = {out}/panel.csv
+
+[fit]
+family = mig
+input = samples.csv
+
+[ingest]
+input = quarters.csv
+"""
+
+
+class TestConfig:
+    @pytest.mark.parametrize("section, line, command", [
+        ("run", "out_dri = elsewhere", "simulate"),
+        ("model", "sigma = 0.2", "simulate"),
+        ("simulate", "n_period = 3", "simulate"),
+        ("analyze", "n_bin = 5", "analyze"),
+        ("fit", "famliy = gse", "fit"),
+        ("ingest", "fiscal_december_onyl = true", "ingest"),
+        # keys that no longer exist
+        ("ingest", "normalize = false", "ingest"),
+        ("fit", "init_scale = 1", "fit"),
+    ])
+    def test_unknown_key_exits_1_naming_it(self, tmp_path, capsys, section, line, command):
+        out = tmp_path / "out"
+        body = ALL_SECTIONS_CFG.format(out=out).replace(f"[{section}]\n", f"[{section}]\n{line}\n")
+        assert main(["--config", write_config(tmp_path, body), command]) == 1
+        err = capsys.readouterr().err
+        assert f"unknown [{section}] key(s) {line.split()[0]}; accepted: " in err
+        assert not out.exists()
+
+    def test_unknown_section_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        body = ALL_SECTIONS_CFG.format(out=out) + "\n[ingets]\nmin_growth_obs = 3\n"
+        assert main(["--config", write_config(tmp_path, body), "simulate"]) == 1
+        assert "unknown section [ingets]; accepted: run, model" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_default_keys_load(self, tmp_path):
+        body = f"[DEFAULT]\nroot = {tmp_path}\n" + SIM_CFG.format(out="%(root)s/out")
+        assert main(["--config", write_config(tmp_path, body), "simulate"]) == 0
+        assert (tmp_path / "out" / "panel.csv").exists()
+
+    @pytest.mark.parametrize("value, retained", [
+        ("on", 3), ("1", 3), ("yes", 3), ("true", 3),
+        ("off", 4), ("0", 4), ("no", 4), ("false", 4),
+    ])
+    def test_fiscal_december_only_spellings(self, tmp_path, value, retained):
+        cfg = Path(write_pinned_ingest(tmp_path))
+        cfg.write_text(cfg.read_text().replace(
+            "fiscal_december_only = true", f"fiscal_december_only = {value}"
+        ))
+        assert main(["--config", str(cfg), "ingest"]) == 0
+        exclusions = json.loads((tmp_path / "out" / "exclusions.json").read_text())
+        assert exclusions["n_retained_firms"] == retained
+
+    def test_fiscal_december_only_non_boolean_exits_1(self, tmp_path, capsys):
+        cfg = Path(write_pinned_ingest(tmp_path))
+        cfg.write_text(cfg.read_text().replace(
+            "fiscal_december_only = true", "fiscal_december_only = maybe"
+        ))
+        assert main(["--config", str(cfg), "ingest"]) == 1
+        assert "fiscal_december_only" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_readme_example_loads(self, tmp_path):
+        readme = (Path(SRC).parent / "README.md").read_text()
+        example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        cfg = load_config(write_config(tmp_path, example))
+        assert cfg.sections() == list(CONFIG_KEYS)

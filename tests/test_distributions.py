@@ -10,6 +10,7 @@ from firmgrowth.distributions import (
     gse_pdf,
     laplace_sum_pdf,
     mig_cdf,
+    mig_logpdf,
     mig_pdf,
     mig_sample,
     pareto_sample,
@@ -116,6 +117,25 @@ class TestMig:
         # gammainc(200, 1e-4) underflows to 0, so neither tail can be inverted
         with pytest.raises(ValueError, match="double precision"):
             mig_sample(MigParams(0.001, 200.0, 10.0), [0.5])
+
+    def test_density_and_cdf_beyond_double_precision_are_errors(self):
+        p = MigParams(0.001, 200.0, 10.0)
+        assert special.gammainc(p.shape, p.scale / p.location) == 0.0
+        for f in (mig_pdf, mig_logpdf, mig_cdf):
+            with pytest.raises(ValueError, match="double precision"):
+                f(np.array([0.0, 1.0, 2.0]), p)
+
+    def test_density_and_cdf_values_in_closed_form(self):
+        # the inverse gamma law of x + m, truncated to [m, inf)
+        p = MigParams(2.0, 3.0, 0.5)
+        x = np.array([0.0, 0.25, 1.0, 4.0])
+        kept = special.gammainc(3.0, 4.0)
+        log_ref = (3.0 * np.log(2.0) - special.gammaln(3.0) - np.log(kept)
+                   - 4.0 * np.log(x + 0.5) - 2.0 / (x + 0.5))
+        assert np.max(np.abs(mig_logpdf(x, p) - log_ref)) < 1e-12
+        assert np.max(np.abs(mig_pdf(x, p) / np.exp(log_ref) - 1.0)) < 1e-12
+        cdf_ref = (special.gammaincc(3.0, 2.0 / (x + 0.5)) - special.gammaincc(3.0, 4.0)) / kept
+        assert np.max(np.abs(mig_cdf(x, p) - cdf_ref)) < 1e-12
 
     def test_cdf_from_lower_tails_integrates_pdf(self):
         # gammaincc(2, 1) = 2/e > 1/2 keeps the lower-tail branch

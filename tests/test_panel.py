@@ -178,6 +178,18 @@ class TestAnnualGrowth:
         g = annual_log_growth(panel)
         assert len(g) == 8  # 12 quarters - 4
 
+    def test_negative_periods_pair_rows_of_one_firm(self):
+        # firm a never changes size and firm b is 100 times larger: a key that
+        # mixed the firms' rows would give a growth of +-log 100
+        firm_id = np.array(["a"] * 7 + ["b"] * 9)
+        period = np.concatenate([np.arange(7), np.arange(-9, 0)])
+        size = np.array([1.0] * 7 + [100.0] * 9)
+        g = annual_log_growth(Panel(firm_id, period, size))
+        shifted = annual_log_growth(Panel(firm_id, period + 40, size))
+        assert g.firm_id.tolist() == shifted.firm_id.tolist()
+        assert (g.period + 40).tolist() == shifted.period.tolist()
+        assert g.growth.tolist() == shifted.growth.tolist() == [0.0] * 8
+
     def test_normalization_shifts_growth_by_year_constant(self):
         rng = np.random.default_rng(1)
         rows = []
