@@ -32,13 +32,14 @@ print(f"double granularity: mu={MU}, alpha={ALPHA}, {N_FIRMS} firms")
 print(f"expected count per firm {counts.mean():.1f}, size range"
       f" [{sizes.min():.2f}, {sizes.max():.0f}]\n")
 
-stats = binned_volatility_moments(equal_count_bins(sizes, 25), sizes, vols, [1, 2, 3, 4])
+bins = equal_count_bins(sizes, 25)
+mean_size, moments = binned_volatility_moments(bins, sizes, vols, [1, 2, 3, 4])
 print("25 equal-count size bins (every 4th shown):")
 print(f"{'bin':>4} {'mean size':>12} {'mean vol':>10}")
-for b in stats[::4]:
-    print(f"{b.bin_index:>4} {b.mean_size:>12.2f} {b.moments[1]:>10.5f}")
+for b, s, v in list(zip(bins.keys, mean_size, moments[1]))[::4]:
+    print(f"{b:>4} {s:>12.2f} {v:>10.5f}")
 
-profile = power_law_exponent_profile(stats, [1, 2, 3, 4])
+profile = power_law_exponent_profile(mean_size, moments)
 print("\nunconditional binned slopes (all firms pooled):")
 for q in (1, 2, 3, 4):
     print(f"  q={q}: {profile[q].slope:+.3f}")

@@ -30,7 +30,7 @@ sizes = np.concatenate(sizes)
 vols = np.concatenate(vols)
 
 n_bins = len(K_CLASSES)
-rescaled = rescale_collapse(equal_count_bins(sizes, n_bins).split(vols))
+rescaled = rescale_collapse(equal_count_bins(sizes, n_bins), vols)
 
 print(f"mu={MU}, {n_bins} sub-unit count classes from {K_CLASSES[0]} to {K_CLASSES[-1]}")
 print("\npairwise KS distances between rescaled interior bins:")

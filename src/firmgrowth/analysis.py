@@ -6,6 +6,7 @@ safe to evaluate concurrently.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,9 +22,10 @@ from firmgrowth.groups import Groups
 def equal_count_bins(keys, n_bins):
     """Group rows into n_bins contiguous rank bins of the keys.
 
-    Keys are sorted (stable, so ties keep input order) and split into bins
-    whose sizes differ by at most one, larger bins first.  Returns the
-    :class:`Groups` with keys 0..n_bins-1, rows in input order within a bin.
+    Keys are sorted once (stable, so ties keep input order) and the sorted
+    rows are cut into runs whose sizes differ by at most one, larger runs
+    first, as ``np.array_split`` cuts them.  Returns the :class:`Groups` with
+    keys 0..n_bins-1, rows in input order within a bin.
     """
     keys = np.asarray(keys)
     if keys.size == 0:
@@ -31,37 +33,12 @@ def equal_count_bins(keys, n_bins):
     if not 1 <= n_bins <= keys.size:
         raise ValueError(f"n_bins must lie in [1, {keys.size}], got {n_bins}")
     order = np.argsort(keys, kind="stable")
-    assign = np.empty(keys.size, dtype=np.int64)
-    for b, group in enumerate(np.array_split(order, n_bins)):
-        assign[group] = b
-    return Groups.of(assign)
-
-
-@dataclass
-class BinnedStats:
-    """Aggregates for one size bin."""
-
-    bin_index: int
-    mean_size: float
-    n_firms: int
-    moments: dict  # q -> mean of vol^q within the bin
-
-
-def binned_volatility_moments(bins, sizes, vols, q_list):
-    """Per-bin mean size and volatility moments E[vol^q] over the size `bins`."""
-    sizes = np.asarray(sizes, dtype=float)
-    vols = np.asarray(vols, dtype=float)
-    if not sizes.shape == vols.shape == bins.order.shape:
-        raise ValueError("bins, sizes and vols must cover the same rows")
-    return [
-        BinnedStats(
-            bin_index=b,
-            mean_size=float(s.mean()),
-            n_firms=int(s.size),
-            moments={q: float((v**q).mean()) for q in q_list},
-        )
-        for b, (s, v) in enumerate(zip(bins.split(sizes), bins.split(vols)))
-    ]
+    counts = np.full(n_bins, keys.size // n_bins)
+    counts[: keys.size % n_bins] += 1
+    starts = np.cumsum(counts) - counts
+    for s, n in zip(starts.tolist(), counts.tolist()):
+        order[s : s + n].sort()
+    return Groups(np.arange(n_bins), order, starts, counts)
 
 
 def upper_window_edges(sizes, lo, trim_decades, n_bins):
@@ -76,26 +53,35 @@ def upper_window_edges(sizes, lo, trim_decades, n_bins):
     return np.logspace(np.log10(lo), hi, n_bins + 1)
 
 
-def binned_means(sizes, edges, values):
-    """Per bin between consecutive `edges`: its number of sizes and the means of `values`.
+def edge_bins(sizes, edges):
+    """Group the rows with ``edges[b] <= size < edges[b + 1]`` as bin b.
 
-    `values` is an iterable of arrays aligned with `sizes`, read one at a
-    time; rows whose size lies outside the edges are ignored.  Returns
-    ``(counts, means)`` with one array of per-bin means for each values
-    array, NaN in an empty bin.  A bin's rows keep their input order, so
-    each mean sees the elements a mask per bin would select, in their order.
+    Keys are the non-empty bins; rows outside the edges are in no group.
     """
     idx = np.digitize(sizes, edges) - 1
-    inside = (idx >= 0) & (idx < len(edges) - 1)
+    inside = np.flatnonzero((idx >= 0) & (idx < len(edges) - 1))
     bins = Groups.of(idx[inside])
-    counts = np.zeros(len(edges) - 1, dtype=np.int64)
-    counts[bins.keys] = bins.counts
-    means = []
-    for v in values:
-        mean = np.full(counts.size, np.nan)
-        mean[bins.keys] = [part.mean() for part in bins.split(np.asarray(v)[inside])]
-        means.append(mean)
-    return counts, means
+    return Groups(bins.keys, inside[bins.order], bins.starts, bins.counts)
+
+
+def binned_means(bins, values):
+    """For each array in the iterable `values`, read one at a time, its mean per bin.
+
+    A bin's rows keep their input order, so each mean sees the elements a
+    mask per bin would select, in their order.
+    """
+    return [np.array([part.mean() for part in bins.split(v)]) for v in values]
+
+
+def binned_volatility_moments(bins, sizes, vols, q_list):
+    """Per-bin mean size and ``{q: E[vol^q]}`` over the size `bins`, as arrays."""
+    sizes = np.asarray(sizes, dtype=float)
+    vols = np.asarray(vols, dtype=float)
+    if sizes.shape != vols.shape:
+        raise ValueError("sizes and vols must cover the same rows")
+    # a generator, so only one power of the volatilities exists at a time
+    mean_size, *moments = binned_means(bins, itertools.chain([sizes], (vols**q for q in q_list)))
+    return mean_size, dict(zip(q_list, moments))
 
 
 # ---------------------------------------------------------------------------
@@ -258,23 +244,17 @@ def _convolve_same(a, kernel):
 # Curve collapse
 # ---------------------------------------------------------------------------
 
-def rescale_collapse(bins):
-    """Divide the volatilities of each bin by that bin's mean.
+def rescale_collapse(bins, vols):
+    """Each size bin's volatilities divided by the bin's mean, so every bin has mean one.
 
-    Input is a sequence of per-bin arrays; output preserves the layout and
-    every output bin has mean one by construction.  A bin whose mean is not
-    positive raises ValueError naming the bin.
+    A bin whose mean is not positive raises ValueError naming the bin.
     """
-    out = []
-    for i, b in enumerate(bins):
-        b = np.asarray(b, dtype=float)
-        if b.size == 0:
-            raise ValueError("every bin must be non-empty")
-        mean = b.mean()
+    vols = np.asarray(vols, dtype=float)
+    (means,) = binned_means(bins, [vols])
+    for key, mean in zip(bins.keys.tolist(), means.tolist()):
         if not mean > 0:
-            raise ValueError(f"bin {i} has mean {float(mean)!r}, so it cannot be rescaled by it")
-        out.append(b / mean)
-    return out
+            raise ValueError(f"bin {key} has mean {mean!r}, so it cannot be rescaled by it")
+    return [v / mean for v, mean in zip(bins.split(vols), means)]
 
 
 # ---------------------------------------------------------------------------

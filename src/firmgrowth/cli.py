@@ -29,7 +29,7 @@ EXIT_RUNTIME = 2
 EXIT_STRICT_FAIL = 3
 
 
-class ValidationError(Exception):
+class ValidationError(ValueError):
     pass
 
 
@@ -62,7 +62,11 @@ CONFIG_KEYS = {
 def load_config(path):
     cfg = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     if path is not None:
-        if not cfg.read(path):
+        try:
+            found = cfg.read(path)
+        except configparser.Error as exc:
+            raise ValidationError(str(exc)) from None
+        if not found:
             raise ValidationError(f"config file not found: {path}")
     for name in cfg.sections():
         if name not in CONFIG_KEYS:
@@ -112,6 +116,8 @@ def model_params_from_config(cfg):
     mode = model["k_mode"].strip().lower()
     if mode not in ("fixed", "pareto"):
         raise ValidationError(f"unknown k_mode {mode!r} (use fixed or pareto)")
+    if model["mu"] is None:
+        raise ValidationError("[model] needs mu")
     if mode == "pareto" and model["alpha"] is None:
         raise ValidationError("pareto k_mode needs alpha in [model]")
     try:
@@ -230,24 +236,22 @@ def cmd_analyze(cfg, args):
         )
 
     bins = analysis.equal_count_bins(sizes_mean, n_bins)
-    stats = analysis.binned_volatility_moments(bins, sizes_mean, vols, q_list)
-    rescaled = analysis.rescale_collapse(bins.split(vols))
+    mean_size, moments = analysis.binned_volatility_moments(bins, sizes_mean, vols, q_list)
+    rescaled = analysis.rescale_collapse(bins, vols)
     pooled = np.concatenate(rescaled)
     grid = np.linspace(0.0, max(float(np.quantile(pooled, 0.999)) * 1.5, 1.0), 2000)
     dens = analysis.kde_gaussian(pooled, grid)
-    profile = estimation.power_law_exponent_profile(stats, q_list)
+    profile = estimation.power_law_exponent_profile(mean_size, moments)
 
     # every table is computed above, so a failure leaves no partial bundle
     out_dir.mkdir(parents=True, exist_ok=True)
     write_table_csv(
         out_dir / "binned_stats.csv",
         ["bin", "mean_size", "n"] + [f"q{q}" for q in q_list],
-        [[b.bin_index, b.mean_size, b.n_firms] + [b.moments[q] for q in q_list] for b in stats],
+        zip(bins.keys, mean_size, bins.counts, *(moments[q] for q in q_list)),
         meta=_meta(cfg, seed),
     )
-    rows = []
-    for b, r in enumerate(rescaled):
-        rows.extend([[b, v] for v in r])
+    rows = [[b, v] for b, r in enumerate(rescaled) for v in r]
     write_table_csv(out_dir / "collapse.csv", ["bin", "rescaled_vol"], rows, meta=_meta(cfg, seed))
     write_table_csv(
         out_dir / "rescaled_vol_density.csv",
@@ -443,9 +447,6 @@ def main(argv=None):
     try:
         cfg = load_config(args.config)
         return _COMMANDS[args.command](cfg, args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -360,11 +360,11 @@ def gaussian_mass_fraction(density: DensityEstimate, w):
     return float(np.clip(np.trapezoid(ys, xs), 0.0, 1.0))
 
 
-def power_law_exponent_profile(stats, q_list):
-    """Log-log OLS slope of every requested volatility moment against bin mean size.
+def power_law_exponent_profile(mean_size, moments):
+    """Log-log OLS slope of every volatility moment against bin mean size.
 
-    Reads the per-bin table of ``binned_volatility_moments``; the headline
-    comparison table of the toolkit.  Returns {q: ScalingFit}.
+    Reads the ``(mean_size, {q: moment})`` arrays of
+    ``binned_volatility_moments``; the headline comparison table of the
+    toolkit.  Returns {q: ScalingFit}.
     """
-    sizes = np.array([b.mean_size for b in stats])
-    return {q: loglog_ols(sizes, np.array([b.moments[q] for b in stats])) for q in q_list}
+    return {q: loglog_ols(mean_size, m) for q, m in moments.items()}

@@ -10,7 +10,6 @@ deterministic functions of their seed.
 from __future__ import annotations
 
 import inspect
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -262,20 +261,20 @@ def _diversified_mean_slope(counts, sizes, vols, mu, size_floor=30.0, n_bins=25)
     mean_s = mu / (mu - 1.0)
     sel = (counts * mean_s >= 0.5 * sizes) & (sizes >= size_floor)
     sizes, vols = sizes[sel], vols[sel]
-    stats = analysis.binned_volatility_moments(
-        analysis.equal_count_bins(sizes, n_bins), sizes, vols, [1]
+    return _moment_slopes(analysis.equal_count_bins(sizes, n_bins), sizes, vols, [1])[1], sizes.size
+
+
+def _moment_slopes(bins, sizes, vols, q_list):
+    """{q: log-log fit of E[vol^q] against mean size over the size `bins`}."""
+    return estimation.power_law_exponent_profile(
+        *analysis.binned_volatility_moments(bins, sizes, vols, q_list)
     )
-    return estimation.power_law_exponent_profile(stats, [1])[1], sizes.size
 
 
 def _upper_window_moment_slopes(sizes, vols, q_list, lo=300.0, trim=0.2, n_bins=12, min_count=400):
     """Log-binned moment slopes over the upper size range (asymptotic window)."""
-    edges = analysis.upper_window_edges(sizes, lo, trim, n_bins)
-    # a generator, so only one power of the volatilities exists at a time
-    values = itertools.chain([sizes], (vols**q for q in q_list))
-    counts, (mean_size, *moments) = analysis.binned_means(sizes, edges, values)
-    full = counts >= min_count
-    return {q: analysis.loglog_ols(mean_size[full], m[full]) for q, m in zip(q_list, moments)}
+    bins = analysis.edge_bins(sizes, analysis.upper_window_edges(sizes, lo, trim, n_bins))
+    return _moment_slopes(bins.select(bins.counts >= min_count), sizes, vols, q_list)
 
 
 def run_fig4(seed=20260804, n_firms=8_000_000, mu=1.25, alpha=1.1, sigma0=0.1):
@@ -284,10 +283,9 @@ def run_fig4(seed=20260804, n_firms=8_000_000, mu=1.25, alpha=1.1, sigma0=0.1):
     counts, sizes, hhi = _wb_stats(params, n_firms, rng)
     vols = sigma0 * np.sqrt(hhi)
 
-    stats = analysis.binned_volatility_moments(
-        analysis.equal_count_bins(sizes, 25), sizes, vols, [1, 2, 3, 4]
-    )
-    profile = estimation.power_law_exponent_profile(stats, [1, 2, 3, 4])
+    bins = analysis.equal_count_bins(sizes, 25)
+    mean_size, moments = analysis.binned_volatility_moments(bins, sizes, vols, [1, 2, 3, 4])
+    profile = estimation.power_law_exponent_profile(mean_size, moments)
     div_fit, n_div = _diversified_mean_slope(counts, sizes, vols, mu)
     upper = _upper_window_moment_slopes(sizes, vols, [2, 3, 4])
 
@@ -301,10 +299,7 @@ def run_fig4(seed=20260804, n_firms=8_000_000, mu=1.25, alpha=1.1, sigma0=0.1):
     ]
     res.tables["binned_moments"] = (
         ["bin", "mean_size", "n_firms", "q1", "q2", "q3", "q4"],
-        [
-            [b.bin_index, b.mean_size, b.n_firms, b.moments[1], b.moments[2], b.moments[3], b.moments[4]]
-            for b in stats
-        ],
+        list(zip(bins.keys, mean_size, bins.counts, *moments.values())),
     )
     res.tables["exponent_profile"] = (
         ["q", "slope", "se", "r2"],
@@ -327,10 +322,9 @@ def run_fig1_right(seed=20260804, n_firms=4_000_000, mu=1.25, alpha=1.1, sigma0=
     params = ModelParams(mu=mu, alpha=alpha, sigma0=sigma0, k_mode=ParetoCount())
     counts, sizes, hhi = _wb_stats(params, n_firms, rng)
     vols = sigma0 * np.sqrt(hhi)
-    stats = analysis.binned_volatility_moments(
-        analysis.equal_count_bins(sizes, 25), sizes, vols, [1]
-    )
-    fit_all = estimation.power_law_exponent_profile(stats, [1])[1]
+    bins = analysis.equal_count_bins(sizes, 25)
+    mean_size, moments = analysis.binned_volatility_moments(bins, sizes, vols, [1])
+    fit_all = estimation.power_law_exponent_profile(mean_size, moments)[1]
     div_fit, n_div = _diversified_mean_slope(counts, sizes, vols, mu)
 
     # the OLS slope s.e. on binned points ignores within-bin sampling error;
@@ -342,8 +336,7 @@ def run_fig1_right(seed=20260804, n_firms=4_000_000, mu=1.25, alpha=1.1, sigma0=
     for _ in range(50):
         take = boot_rng.integers(0, n_sub, n_sub)
         s, v = sizes[take], vols[take]
-        bs = analysis.binned_volatility_moments(analysis.equal_count_bins(s, 25), s, v, [1])
-        boot_slopes.append(estimation.power_law_exponent_profile(bs, [1])[1].slope)
+        boot_slopes.append(_moment_slopes(analysis.equal_count_bins(s, 25), s, v, [1])[1].slope)
     bootstrap_se = float(np.std(boot_slopes, ddof=1) * np.sqrt(n_sub / sizes.size))
 
     beta = (mu - 1.0) / mu
@@ -351,7 +344,7 @@ def run_fig1_right(seed=20260804, n_firms=4_000_000, mu=1.25, alpha=1.1, sigma0=
     res.checks = [Check.within("mean_vol_slope_diversified", div_fit.slope, -beta, 0.03)]
     res.tables["binned_volatility"] = (
         ["bin", "mean_size", "n_firms", "mean_vol"],
-        [[b.bin_index, b.mean_size, b.n_firms, b.moments[1]] for b in stats],
+        list(zip(bins.keys, mean_size, bins.counts, moments[1])),
     )
     res.scalars = {
         "mu": mu,
@@ -471,8 +464,7 @@ def run_fig3(seed=20260806, mu=1.9, n_per_class=10_000, n_bins=29,
     sizes, vols, classes = sizes[keep], vols[keep], classes[keep]
 
     bins = analysis.equal_count_bins(sizes, n_bins)
-    per_bin = bins.split(vols)
-    rescaled = analysis.rescale_collapse(per_bin)
+    rescaled = analysis.rescale_collapse(bins, vols)
 
     checks = []
     for i, a in enumerate(probe_bins):
@@ -501,12 +493,11 @@ def run_fig3(seed=20260806, mu=1.9, n_per_class=10_000, n_bins=29,
 
     res = ExperimentResult("fig3", seed)
     res.checks = checks
+    median_class = [int(np.median(c)) for c in bins.split(classes)]
+    mean_size, mean_vol = analysis.binned_means(bins, [sizes, vols])
     res.tables["bins"] = (
         ["bin", "median_k_class", "mean_size", "mean_vol", "n_firms"],
-        [
-            [b + 1, int(np.median(c)), float(s.mean()), float(v.mean()), int(v.size)]
-            for b, (c, s, v) in enumerate(zip(bins.split(classes), bins.split(sizes), per_bin))
-        ],
+        list(zip(bins.keys + 1, median_class, mean_size, mean_vol, bins.counts)),
     )
     deciles = np.linspace(0.05, 0.95, 19)
     res.tables["collapse_quantiles"] = (

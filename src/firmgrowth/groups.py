@@ -44,8 +44,9 @@ class Groups:
 
     def split(self, values):
         """Each group's values as one array, rows in input order within a group."""
-        ordered = np.asarray(values)[self.order]
-        return [ordered[s : s + n] for s, n in zip(self.starts.tolist(), self.counts.tolist())]
+        values = np.asarray(values)
+        runs = zip(self.starts.tolist(), self.counts.tolist())
+        return [values[self.order[s : s + n]] for s, n in runs]
 
     def reduce(self, values, rowwise):
         """One float per group: ``rowwise`` applied to blocks of equal-length groups.

@@ -29,7 +29,7 @@ from typing import Union
 import numpy as np
 import scipy
 
-from firmgrowth.analysis import binned_means, upper_window_edges, weighted_loglog_slope
+from firmgrowth.analysis import binned_means, edge_bins, upper_window_edges, weighted_loglog_slope
 from firmgrowth.distributions import pareto_sample
 from firmgrowth.groups import Groups
 
@@ -199,7 +199,15 @@ def _philox_doubles(seed, firm_ids, counters):
 # ---------------------------------------------------------------------------
 
 class FirmPopulation:
-    """Ragged collection of firms stored as a flat sub-unit array."""
+    """Ragged collection of firms stored as a flat sub-unit array.
+
+    Per-firm sums use ``np.add.reduceat`` on `offsets`, not :class:`Groups`:
+    it reads each sub-unit once, where ``Groups.reduce`` copies them all and
+    scans every firm once per distinct count.  At fig4's seed, 2,000,000 firms
+    hold 24.5M sub-units in 1,742 counts: ``sizes()`` took 0.08 s, ``Groups``
+    0.65 s to sort and 3.9 s to reduce (2 cores), and 16 % of its sums differ
+    from ``reduceat``'s in the last bit.
+    """
 
     def __init__(self, sub_unit_sizes, counts):
         self.sub_unit_sizes = np.asarray(sub_unit_sizes, dtype=float)
@@ -511,8 +519,12 @@ def fraction_few_subunits(population: FirmPopulation, size_bin_edges, k_threshol
     if edges.size < 2 or np.any(np.diff(edges) <= 0):
         raise ValueError("size_bin_edges must be increasing with at least two entries")
     sizes = population.sizes()
-    n_firms, (mean_size, fraction) = binned_means(
-        sizes, edges, (sizes, population.counts <= int(k_threshold))
+    bins = edge_bins(sizes, edges)
+    n_firms = np.zeros(edges.size - 1, dtype=np.int64)
+    n_firms[bins.keys] = bins.counts
+    mean_size, fraction = np.full((2, n_firms.size), np.nan)
+    mean_size[bins.keys], fraction[bins.keys] = binned_means(
+        bins, (sizes, population.counts <= int(k_threshold))
     )
     return mean_size, fraction, n_firms
 

@@ -38,10 +38,12 @@ def ingest_csv(path, schema=None) -> Panel:
     `schema` maps the logical fields (firm_id, year, quarter, size, and
     optionally fiscal_year_end_month) to column names, so arbitrary exports
     work without code changes.  Rows failing validation raise ValueError with
-    the 1-based data row number; duplicate (firm, year, quarter) keys are
-    rejected the same way.  Returns a :class:`Panel` with one row per CSV
-    row, in file order: string firm ids, period ``4 * year + quarter - 1``,
-    nominal sizes, and fiscal year-end months (-1 where unknown).
+    the 1-based data row number; duplicate (firm, year, quarter) keys, and
+    firm ids that hold a comma, a double quote or a line break (the growth
+    CSV writes ids unquoted), are rejected the same way.  Returns a
+    :class:`Panel` with one row per CSV row, in file order: string firm ids,
+    period ``4 * year + quarter - 1``, nominal sizes, and fiscal year-end
+    months (-1 where unknown).
     """
     schema = dict(DEFAULT_SCHEMA if schema is None else schema)
     fiscal_col = schema.get("fiscal_year_end_month")
@@ -99,6 +101,12 @@ def ingest_csv(path, schema=None) -> Panel:
             periods.append(4 * year + quarter - 1)
             sizes.append(size)
             months.append(fiscal)
+    for firm in dict.fromkeys(firm_ids):
+        if any(c in firm for c in ',"\r\n'):
+            raise ValueError(
+                f"row {firm_ids.index(firm) + 1}: firm id {firm!r} holds a comma, a double quote"
+                " or a line break"
+            )
     return Panel(firm_ids, periods, sizes, months)
 
 

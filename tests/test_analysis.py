@@ -3,8 +3,10 @@ import pytest
 from scipy.stats import norm
 
 from firmgrowth.analysis import (
-    equal_count_bins,
+    binned_means,
     binned_volatility_moments,
+    edge_bins,
+    equal_count_bins,
     hill_estimator,
     hill_profile,
     kde_gaussian,
@@ -86,40 +88,78 @@ class TestEqualCountBins:
 
 class TestBinnedMoments:
     def test_single_bin_second_moment(self):
-        stats = moments([1.0, 2.0], [1.0, 2.0], [2], n_bins=1)
-        assert stats[0].moments[2] == pytest.approx(2.5)
-        assert stats[0].n_firms == 2
+        bins = equal_count_bins([1.0, 2.0], 1)
+        mean_size, m = binned_volatility_moments(bins, [1.0, 2.0], [1.0, 2.0], [2])
+        assert m[2].tolist() == pytest.approx([2.5])
+        assert mean_size.tolist() == pytest.approx([1.5])
+        assert bins.counts.tolist() == [2]
 
     def test_deterministic_power_law_reproduced(self):
         # one firm per bin: the binned points sit exactly on the input curve
         sizes = np.logspace(0, 2, 12)
         vols = 3.0 * sizes**-0.2
-        stats = moments(sizes, vols, [1], n_bins=12)
-        ms = np.array([b.mean_size for b in stats])
-        mv = np.array([b.moments[1] for b in stats])
+        ms, m = moments(sizes, vols, [1], n_bins=12)
+        mv = m[1]
         assert mv == pytest.approx(3.0 * ms**-0.2, rel=1e-12)
         assert loglog_ols(ms, mv).slope == pytest.approx(-0.2, abs=1e-12)
         # with coarse bins over a light-tailed key the distortion stays mild
         rng = np.random.default_rng(2)
         big = np.sort(1.0 + 99.0 * rng.random(5000))
-        stats = moments(big, 3.0 * big**-0.2, [1], n_bins=25)
-        fit = loglog_ols([b.mean_size for b in stats], [b.moments[1] for b in stats])
+        ms, m = moments(big, 3.0 * big**-0.2, [1], n_bins=25)
+        fit = loglog_ols(ms, m[1])
         assert fit.slope == pytest.approx(-0.2, abs=0.01)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             binned_volatility_moments(equal_count_bins([1.0], 1), [1.0], [1.0, 2.0], [1])
-        # bins over other rows than the sizes
-        with pytest.raises(ValueError):
-            binned_volatility_moments(equal_count_bins([1.0], 1), [1.0, 2.0], [1.0, 2.0], [1])
+        # a bin holding a row past the sizes
+        with pytest.raises(IndexError):
+            binned_volatility_moments(equal_count_bins([1.0, 2.0], 1), [1.0], [1.0], [1])
 
     def test_within_bin_permutation_invariance(self):
         sizes = np.array([1.0, 1.1, 5.0, 5.1])
         vols = np.array([0.2, 0.4, 0.6, 0.8])
-        a = moments(sizes, vols, [1, 2], n_bins=2)
-        b = moments(sizes[[1, 0, 3, 2]], vols[[1, 0, 3, 2]], [1, 2], n_bins=2)
-        for x, y in zip(a, b):
-            assert x.moments == pytest.approx(y.moments)
+        _, a = moments(sizes, vols, [1, 2], n_bins=2)
+        _, b = moments(sizes[[1, 0, 3, 2]], vols[[1, 0, 3, 2]], [1, 2], n_bins=2)
+        assert list(a) == list(b) == [1, 2]
+        for q in a:
+            assert a[q] == pytest.approx(b[q])
+
+    def test_means_over_any_groups(self):
+        bins = Groups.of(np.array(["b", "a", "b", "c"]))
+        x, y = binned_means(bins, iter([[1.0, 2.0, 3.0, 4.0], [True, False, False, True]]))
+        assert x.tolist() == [2.0, 2.0, 4.0]
+        assert y.tolist() == [0.0, 0.5, 1.0]
+
+
+class TestEdgeBins:
+    # 1.0, 2.0 and 4.0 lie on edges, 0.5 below the first edge, 16.0 on the
+    # last and 40.0 past it; 4.0 is the one size in [4, 8)
+    EDGES = np.array([1.0, 2.0, 4.0, 8.0, 16.0])
+    SIZES = np.array([3.0, 2.0, 0.5, 16.0, 1.0, 9.0, 40.0, 1.5, 4.0, 3.9, 2.0, 15.9])
+
+    def test_matches_digitize_mask_loop(self):
+        bins = edge_bins(self.SIZES, self.EDGES)
+        idx = np.digitize(self.SIZES, self.EDGES) - 1
+        assert bins.keys.tolist() == [0, 1, 2, 3]
+        assert bins.counts.tolist() == [2, 4, 1, 2]
+        for key, rows in zip(bins.keys, bins.split(np.arange(self.SIZES.size))):
+            assert rows.tolist() == np.flatnonzero(idx == key).tolist()
+        (means,) = binned_means(bins, [self.SIZES])
+        ref = np.array([self.SIZES[idx == key].mean() for key in bins.keys])
+        assert means.tobytes() == ref.tobytes()
+
+    def test_rows_outside_the_edges_are_left_out(self):
+        bins = edge_bins(self.SIZES, self.EDGES)
+        assert sorted(bins.order.tolist()) == [0, 1, 4, 5, 7, 8, 9, 10, 11]
+        assert bins.order.size == bins.counts.sum()
+
+    def test_empty_bin_has_no_key(self):
+        sizes = np.delete(self.SIZES, 8)  # the one size in [4, 8)
+        bins = edge_bins(sizes, self.EDGES)
+        assert bins.keys.tolist() == [0, 1, 3]
+        assert bins.counts.tolist() == [2, 4, 2]
+        assert edge_bins(sizes, [100.0, 200.0]).keys.size == 0
 
 
 class TestLogLogOls:
@@ -222,32 +262,44 @@ class TestKde:
         assert normal_reference_bandwidth(x) == pytest.approx(expect, rel=1e-12)
 
 
+def collapse(per_bin):
+    """rescale_collapse over the bins 0, 1, ... holding the arrays of `per_bin`."""
+    labels = np.repeat(np.arange(len(per_bin)), [len(b) for b in per_bin])
+    return rescale_collapse(Groups.of(labels), np.concatenate(per_bin))
+
+
 class TestRescaleCollapse:
     def test_simple_bin(self):
-        out = rescale_collapse([[2.0, 4.0]])
+        out = collapse([[2.0, 4.0]])
         assert out[0] == pytest.approx([2 / 3, 4 / 3])
 
     def test_output_means_are_one(self):
         rng = np.random.default_rng(9)
         bins = [rng.random(50) + 0.1 for _ in range(4)]
-        for r in rescale_collapse(bins):
+        for r in collapse(bins):
             assert r.mean() == pytest.approx(1.0, rel=1e-12)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(10)
         bins = [rng.random(30) + 0.1]
-        a = rescale_collapse(bins)[0]
-        b = rescale_collapse([bins[0] * 7.3])[0]
+        a = collapse(bins)[0]
+        b = collapse([bins[0] * 7.3])[0]
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_empty_bin_rejected(self):
-        with pytest.raises(ValueError):
-            rescale_collapse([np.array([])])
+        empty = Groups(np.array([0]), np.array([], dtype=np.int64), np.array([0]), np.array([0]))
+        with pytest.raises(ValueError), pytest.warns(RuntimeWarning):
+            rescale_collapse(empty, [])
 
     @pytest.mark.parametrize("bad", [[0.0, 0.0], [np.nan, 1.0]])
     def test_non_positive_mean_names_bin(self, bad):
         with pytest.raises(ValueError, match="bin 1 has mean"):
-            rescale_collapse([[1.0, 2.0], bad, [3.0]])
+            collapse([[1.0, 2.0], bad, [3.0]])
+
+    def test_rows_in_input_order_within_a_bin(self):
+        bins = equal_count_bins([5.0, 1.0, 6.0, 2.0], 2)
+        out = rescale_collapse(bins, [4.0, 1.0, 2.0, 3.0])
+        assert [r.tolist() for r in out] == [[0.5, 1.5], [4 / 3, 2 / 3]]
 
 
 class TestHill:

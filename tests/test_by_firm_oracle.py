@@ -13,6 +13,7 @@ from firmgrowth.analysis import (
     binned_volatility_moments,
     equal_count_bins,
     loglog_ols,
+    rescale_collapse,
     upper_window_edges,
 )
 from firmgrowth.estimation import (
@@ -117,13 +118,15 @@ def rank_split(keys, n_bins):
 
 def loop_binned_volatility_moments(sizes, vols, q_list, n_bins):
     assign = rank_split(sizes, n_bins)
-    out = []
+    mean_size, n_firms, moments = [], [], {q: [] for q in q_list}
     for b in range(n_bins):
         m = assign == b
         v = vols[m]
-        out.append((b, float(sizes[m].mean()), int(m.sum()),
-                    {q: float((v**q).mean()) for q in q_list}))
-    return out
+        mean_size.append(sizes[m].mean())
+        n_firms.append(int(m.sum()))
+        for q in q_list:
+            moments[q].append((v**q).mean())
+    return np.array(mean_size), np.array(n_firms), {q: np.array(m) for q, m in moments.items()}
 
 
 def loop_fraction_few_subunits(population, edges, k_threshold):
@@ -315,15 +318,20 @@ def check_size_bins(sizes, vols, n_bins):
     ref = Groups.of(rank_split(sizes, n_bins))
     for field in ("keys", "order", "starts", "counts"):
         assert_same_array(getattr(bins, field), getattr(ref, field))
-    stats = binned_volatility_moments(bins, sizes, vols, [1, 2, 3, 4])
-    got = [(s.bin_index, s.mean_size, s.n_firms, s.moments) for s in stats]
-    assert repr(got) == repr(loop_binned_volatility_moments(sizes, vols, [1, 2, 3, 4], n_bins))
-    # the collapse's per-bin arrays, as cmd_analyze builds them
+    mean_size, moments = binned_volatility_moments(bins, sizes, vols, [1, 2, 3, 4])
+    ref_size, ref_n, ref_moments = loop_binned_volatility_moments(sizes, vols, [1, 2, 3, 4], n_bins)
+    assert_same_array(mean_size, ref_size)
+    assert_same_array(bins.counts, ref_n)
+    assert list(moments) == list(ref_moments)
+    for q in moments:
+        assert_same_array(moments[q], ref_moments[q])
+    # the collapse's per-bin arrays, and each divided by its mean
     assign = rank_split(sizes, n_bins)
     per_bin = bins.split(vols)
     assert len(per_bin) == n_bins
-    for b, v in enumerate(per_bin):
+    for b, (v, r) in enumerate(zip(per_bin, rescale_collapse(bins, vols))):
         assert_same_array(v, vols[assign == b])
+        assert_same_array(r, v / v.mean())
 
 
 def tied_population(seed, n_firms=20_000):
@@ -393,3 +401,15 @@ def test_groups_layout():
     empty = Groups.of(np.array([], dtype=np.int64))
     assert empty.keys.size == 0 and empty.reduce([], np.sum).size == 0
     assert empty.split([]) == []
+
+
+def test_split_after_select_matches_masks():
+    rng = np.random.default_rng(12)
+    keys = rng.integers(0, 40, 5000)
+    values = rng.standard_normal(keys.size)
+    groups = Groups.of(keys)
+    chosen = groups.select(groups.keys % 3 == 0)
+    parts = chosen.split(values)
+    assert len(parts) == chosen.keys.size == 14
+    for key, part in zip(chosen.keys, parts):
+        assert_same_array(part, values[keys == key])

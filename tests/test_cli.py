@@ -142,6 +142,12 @@ class TestSimulate:
         cfg = write_config(tmp_path, body)
         assert main(["--config", cfg, "simulate"]) == 1
 
+    def test_model_without_mu_names_it(self, tmp_path, capsys):
+        body = SIM_CFG.format(out=tmp_path / "out").replace("mu = 1.6\n", "")
+        assert main(["--config", write_config(tmp_path, body), "simulate"]) == 1
+        assert "error: [model] needs mu\n" == capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("section, line", [
         ("model", "k_count = 4"),
         ("simulate", "n_firm = 50"),
@@ -394,6 +400,25 @@ class TestIngest:
         cfg = write_config(tmp_path, f"[run]\nout_dir = {tmp_path}\n[ingest]\ninput = {data}\n")
         assert main(["--config", cfg, "ingest"]) == 1
 
+    @pytest.mark.parametrize("quoted, firm", [
+        ('"Acme, Inc."', "Acme, Inc."),
+        ('"say ""hi"""', 'say "hi"'),
+        ('"two\nlines"', "two\nlines"),
+    ], ids=["comma", "double_quote", "line_break"])
+    def test_firm_id_growth_csv_cannot_hold_is_validation_error(self, tmp_path, capsys, quoted,
+                                                                  firm):
+        # growth.csv writes ids unquoted, so such an id would shift its row's fields
+        rows = ["firm_id,year,quarter,size"]
+        for name in ("b", quoted):
+            rows += [f"{name},{2000 + i // 4},{i % 4 + 1},{1.0 + i}" for i in range(8)]
+        data = tmp_path / "quarters.csv"
+        data.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "ing"
+        cfg = write_config(tmp_path, f"[run]\nout_dir = {out}\n[ingest]\ninput = {data}\n")
+        assert main(["--config", cfg, "ingest"]) == 1
+        assert f"error: row 9: firm id {firm!r} holds a comma" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestReproduce:
     def test_unknown_experiment_lists_catalog(self, tmp_path, capsys):
@@ -517,6 +542,20 @@ class TestConfig:
         err = capsys.readouterr().err
         assert f"unknown [{section}] key(s) {line.split()[0]}; accepted: " in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("body, where", [
+        ("seed = 3\n[run]\n", "file: 'bad.ini', line: 1"),
+        ("[run]\nseed = 3\n[run]\nseed = 4\n", "'bad.ini' [line  3]: section 'run'"),
+        ("[run]\nseed = 3\nseed = 4\n", "'bad.ini' [line  3]: option 'seed'"),
+    ], ids=["no_section_header", "section_twice", "key_twice"])
+    def test_malformed_file_exits_1_citing_its_line(self, tmp_path, capsys, monkeypatch, body,
+                                                     where):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.ini").write_text(body)
+        assert main(["--config", "bad.ini", "simulate"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and where in err
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.ini"]
 
     def test_unknown_section_exits_1(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -1,16 +1,26 @@
-"""The demos import only names the package still defines."""
+"""The demos import only names the package still defines, and the fast ones run."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import firmgrowth
+
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+SRC = str(Path(firmgrowth.__file__).resolve().parents[1])
+# each runs in a few seconds; 03_volatility_collapse takes about 9 s, so it
+# keeps only the import check
+FAST = [p for p in DEMOS if not p.name.startswith("03_")]
 
 
 def test_demos_found():
     assert DEMOS
+    assert len(FAST) == len(DEMOS) - 1
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
@@ -21,3 +31,17 @@ def test_demo_imports_exist(path):
             module = importlib.import_module(node.module)
             missing += [f"{node.module}.{a.name}" for a in node.names if not hasattr(module, a.name)]
     assert missing == []
+
+
+@pytest.mark.parametrize("path", FAST, ids=lambda p: p.name)
+def test_demo_runs(path, tmp_path):
+    # 06_panel_pipeline writes its files under mkdtemp, which reads TMPDIR
+    env = {
+        **os.environ,
+        "TMPDIR": str(tmp_path),
+        "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])),
+    }
+    done = subprocess.run(
+        [sys.executable, str(path)], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr

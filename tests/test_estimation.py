@@ -224,8 +224,11 @@ class TestExponentProfile:
     def test_pure_power_law_slopes(self):
         sizes = np.logspace(0, 3, 25)
         vols = sizes**-0.2
-        stats = binned_volatility_moments(equal_count_bins(sizes, 25), sizes, vols, [1, 2, 3, 4])
-        profile = power_law_exponent_profile(stats, [1, 2, 3, 4])
+        mean_size, moments = binned_volatility_moments(
+            equal_count_bins(sizes, 25), sizes, vols, [1, 2, 3, 4]
+        )
+        profile = power_law_exponent_profile(mean_size, moments)
+        assert list(profile) == [1, 2, 3, 4]
         for q, target in ((1, -0.2), (2, -0.4), (3, -0.6), (4, -0.8)):
             assert profile[q].slope == pytest.approx(target, abs=1e-10)
             assert profile[q].r_squared == pytest.approx(1.0, abs=1e-10)
