@@ -4,13 +4,12 @@
 Rescaling each size bin's volatilities by the bin mean makes the bins'
 distributions collapse onto a single master curve (up to finite-size
 effects).  The pooled master curve is then summarized with a modified
-inverse gamma fit, and a critical-bandwidth bootstrap checks that no second
-volatility mode (a "hump" of poorly diversified firms) shows up.
+inverse gamma fit.
 """
 
 import numpy as np
 
-from firmgrowth.analysis import equal_count_bins, ks_2sample, mode_count, rescale_collapse
+from firmgrowth.analysis import equal_count_bins, ks_2sample, rescale_collapse
 from firmgrowth.estimation import fit_mig_mle
 from firmgrowth.model import FixedCount, ModelParams, sample_firm_stats
 
@@ -52,8 +51,3 @@ print(f"  location {p['location']:.3f} {loc_se}")
 print("the fitted right-tail exponent -(1 + shape) is far steeper than the"
       f"\nasymptotic -(1 + mu) = {-(1 + MU):.1f}: at reachable sub-unit counts"
       "\nthe power-law window is squeezed by the hard bound vol <= sigma0.")
-
-sub = np.log(pooled[:: max(1, pooled.size // 2000)])
-n_modes, p_val = mode_count(sub, 199, rng)
-print(f"\nhump check (log volatilities): p-value for 'at most one mode' = {p_val:.3f}")
-print("no second mode is detectable, matching the single-shape collapse above.")

@@ -178,10 +178,10 @@ def normal_reference_bandwidth(samples):
     return 1.06 * a * samples.size ** (-0.2)
 
 
-def kde_gaussian(samples, grid, bandwidth=None):
+def kde_gaussian(samples, grid):
     """Gaussian-kernel density estimate on an explicit evaluation grid.
 
-    The bandwidth defaults to the normal reference rule.  Small problems are
+    The bandwidth is the normal reference rule.  Small problems are
     evaluated exactly; large ones (n_samples x n_grid above ~2e7) go through
     linear binning on a fine internal grid plus FFT convolution, which is
     accurate to well below the statistical error of the estimate.
@@ -192,7 +192,7 @@ def kde_gaussian(samples, grid, bandwidth=None):
         raise ValueError("need at least 2 samples")
     if np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing")
-    h = float(bandwidth) if bandwidth is not None else normal_reference_bandwidth(samples)
+    h = normal_reference_bandwidth(samples)
     if not h > 0:
         raise ValueError("bandwidth must be positive")
 
@@ -320,66 +320,3 @@ def ks_2sample(a, b):
     ca = np.searchsorted(a, allv, side="right") / a.size
     cb = np.searchsorted(b, allv, side="right") / b.size
     return float(np.abs(ca - cb).max())
-
-
-# ---------------------------------------------------------------------------
-# Mode counting (critical-bandwidth bootstrap)
-# ---------------------------------------------------------------------------
-
-def _count_modes(samples, h, grid):
-    dens = kde_gaussian(samples, grid, bandwidth=h).values
-    interior = (dens[1:-1] > dens[:-2]) & (dens[1:-1] > dens[2:])
-    edges = int(dens[0] > dens[1]) + int(dens[-1] > dens[-2])
-    return int(np.count_nonzero(interior)) + edges
-
-
-def _critical_bandwidth(samples, grid, h_hi):
-    # smallest bandwidth at which the KDE has a single mode (bisection)
-    h_lo = h_hi
-    while _count_modes(samples, h_lo, grid) <= 1:
-        h_lo /= 2.0
-        if h_lo < 1e-6 * h_hi:
-            return h_lo  # unimodal at every resolution we can see
-    lo, hi = h_lo, 2.0 * h_lo
-    while _count_modes(samples, hi, grid) > 1:
-        lo, hi = hi, 2.0 * hi
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if _count_modes(samples, mid, grid) > 1:
-            lo = mid
-        else:
-            hi = mid
-    return hi
-
-
-def mode_count(samples, n_bootstrap, rng):
-    """Mode count plus a critical-bandwidth bootstrap test of unimodality.
-
-    Returns (n_modes, p_value) where n_modes is the mode count of the KDE at
-    the normal-reference bandwidth and p_value tests the null that the true
-    number of modes is at most one (small p favours multimodality).  This is
-    the classical smoothed-bootstrap critical-bandwidth test, used here as a
-    documented substitute for excess-mass style tests.
-    """
-    samples = np.asarray(samples, dtype=float)
-    if samples.size < 100:
-        raise ValueError("need at least 100 samples")
-    sd = samples.std(ddof=1)
-    if sd == 0:
-        return 1, 1.0
-    h_ref = normal_reference_bandwidth(samples)
-    lo = samples.min() - 3 * sd
-    hi = samples.max() + 3 * sd
-    grid = np.linspace(lo, hi, 1024)
-    n_modes = max(_count_modes(samples, h_ref, grid), 1)
-
-    h_crit = _critical_bandwidth(samples, grid, h_hi=2.0 * sd)
-    correction = 1.0 / np.sqrt(1.0 + h_crit**2 / sd**2)
-    exceed = 0
-    for _ in range(int(n_bootstrap)):
-        base = rng.choice(samples, size=samples.size, replace=True)
-        smooth = correction * (base + h_crit * rng.standard_normal(samples.size))
-        if _count_modes(smooth, h_crit, grid) > 1:
-            exceed += 1
-    p_value = (exceed + 1) / (n_bootstrap + 1)
-    return n_modes, float(p_value)

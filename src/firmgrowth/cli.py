@@ -225,6 +225,11 @@ def cmd_analyze(cfg, args):
         raise ValidationError(f"panel file not found: {panel_path!r}")
     n_bins = int(ana["n_bins"])
     q_list = [int(q) for q in ana["q_list"].split(",")]
+    for i, q in enumerate(q_list):
+        if q < 1:
+            raise ValidationError(f"[analyze] q_list: moment {q} is below 1")
+        if q in q_list[:i]:
+            raise ValidationError(f"[analyze] q_list: moment {q} is given twice")
 
     panel = Panel.read_csv(panel_path)
     sizes_mean, vols, dropped = estimation.firm_size_volatility(

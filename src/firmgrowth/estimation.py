@@ -13,7 +13,7 @@ import numpy as np
 import scipy
 
 from firmgrowth.analysis import DensityEstimate, loglog_ols
-from firmgrowth.distributions import GseParams, MigParams, _mig_log_norm
+from firmgrowth.distributions import GseParams, MigParams, _mig_log_norm, gse_pdf
 from firmgrowth.groups import Groups
 
 _ADJ = np.sqrt(np.pi / 2.0)
@@ -260,12 +260,6 @@ def fit_mig_mle(samples, init: MigParams | None = None) -> FitResult:
 _GSE_WINDOW = 8.0
 
 
-def _gse_vector(theta, x):
-    c, u, v, w, z = theta
-    denom = 2.0 * u * u * (1.0 + (np.abs(x) / w) ** (2.0 - z))
-    return c * np.exp(-((x - v) ** 2) / denom)
-
-
 def _gse_init(x, y):
     peak = int(np.argmax(y))
     c0 = max(float(y[peak]), 1e-6)
@@ -301,7 +295,7 @@ def fit_gse_nls(density: DensityEstimate) -> FitResult:
     theta0 = np.clip(theta0, lo, hi)
 
     res = scipy.optimize.least_squares(
-        lambda t: _gse_vector(t, x) - y,
+        lambda t: gse_pdf(x, GseParams(*t)) - y,
         theta0,
         jac="3-point",
         bounds=(lo, hi),
@@ -332,11 +326,6 @@ def fit_gse_nls(density: DensityEstimate) -> FitResult:
         n_obs=int(x.size),
         converged=bool(converged),
     )
-
-
-def gse_params_from_fit(fit: FitResult) -> GseParams:
-    p = fit.params
-    return GseParams(p["amplitude"], p["core_width"], p["center"], p["crossover"], p["stretch"])
 
 
 # ---------------------------------------------------------------------------

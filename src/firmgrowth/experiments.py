@@ -16,7 +16,7 @@ import numpy as np
 import scipy
 
 from firmgrowth import analysis, estimation
-from firmgrowth.distributions import MigParams, gse_pdf, laplace_sum_pdf, mig_sample
+from firmgrowth.distributions import GseParams, MigParams, gse_pdf, laplace_sum_pdf, mig_sample
 from firmgrowth.model import (
     FixedCount,
     ModelParams,
@@ -104,9 +104,12 @@ def _rng(seed):
 def _wb_stats(params, n_firms, rng, with_growth=False, chunk=2_000_000):
     """Per-firm (counts, sizes, hhi[, growth]) for a heavy WB population.
 
-    Draws in sub-populations so the flat sub-unit arrays never dominate
-    memory; the concatenated per-firm statistics are identical to a single
-    draw_population pass with the same generator.
+    Draws consecutive sub-populations of `chunk` firms (the last one
+    smaller), so the flat sub-unit arrays never dominate memory.  Each draws
+    its counts, then its sub-unit sizes, then its growth shocks, so `chunk`
+    is part of the draw order: a single draw_population pass gives other
+    firms, and the default fixes the reference outputs of fig4, fig1_right
+    and fig1_left.
     """
     counts, sizes, hhis, growths = [], [], [], []
     done = 0
@@ -484,13 +487,6 @@ def run_fig3(seed=20260806, mu=1.9, n_per_class=10_000, n_bins=29,
 
     mig_fit = estimation.fit_mig_mle(pooled)
 
-    # hump diagnostic: critical-bandwidth bootstrap test for a second
-    # volatility mode, run in log volatility (the scale on which such
-    # distributions are inspected; in raw scale the reference bandwidth is
-    # sized for the bulk and every tail outlier shows up as its own mode)
-    sub = np.log(pooled[:: max(1, pooled.size // 2000)])
-    n_modes, p_two_modes = analysis.mode_count(sub, 199, rng)
-
     res = ExperimentResult("fig3", seed)
     res.checks = checks
     median_class = [int(np.median(c)) for c in bins.split(classes)]
@@ -516,8 +512,6 @@ def run_fig3(seed=20260806, mu=1.9, n_per_class=10_000, n_bins=29,
         "pooled_hill": hill,
         "pooled_hill_se": hill_se,
         "mig_fit_pooled_rescaled": mig_fit.to_dict(),
-        "mode_count": int(n_modes),
-        "p_value_two_modes": float(p_two_modes),
     }
     return res
 
@@ -541,7 +535,7 @@ def run_fig5(seed=20260807, n_samples=1_000_000, mig=MIG_REFERENCE, grid_points=
         Check.below("gse_stretch_below_one", fit.params["stretch"], 1.0),
         Check.below("gse_fit_not_converged", 0.0 if fit.converged else 1.0, 0.5),
     ]
-    fitted_curve = gse_pdf(grid[::10], estimation.gse_params_from_fit(fit))
+    fitted_curve = gse_pdf(grid[::10], GseParams(**fit.params))
     res.tables["density_and_fit"] = (
         ["g", "density", "gse_fit"],
         [[x, d, f] for x, d, f in zip(grid[::10], dens.values[::10], fitted_curve)],
@@ -653,7 +647,7 @@ def run_laplace_sum(seed=20260810, n_sums=10_000_000, k_values=(2, 4, 8),
             y = rng.laplace(size=(c, k)).sum(axis=1) / np.sqrt(2 * k)
             counts += np.histogram(y, bins=edges)[0]
             done += c
-        # exact bin probabilities by Simpson's rule on each bin
+        # bin probabilities by the trapezoidal rule on 9 points per bin
         probs = np.empty(n_bins)
         for b in range(n_bins):
             xs = np.linspace(edges[b], edges[b + 1], 9)

@@ -54,9 +54,11 @@ class Groups:
         `values` holds one entry per row, in input order.  ``rowwise`` maps an
         ``(n, L)`` array to the ``n`` results of its rows.
         """
-        ordered = np.asarray(values)[self.order]
+        values = np.asarray(values)
         out = np.empty(self.keys.size)
         for length in np.unique(self.counts):
             which = np.flatnonzero(self.counts == length)
-            out[which] = rowwise(ordered[self.starts[which, None] + np.arange(length)])
+            # only the rows of these groups are gathered, so after `select`
+            # the cost follows the groups kept, not all the rows
+            out[which] = rowwise(values[self.order[self.starts[which, None] + np.arange(length)]])
         return out

@@ -13,7 +13,6 @@ from firmgrowth.analysis import (
     ks_2sample,
     ks_distance,
     loglog_ols,
-    mode_count,
     normal_reference_bandwidth,
     rescale_collapse,
     weighted_loglog_slope,
@@ -203,6 +202,13 @@ class TestKde:
         with pytest.raises(ValueError):
             kde_gaussian([1.0, 1.0, 1.0], np.linspace(0, 2, 10))
 
+    def test_bandwidth_that_underflows_to_zero_rejected(self):
+        # an IQR of one subnormal step makes the reference bandwidth 0.0
+        x = np.concatenate([np.zeros(200), np.full(199, 5e-324), [1.0]])
+        assert normal_reference_bandwidth(x) == 0.0
+        with pytest.raises(ValueError, match="bandwidth must be positive"):
+            kde_gaussian(x, np.linspace(0, 1, 10))
+
     def test_standard_normal_accuracy_large_sample(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal(10**6)
@@ -231,10 +237,10 @@ class TestKde:
         rng = np.random.default_rng(7)
         x = rng.standard_normal(30_000)
         grid = np.linspace(-3, 3, 501)
-        exact = kde_gaussian(x, grid, bandwidth=0.2)
+        exact = kde_gaussian(x, grid)
         from firmgrowth.analysis import _kde_binned
 
-        binned = _kde_binned(x, grid, 0.2)
+        binned = _kde_binned(x, grid, exact.bandwidth)
         assert np.max(np.abs(exact.values - binned)) < 5e-5
 
     # kernel half-widths in grid steps: a 3-point kernel, a mid-size one, and
@@ -350,28 +356,3 @@ class TestKs:
 
     def test_two_sample_disjoint(self):
         assert ks_2sample([0.0, 1.0], [5.0, 6.0]) == pytest.approx(1.0)
-
-
-class TestModeCount:
-    def test_standard_normal_unimodal(self):
-        rng = np.random.default_rng(15)
-        n_modes, p = mode_count(rng.standard_normal(600), 199, np.random.default_rng(16))
-        assert n_modes == 1
-        assert p > 0.1
-
-    def test_separated_mixture_bimodal(self):
-        rng = np.random.default_rng(17)
-        x = np.concatenate([rng.normal(-3, 1, 400), rng.normal(3, 1, 400)])
-        n_modes, p = mode_count(x, 199, np.random.default_rng(18))
-        assert n_modes == 2
-        assert p < 0.01
-
-    def test_constant_plus_noise(self):
-        rng = np.random.default_rng(19)
-        x = 1.0 + 1e-6 * rng.standard_normal(300)
-        n_modes, _ = mode_count(x, 49, np.random.default_rng(20))
-        assert n_modes == 1
-
-    def test_too_few_samples(self):
-        with pytest.raises(ValueError):
-            mode_count(np.arange(50, dtype=float), 10, np.random.default_rng(0))

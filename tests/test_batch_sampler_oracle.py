@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from firmgrowth import model
+from firmgrowth.experiments import _rng, _wb_stats
 from firmgrowth.distributions import pareto_sample
 from firmgrowth.model import (
     FirmPopulation,
@@ -164,3 +165,23 @@ def test_population_matches_serial(monkeypatch, name, k_mode, n_firms):
         assert got.counts.tobytes() == expected.counts.tobytes()
         assert got.sub_unit_sizes.tobytes() == expected.sub_unit_sizes.tobytes(), n_segments
         assert rng.random(7).tobytes() == after.tobytes(), n_segments
+
+
+@pytest.mark.parametrize("with_growth", [False, True])
+def test_wb_stats_are_consecutive_populations_of_chunk_firms(with_growth):
+    params = ModelParams(mu=1.25, alpha=1.1, sigma0=0.1, k_mode=ParetoCount())
+    got = _wb_stats(params, 10_000, _rng(5), with_growth=with_growth, chunk=4_000)
+    rng = _rng(5)
+    parts = []
+    for n in (4_000, 4_000, 2_000):
+        pop = draw_population(params, n, rng)
+        part = [pop.counts, pop.sizes(), pop.hhi()]
+        if with_growth:
+            eta = rng.standard_normal(pop.sub_unit_sizes.size)
+            part.append(pop.growth_rates(eta, params.sigma0))
+        parts.append(part)
+    expected = [np.concatenate(column) for column in zip(*parts)]
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
+    # the chunk is part of the draw order: one pass over all firms differs
+    single = draw_population(params, 10_000, _rng(5))
+    assert single.sizes().tobytes() != got[1].tobytes()

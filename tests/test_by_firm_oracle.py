@@ -413,3 +413,16 @@ def test_split_after_select_matches_masks():
     assert len(parts) == chosen.keys.size == 14
     for key, part in zip(chosen.keys, parts):
         assert_same_array(part, values[keys == key])
+
+
+def test_reduce_after_select_matches_groups_of_those_rows():
+    rng = np.random.default_rng(13)
+    keys = rng.integers(0, 60, 4000)
+    values = rng.standard_normal(keys.size)
+    groups = Groups.of(keys)
+    chosen = groups.select(groups.keys % 4 == 1)
+    rows = np.isin(keys, chosen.keys)
+    alone = Groups.of(keys[rows])
+    for rowwise in (mad_volatility, lambda block: block.sum(axis=-1)):
+        got = chosen.reduce(values, rowwise)
+        assert got.tobytes() == alone.reduce(values[rows], rowwise).tobytes()

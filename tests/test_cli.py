@@ -256,6 +256,18 @@ class TestAnalyze:
         assert "bin 0" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("q_list, message", [
+        ("1,-1,0", "moment -1 is below 1"),
+        ("1,1", "moment 1 is given twice"),
+    ])
+    def test_bad_q_list_exits_1_and_writes_nothing(self, tmp_path, capsys, q_list, message):
+        cfg = write_config(tmp_path, SIM_CFG.format(out=tmp_path / "sim") + f"q_list = {q_list}\n")
+        assert main(["--config", cfg, "simulate"]) == 0
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out-dir", str(out), "analyze"]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 PINNED_ANALYZE = {
     "binned_stats.csv": "da3c28ce69dd5064b4b3ec3e4c94f5c28486d2cf276d10d2cc736ae6d27f4bae",

@@ -1,4 +1,4 @@
-"""The demos import only names the package still defines, and the fast ones run."""
+"""The demos import only names the package still defines, and each one runs."""
 
 import ast
 import importlib
@@ -13,14 +13,10 @@ import firmgrowth
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 SRC = str(Path(firmgrowth.__file__).resolve().parents[1])
-# each runs in a few seconds; 03_volatility_collapse takes about 9 s, so it
-# keeps only the import check
-FAST = [p for p in DEMOS if not p.name.startswith("03_")]
 
 
 def test_demos_found():
     assert DEMOS
-    assert len(FAST) == len(DEMOS) - 1
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
@@ -33,7 +29,7 @@ def test_demo_imports_exist(path):
     assert missing == []
 
 
-@pytest.mark.parametrize("path", FAST, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(path, tmp_path):
     # 06_panel_pipeline writes its files under mkdtemp, which reads TMPDIR
     env = {

@@ -17,7 +17,6 @@ from firmgrowth.estimation import (
     firm_size_volatility,
     fit_mig_mle,
     gaussian_mass_fraction,
-    gse_params_from_fit,
     leave_one_out_rescale,
     mad_volatility,
     power_law_exponent_profile,
@@ -179,7 +178,7 @@ class TestGseNls:
         fit = fit_gse_nls(density)
         assert fit.converged
         assert fit.objective < 1e-12
-        fitted = gse_pdf(grid, gse_params_from_fit(fit))
+        fitted = gse_pdf(grid, GseParams(**fit.params))
         assert np.max(np.abs(fitted - norm.pdf(grid))) < 1e-7
 
     def test_grid_must_cover_window(self):
@@ -199,7 +198,7 @@ class TestGseNls:
         assert fit.converged
         assert fit.params["stretch"] == pytest.approx(truth.stretch, abs=0.15)
         assert fit.params["crossover"] == pytest.approx(truth.crossover, rel=0.25)
-        assert gse_params_from_fit(fit).stretch == fit.params["stretch"]
+        assert GseParams(**fit.params).stretch == fit.params["stretch"]
 
 
 class TestGaussianMass:
