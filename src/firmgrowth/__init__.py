@@ -2,9 +2,9 @@
 
 The package covers three layers:
 
-* ``distributions`` -- samplers and density evaluators for the heavy-tailed
-  building blocks (Pareto, modified inverse gamma, generalized stretched
-  exponential, Laplace sums).
+* ``distributions`` -- samplers and densities for the heavy-tailed building
+  blocks (Pareto and modified inverse gamma samplers, generalized stretched
+  exponential and Laplace-sum densities).
 * ``model`` -- firm populations made of multiplicative sub-units, their
   concentration index, growth rates and panel simulation.
 * ``analysis`` / ``estimation`` / ``panel`` -- the empirical toolkit: size
@@ -20,7 +20,6 @@ from firmgrowth.distributions import (
     MigParams,
     gse_pdf,
     laplace_sum_pdf,
-    mig_pdf,
     mig_sample,
     pareto_sample,
 )

@@ -152,8 +152,6 @@ def weighted_loglog_slope(x, y, weights):
 class DensityEstimate:
     grid: np.ndarray
     values: np.ndarray
-    bandwidth: float
-    n_samples: int
 
     def __post_init__(self):
         self.grid = np.asarray(self.grid, dtype=float)
@@ -205,7 +203,7 @@ def kde_gaussian(samples, grid):
         values /= samples.size * h * np.sqrt(2 * np.pi)
     else:
         values = _kde_binned(samples, grid, h)
-    return DensityEstimate(grid, values, h, samples.size)
+    return DensityEstimate(grid, values)
 
 
 def _kde_binned(samples, grid, h):

@@ -307,7 +307,7 @@ def cmd_fit(cfg, args):
         data = np.genfromtxt(input_path, delimiter=",", names=True)
         if "x" not in data.dtype.names or "density" not in data.dtype.names:
             raise ValidationError("gse input needs columns x,density")
-        dens = DensityEstimate(data["x"], data["density"], bandwidth=0.0, n_samples=0)
+        dens = DensityEstimate(data["x"], data["density"])
         fit = estimation.fit_gse_nls(dens)
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -327,6 +327,8 @@ def cmd_ingest(cfg, args):
     input_path = args.input or ing["input"]
     if not input_path or not Path(input_path).exists():
         raise ValidationError(f"ingest input not found: {input_path!r}")
+    if ing["deflator"] and not Path(ing["deflator"]).exists():
+        raise ValidationError(f"ingest deflator not found: {ing['deflator']!r}")
     min_growth_obs = int(ing["min_growth_obs"])
     december_only = _boolean("ingest", "fiscal_december_only", ing["fiscal_december_only"])
     schema = {logical: ing[f"{logical}_col"] for logical in _SCHEMA_FIELDS}
@@ -361,13 +363,7 @@ def cmd_ingest(cfg, args):
 def cmd_reproduce(cfg, args):
     seed, out_dir = run_settings(cfg, args)
     name = args.experiment
-    overrides = {}
-    if cfg.has_section("reproduce"):
-        for key, value in cfg["reproduce"].items():
-            try:
-                overrides[key] = int(value)
-            except ValueError:
-                overrides[key] = float(value)
+    overrides = dict(cfg["reproduce"]) if cfg.has_section("reproduce") else {}
     if args.seed is None and not cfg.has_option("run", "seed"):
         seed = None  # keep the experiment's reference seed
 

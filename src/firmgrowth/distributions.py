@@ -57,64 +57,6 @@ class MigParams:
             raise ValueError(f"location must be non-negative, got {self.location}")
 
 
-def _mig_log_norm(p: MigParams):
-    # density = C * (x+m)^-(1+b) * exp(-a/(x+m)) with
-    # C = a^b / (Gamma(b) - Gamma(b, a/m)); the bracket is the lower
-    # incomplete gamma evaluated at a/m, so C reduces to a^b/Gamma(b) at m=0.
-    a, b, m = p.scale, p.shape, p.location
-    log_c = b * np.log(a) - scipy.special.gammaln(b)
-    if m > 0:
-        log_c -= np.log(scipy.special.gammainc(b, a / m))
-    return log_c
-
-
-def _check_mig_mass(p: MigParams):
-    """Raise ValueError if gammainc(shape, scale / location), the normalizer, is 0."""
-    if p.location > 0 and scipy.special.gammainc(p.shape, p.scale / p.location) == 0:
-        raise ValueError(f"{p} keeps no probability mass in double precision")
-
-
-def mig_logpdf(x, p: MigParams):
-    _check_mig_mass(p)
-    x = np.asarray(x, dtype=float)
-    a, m = p.scale, p.location
-    y = x + m
-    with np.errstate(divide="ignore"):
-        out = np.where(
-            (x >= 0) & (y > 0),
-            _mig_log_norm(p) - (1.0 + p.shape) * np.log(np.maximum(y, 1e-300)) - a / np.maximum(y, 1e-300),
-            -np.inf,
-        )
-    return out
-
-
-def mig_pdf(x, p: MigParams):
-    """Modified inverse gamma density on x >= 0 (zero outside)."""
-    out = np.exp(mig_logpdf(x, p))
-    return float(out) if np.ndim(x) == 0 else out
-
-
-def mig_cdf(x, p: MigParams):
-    """CDF of the modified inverse gamma law.
-
-    Uses the incomplete-gamma representation: x + location follows an inverse
-    gamma law truncated to [location, inf).  When the truncation keeps less
-    than half of the upper tail, the CDF is taken from the lower tails, so
-    it stays accurate where the upper tail rounds to 1.
-    """
-    _check_mig_mass(p)
-    x = np.asarray(x, dtype=float)
-    a, b, m = p.scale, p.shape, p.location
-    f_m = scipy.special.gammaincc(b, a / m) if m > 0 else 0.0
-    with np.errstate(divide="ignore"):
-        z = a / np.maximum(x + m, 1e-300)
-    if f_m > 0.5:
-        out = 1.0 - scipy.special.gammainc(b, z) / scipy.special.gammainc(b, a / m)
-    else:
-        out = (scipy.special.gammaincc(b, z) - f_m) / (1.0 - f_m)
-    return np.clip(np.where(x <= 0, 0.0, out), 0.0, 1.0)
-
-
 def mig_sample(p: MigParams, u):
     """Inverse-CDF draw(s); monotone in u, exact to machine precision.
 

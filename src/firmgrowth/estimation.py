@@ -13,7 +13,7 @@ import numpy as np
 import scipy
 
 from firmgrowth.analysis import DensityEstimate, loglog_ols
-from firmgrowth.distributions import GseParams, MigParams, _mig_log_norm, gse_pdf
+from firmgrowth.distributions import GseParams, MigParams, gse_pdf
 from firmgrowth.groups import Groups
 
 _ADJ = np.sqrt(np.pi / 2.0)
@@ -146,6 +146,17 @@ class FitResult:
 # Modified inverse gamma maximum likelihood
 # ---------------------------------------------------------------------------
 
+def _mig_log_norm(p: MigParams):
+    # density = C * (x+m)^-(1+b) * exp(-a/(x+m)) with
+    # C = a^b / (Gamma(b) - Gamma(b, a/m)); the bracket is the lower
+    # incomplete gamma evaluated at a/m, so C reduces to a^b/Gamma(b) at m=0.
+    a, b, m = p.scale, p.shape, p.location
+    log_c = b * np.log(a) - scipy.special.gammaln(b)
+    if m > 0:
+        log_c -= np.log(scipy.special.gammainc(b, a / m))
+    return log_c
+
+
 def _mig_nll(theta, x):
     a, b, m = theta
     if not (a > 0 and b > 0 and m >= 0):
@@ -187,7 +198,7 @@ def _numeric_hessian(fun, theta, rel_step=1e-4, lower=None):
     return hess
 
 
-def fit_mig_mle(samples, init: MigParams | None = None) -> FitResult:
+def fit_mig_mle(samples) -> FitResult:
     """Maximum likelihood fit of the modified inverse gamma law.
 
     Initialized by the method of moments on 1/(x + m0) with m0 at half the
@@ -202,11 +213,7 @@ def fit_mig_mle(samples, init: MigParams | None = None) -> FitResult:
     if np.any(x <= 0):
         raise ValueError("samples must be positive")
 
-    theta0 = (
-        np.array([init.scale, init.shape, init.location])
-        if init is not None
-        else _moment_init(x)
-    )
+    theta0 = _moment_init(x)
     nll0 = _mig_nll(theta0, x)
     bounds = [(1e-8, None), (1e-8, None), (0.0, None)]
     res = scipy.optimize.minimize(

@@ -577,7 +577,7 @@ def run_table1(seed=20260808, n_firms=20_000, n_periods=28, mu=1.6, alpha=1.2, s
         fit = estimation.fit_gse_nls(dens)
         fits[label] = fit
         w = fit.params["crossover"]
-        mass = estimation.gaussian_mass_fraction(dens, min(w, 7.9)) if w > 0 else np.nan
+        mass = estimation.gaussian_mass_fraction(dens, min(w, 7.9))
         se = fit.standard_errors or {}
         rows.append(
             [
@@ -687,19 +687,31 @@ EXPERIMENTS = tuple(_RUNNERS)
 
 
 def run_experiment(name, seed=None, **overrides):
-    """Run one named experiment; unknown names and parameters list the choices."""
+    """Run one named experiment; unknown names and parameters list the choices.
+
+    An override takes the type of its parameter's default, int or float; a
+    parameter with any other default (a tuple, MIG parameters) cannot be set.
+    """
     if name not in _RUNNERS:
         raise ValueError(
             f"unknown experiment {name!r}; available: {', '.join(EXPERIMENTS)}"
         )
     runner = _RUNNERS[name]
-    accepted = list(inspect.signature(runner).parameters)
-    unknown = sorted(set(overrides) - set(accepted))
+    params = inspect.signature(runner).parameters
+    unknown = sorted(set(overrides) - set(params))
     if unknown:
         raise ValueError(
-            f"unknown {name} parameter(s) {', '.join(unknown)}; accepted: {', '.join(accepted)}"
+            f"unknown {name} parameter(s) {', '.join(unknown)}; accepted: {', '.join(params)}"
         )
-    kwargs = dict(overrides)
+    kwargs = {}
+    for key, value in overrides.items():
+        kind = type(params[key].default)
+        if kind not in (int, float):
+            raise ValueError(f"{name} {key} cannot be set from [reproduce]")
+        try:
+            kwargs[key] = kind(value)
+        except ValueError:
+            raise ValueError(f"{name} {key} takes {kind.__name__}s, got {value!r}") from None
     if seed is not None:
         kwargs["seed"] = int(seed)
     return runner(**kwargs)

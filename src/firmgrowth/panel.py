@@ -203,7 +203,8 @@ def annual_log_growth(panel: Panel) -> GrowthRecords:
     """Rolling annual growth: log size difference exactly four quarters apart.
 
     Quarters with no same-firm observation four quarters later produce no
-    record (gaps are never imputed).
+    record (gaps are never imputed).  A repeated (firm, period) pair raises
+    ValueError citing the 1-based rows of its first two occurrences.
     """
     if np.any(panel.size <= 0):
         raise ValueError("sizes must be positive to take logs")
@@ -213,6 +214,14 @@ def annual_log_growth(panel: Panel) -> GrowthRecords:
     key = codes.astype(np.int64) * (t.max() + 5) + t
     order = np.argsort(key, kind="stable")
     sorted_key = key[order]
+    repeated = np.flatnonzero(sorted_key[1:] == sorted_key[:-1])
+    if repeated.size:
+        # cite the repeat whose second row comes first, as firm_size_volatility does
+        i = repeated[np.argmin(order[repeated + 1])]
+        raise ValueError(
+            f"row {order[i + 1] + 1}: duplicate rows for firm_id {panel.firm_id[order[i]]},"
+            f" period {panel.period[order[i]]} (first seen at row {order[i] + 1})"
+        )
     target = key + 4
     pos = np.searchsorted(sorted_key, target)
     pos_clip = np.minimum(pos, sorted_key.size - 1)

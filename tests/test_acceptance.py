@@ -205,7 +205,7 @@ def test_criterion_8_mig_self_fit_coverage():
 def test_criterion_9_gse_zero_residual_recovery():
     truth = GseParams(0.5, 0.9, 0.0, 1.8, 0.4)
     grid = np.linspace(-8, 8, 1601)
-    fit = fit_gse_nls(DensityEstimate(grid, gse_pdf(grid, truth), 0.1, 1000))
+    fit = fit_gse_nls(DensityEstimate(grid, gse_pdf(grid, truth)))
     worst = max(
         abs(fit.params["amplitude"] - 0.5),
         abs(fit.params["core_width"] - 0.9),

@@ -240,7 +240,7 @@ class TestKde:
         exact = kde_gaussian(x, grid)
         from firmgrowth.analysis import _kde_binned
 
-        binned = _kde_binned(x, grid, exact.bandwidth)
+        binned = _kde_binned(x, grid, normal_reference_bandwidth(x))
         assert np.max(np.abs(exact.values - binned)) < 5e-5
 
     # kernel half-widths in grid steps: a 3-point kernel, a mid-size one, and

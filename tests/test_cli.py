@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import firmgrowth
-from firmgrowth import analysis
+from firmgrowth import analysis, experiments
 from firmgrowth.analysis import equal_count_bins
 from firmgrowth.cli import CONFIG_KEYS, _read_samples, load_config, main, write_json
 
@@ -406,6 +406,13 @@ class TestIngest:
             "n_retained_firms": 3,
         }
 
+    def test_missing_deflator_is_validation_error(self, tmp_path, capsys):
+        cfg = write_pinned_ingest(tmp_path)
+        (tmp_path / "deflator.csv").unlink()
+        assert main(["--config", cfg, "ingest"]) == 1
+        assert f"{tmp_path / 'deflator.csv'}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_csv_is_validation_error(self, tmp_path):
         data = tmp_path / "bad.csv"
         data.write_text("firm_id,year,quarter,size\nf1,2000,1,abc\n")
@@ -452,6 +459,32 @@ class TestReproduce:
         cfg = write_config(tmp_path, f"[run]\nout_dir = {tmp_path}\n\n[reproduce]\n{key} = 0\n")
         assert main(["--config", cfg, "reproduce", experiment]) == 1
         assert "n_samples must be >= 1, got 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment, line, message", [
+        ("fig3", "n_per_class = 5e3", "fig3 n_per_class takes ints, got '5e3'"),
+        ("prop2_scaling", "n_per_k = 2e2", "prop2_scaling n_per_k takes ints, got '2e2'"),
+        ("laplace_sum", "k_values = 4", "laplace_sum k_values cannot be set from [reproduce]"),
+        ("fig5", "mig = 1", "fig5 mig cannot be set from [reproduce]"),
+    ])
+    def test_override_of_the_wrong_type_is_validation_error(self, tmp_path, capsys, experiment,
+                                                             line, message):
+        out = tmp_path / "rep"
+        cfg = write_config(tmp_path, f"[run]\nout_dir = {out}\n\n[reproduce]\n{line}\n")
+        assert main(["--config", cfg, "reproduce", experiment]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_override_takes_the_type_of_the_default(self, monkeypatch):
+        # a config string becomes the default's type: "2" for a float is 2.0
+        seen = {}
+
+        def runner(seed=1, count=10, scale=0.5):
+            seen.update(count=count, scale=scale)
+
+        monkeypatch.setitem(experiments._RUNNERS, "probe", runner)
+        experiments.run_experiment("probe", count="3", scale="2")
+        assert seen == {"count": 3, "scale": 2.0}
+        assert type(seen["count"]) is int and type(seen["scale"]) is float
 
     def test_fig4_bins_population_once(self, tmp_path, bin_calls):
         # one binning feeds the moments table and the exponent profile; the

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.stats import norm
+from scipy.stats import invgamma, norm
 
 from firmgrowth.analysis import (
     DensityEstimate,
@@ -10,9 +10,10 @@ from firmgrowth.analysis import (
     equal_count_bins,
     kde_gaussian,
 )
-from firmgrowth.distributions import GseParams, MigParams, gse_pdf, mig_logpdf, mig_sample
+from firmgrowth.distributions import GseParams, MigParams, gse_pdf, mig_sample
 from firmgrowth.estimation import (
     _mig_nll,
+    _moment_init,
     fit_gse_nls,
     firm_size_volatility,
     fit_mig_mle,
@@ -125,14 +126,16 @@ class TestMigMle:
         p = MigParams(4.0, 4.0, 0.3)
         rng = np.random.default_rng(7)
         x = mig_sample(p, rng.random(2_000))
-        init = MigParams(1.0, 1.0, 0.01)
-        fit = fit_mig_mle(x, init=init)
-        assert fit.objective <= _mig_nll(np.array([1.0, 1.0, 0.01]), x) + 1e-9
+        fit = fit_mig_mle(x)
+        assert fit.objective <= _mig_nll(_moment_init(x), x) + 1e-9
 
     @pytest.mark.parametrize("params", [(4.0, 4.0, 0.3), (2.5, 0.7, 0.0), (0.5, 3.0, 0.2)])
     def test_nll_is_minus_summed_logpdf(self, params):
+        a, b, m = params
         x = mig_sample(MigParams(*params), np.random.default_rng(5).random(2000))
-        expect = -mig_logpdf(x, MigParams(*params)).sum()
+        # SciPy's inverse gamma law of x + m, truncated to [m, inf)
+        law = invgamma(b, scale=a)
+        expect = -(law.logpdf(x + m) - np.log(law.sf(m))).sum()
         assert _mig_nll(np.array(params), x) == pytest.approx(expect, rel=1e-12)
 
     def test_nll_infinite_where_lower_gamma_vanishes(self):
@@ -156,7 +159,7 @@ class TestGseNls:
     def test_zero_residual_self_fit(self):
         truth = GseParams(0.5, 0.9, 0.0, 1.8, 0.4)
         grid = np.linspace(-8, 8, 1001)
-        density = DensityEstimate(grid, gse_pdf(grid, truth), 0.1, 1000)
+        density = DensityEstimate(grid, gse_pdf(grid, truth))
         fit = fit_gse_nls(density)
         assert fit.converged
         assert fit.objective < 1e-10
@@ -174,7 +177,7 @@ class TestGseNls:
         # crossover, or crossover -> inf with any stretch, both work), so
         # assert the fitted curve rather than the parameter vector
         grid = np.linspace(-8, 8, 801)
-        density = DensityEstimate(grid, norm.pdf(grid), 0.1, 1000)
+        density = DensityEstimate(grid, norm.pdf(grid))
         fit = fit_gse_nls(density)
         assert fit.converged
         assert fit.objective < 1e-12
@@ -184,7 +187,7 @@ class TestGseNls:
     def test_grid_must_cover_window(self):
         grid = np.linspace(-4, 4, 101)
         with pytest.raises(ValueError):
-            fit_gse_nls(DensityEstimate(grid, np.exp(-grid * grid), 0.1, 100))
+            fit_gse_nls(DensityEstimate(grid, np.exp(-grid * grid)))
 
     def test_fit_on_kde_of_gse_samples(self):
         # sample from a normalized GSE-like target via rejection, then refit
@@ -204,17 +207,17 @@ class TestGseNls:
 class TestGaussianMass:
     def test_normal_quantile(self):
         grid = np.linspace(-9, 9, 4001)
-        density = DensityEstimate(grid, norm.pdf(grid), 0.1, 1000)
+        density = DensityEstimate(grid, norm.pdf(grid))
         assert gaussian_mass_fraction(density, 1.96) == pytest.approx(0.95, abs=1e-3)
 
     def test_small_window_vanishes(self):
         grid = np.linspace(-9, 9, 4001)
-        density = DensityEstimate(grid, norm.pdf(grid), 0.1, 1000)
+        density = DensityEstimate(grid, norm.pdf(grid))
         assert gaussian_mass_fraction(density, 1e-3) < 0.001
 
     def test_narrow_grid_rejected(self):
         grid = np.linspace(-1, 1, 101)
-        density = DensityEstimate(grid, np.full(101, 0.5), 0.1, 100)
+        density = DensityEstimate(grid, np.full(101, 0.5))
         with pytest.raises(ValueError):
             gaussian_mass_fraction(density, 2.0)
 

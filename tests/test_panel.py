@@ -190,6 +190,15 @@ class TestAnnualGrowth:
         assert (g.period + 40).tolist() == shifted.period.tolist()
         assert g.growth.tolist() == shifted.growth.tolist() == [0.0] * 8
 
+    def test_repeated_firm_period_is_error(self):
+        # the period-0 row would pair with only one of the two period-4 rows
+        panel = Panel(np.array(["a"] * 6), [0, 1, 4, 4, 5, 8], [1.0, 2.0, 3.0, 30.0, 4.0, 5.0])
+        msg = r"row 4: duplicate rows for firm_id a, period 4 \(first seen at row 3\)"
+        with pytest.raises(ValueError, match=msg):
+            annual_log_growth(panel)
+        with pytest.raises(ValueError, match=msg):
+            filter_firms(panel)
+
     def test_normalization_shifts_growth_by_year_constant(self):
         rng = np.random.default_rng(1)
         rows = []
