@@ -334,6 +334,8 @@ def cmd_ingest(cfg, args):
     schema = {logical: ing[f"{logical}_col"] for logical in _SCHEMA_FIELDS}
 
     panel = panel_mod.ingest_csv(input_path, schema)
+    if len(panel) == 0:
+        raise ValidationError(f"ingest input {input_path} has no data rows")
     if ing["deflator"]:
         panel = panel_mod.deflate(panel, panel_mod.DeflatorSeries.from_csv(ing["deflator"]))
     panel, growths, exclusions = panel_mod.filter_firms(
@@ -363,7 +365,9 @@ def cmd_ingest(cfg, args):
 def cmd_reproduce(cfg, args):
     seed, out_dir = run_settings(cfg, args)
     name = args.experiment
-    overrides = dict(cfg["reproduce"]) if cfg.has_section("reproduce") else {}
+    given = cfg["reproduce"] if cfg.has_section("reproduce") else {}
+    # [DEFAULT] keys show up in every section, where no command reads them
+    overrides = {key: value for key, value in given.items() if key not in cfg.defaults()}
     if args.seed is None and not cfg.has_option("run", "seed"):
         seed = None  # keep the experiment's reference seed
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field, replace
+from itertools import compress, count, islice
+from operator import itemgetter
 
 import numpy as np
 
@@ -32,6 +34,9 @@ DEFAULT_SCHEMA = {
 # Ingestion
 # ---------------------------------------------------------------------------
 
+_INGEST_CHUNK = 1 << 13  # rows converted at once, so a long export is never held whole
+
+
 def ingest_csv(path, schema=None) -> Panel:
     """Parse and validate quarterly observations from a CSV file.
 
@@ -43,64 +48,39 @@ def ingest_csv(path, schema=None) -> Panel:
     CSV writes ids unquoted), are rejected the same way.  Returns a
     :class:`Panel` with one row per CSV row, in file order: string firm ids,
     period ``4 * year + quarter - 1``, nominal sizes, and fiscal year-end
-    months (-1 where unknown).
+    months (-1 where unknown).  Rows are converted a column and a chunk at a time.
     """
     schema = dict(DEFAULT_SCHEMA if schema is None else schema)
-    fiscal_col = schema.get("fiscal_year_end_month")
-    firm_ids, periods, sizes, months = [], [], [], []
-    seen = {}
+    fields = ["firm_id", "year", "quarter", "size"]
+    fields += [] if schema.get("fiscal_year_end_month") is None else ["fiscal_year_end_month"]
+    # empty columns first, so an input without data rows concatenates too
+    firm_ids, parts, fault = [], [(np.zeros(0, np.int64), np.zeros(0), np.zeros(0, np.int64))], None
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for logical in ("firm_id", "year", "quarter", "size"):
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        for logical in fields:
             col = schema.get(logical)
             if col is None:
                 raise ValueError(f"schema is missing the {logical!r} column mapping")
             if col not in header:
                 raise ValueError(f"missing column {col!r} (for {logical}) in {path}")
-        if fiscal_col is not None and fiscal_col not in header:
-            raise ValueError(f"missing column {fiscal_col!r} (for fiscal_year_end_month) in {path}")
-
-        for row_no, row in enumerate(reader, start=1):
-            firm = row[schema["firm_id"]].strip()
-            if not firm:
-                raise ValueError(f"row {row_no}: empty firm id")
-            try:
-                year = int(row[schema["year"]])
-                quarter = int(row[schema["quarter"]])
-            except (TypeError, ValueError):
-                raise ValueError(f"row {row_no}: non-integer year/quarter") from None
-            if not 1 <= quarter <= 4:
-                raise ValueError(f"row {row_no}: quarter {quarter} outside 1..4")
-            try:
-                size = float(row[schema["size"]])
-            except (TypeError, ValueError):
-                raise ValueError(
-                    f"row {row_no}: non-numeric size {row[schema['size']]!r}"
-                ) from None
-            if not size > 0 or not np.isfinite(size):
-                raise ValueError(f"row {row_no}: non-positive size {size!r}")
-            fiscal = -1
-            # a row that ends before the fiscal month column leaves it unknown
-            if fiscal_col is not None and (row[fiscal_col] or "").strip():
-                try:
-                    fiscal = int(row[fiscal_col])
-                except ValueError:
-                    raise ValueError(
-                        f"row {row_no}: non-integer fiscal month {row[fiscal_col]!r}"
-                    ) from None
-                if not 1 <= fiscal <= 12:
-                    raise ValueError(f"row {row_no}: fiscal month {fiscal} outside 1..12")
-            key = (firm, year, quarter)
-            if key in seen:
-                raise ValueError(
-                    f"row {row_no}: duplicate observation for {key} (first seen at row {seen[key]})"
-                )
-            seen[key] = row_no
-            firm_ids.append(firm)
-            periods.append(4 * year + quarter - 1)
-            sizes.append(size)
-            months.append(fiscal)
+        # a repeated name resolves to its last column, as in csv.DictReader
+        where = {name: i for i, name in enumerate(header)}
+        cols = [where[schema[logical]] for logical in fields]
+        records = filter(None, reader)  # blank rows are skipped and not numbered
+        for rows in iter(lambda: list(islice(records, _INGEST_CHUNK)), []):
+            chunk = _parse_rows(rows, *cols)
+            if chunk is None:
+                bad, fault = _first_fault(rows, *cols)
+                chunk = _parse_rows(rows[:bad], *cols)
+            firm_ids += chunk[0]
+            parts.append(chunk[1:])
+            if fault:
+                break
+    periods, sizes, months = map(np.concatenate, zip(*parts))
+    _check_repeats(firm_ids, periods)  # over the rows before a failing one
+    if fault:
+        raise ValueError(f"row {len(firm_ids) + 1}: {fault}")
     for firm in dict.fromkeys(firm_ids):
         if any(c in firm for c in ',"\r\n'):
             raise ValueError(
@@ -108,6 +88,81 @@ def ingest_csv(path, schema=None) -> Panel:
                 " or a line break"
             )
     return Panel(firm_ids, periods, sizes, months)
+
+
+def _parse_rows(rows, firm_col, year_col, quarter_col, size_col, fiscal_col=None):
+    """Stripped firm ids, periods, sizes and months of `rows`, or None if a row fails a check."""
+    n, width = len(rows), 1 + max(firm_col, year_col, quarter_col, size_col, fiscal_col or 0)
+    rows = list(rows)  # a short row is padded with empty fields in this copy only
+    for j in np.flatnonzero(np.fromiter(map(len, rows), np.intp, n) < width).tolist():
+        rows[j] = rows[j] + [""] * (width - len(rows[j]))
+    firm = list(map(str.strip, map(itemgetter(firm_col), rows)))
+    raw = [""] * n if fiscal_col is None else list(map(itemgetter(fiscal_col), rows))
+    stripped = list(map(str.strip, raw))
+    known = np.fromiter(map(bool, stripped), bool, n)
+    try:
+        year, quarter = (
+            np.fromiter(map(int, map(itemgetter(col), rows)), np.int64, n)
+            for col in (year_col, quarter_col)
+        )
+        size = np.fromiter(map(float, map(itemgetter(size_col), rows)), float, n)
+        month = np.full(n, -1)
+        month[known] = np.fromiter(map(int, compress(raw, stripped)), np.int64)
+    except (ValueError, OverflowError):
+        return None
+    ok = (
+        (quarter >= 1) & (quarter <= 4) & np.isfinite(size) & (size > 0)
+        & (~known | (month >= 1) & (month <= 12))
+        & (-(2**61) <= year) & (year < 2**61)
+    )
+    return None if "" in firm or not ok.all() else (firm, 4 * year + quarter - 1, size, month)
+
+
+def _first_fault(rows, firm_col, year_col, quarter_col, size_col, fiscal_col=None):
+    """Index of the first row of `rows` that fails a check, with that row's first failure."""
+    for j, row in enumerate(rows):
+        cell = dict(enumerate(row)).get  # None past the row's end, and for no column
+        if not (cell(firm_col) or "").strip():
+            return j, "empty firm id"
+        try:
+            year, quarter = int(cell(year_col)), int(cell(quarter_col))
+        except (TypeError, ValueError):
+            return j, "non-integer year/quarter"
+        if not 1 <= quarter <= 4:
+            return j, f"quarter {quarter} outside 1..4"
+        try:
+            size = float(cell(size_col))
+        except (TypeError, ValueError):
+            return j, f"non-numeric size {cell(size_col)!r}"
+        if not size > 0 or not np.isfinite(size):
+            return j, f"non-positive size {size!r}"
+        month = cell(fiscal_col)
+        if (month or "").strip():
+            try:
+                fiscal = int(month)
+            except ValueError:
+                return j, f"non-integer fiscal month {month!r}"
+            if not 1 <= fiscal <= 12:
+                return j, f"fiscal month {fiscal} outside 1..12"
+        if not -(2**61) <= year < 2**61:
+            raise OverflowError("Python int too large to convert to C long")  # as Panel says it
+
+
+def _check_repeats(firm_ids, periods):
+    """Raise ValueError at the first row whose (firm, period) an earlier row holds."""
+    code_of = dict(zip(dict.fromkeys(firm_ids), count()))
+    codes = np.fromiter(map(code_of.__getitem__, firm_ids), np.int64, len(firm_ids))
+    order = np.lexsort((periods, codes))  # stable: equal keys stay in row order
+    c, p = codes[order], periods[order]
+    repeated = np.flatnonzero((c[1:] == c[:-1]) & (p[1:] == p[:-1]))
+    if repeated.size:
+        # cite the repeat whose second row comes first, as annual_log_growth does
+        i = repeated[np.argmin(order[repeated + 1])]
+        key = (firm_ids[order[i]], *_year_quarter(int(p[i])))
+        raise ValueError(
+            f"row {order[i + 1] + 1}: duplicate observation for {key}"
+            f" (first seen at row {order[i] + 1})"
+        )
 
 
 # ---------------------------------------------------------------------------

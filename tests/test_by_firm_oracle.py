@@ -3,8 +3,13 @@
 Each ``loop_*`` function below is the earlier implementation, which masked
 the whole panel once per firm (or once per size bin).  The grouped code must reproduce it byte for
 byte (``tobytes()`` / ``repr``) on gap-free inputs: unsorted rows, ragged
-firms, firms with one or two rows, and string keys.
+firms, firms with one or two rows, and string keys.  ``loop_ingest_csv`` is
+the row-at-a-time ``csv.DictReader`` parse that the columnar, chunked
+``ingest_csv`` replaced: same columns on well-formed exports, same
+``ValueError`` text on malformed ones.
 """
+
+import csv
 
 import numpy as np
 import pytest
@@ -26,10 +31,13 @@ from firmgrowth.experiments import _upper_window_moment_slopes
 from firmgrowth.groups import Groups
 from firmgrowth.model import FirmPopulation, Panel, fraction_few_subunits
 from firmgrowth.panel import (
+    _INGEST_CHUNK,
+    DEFAULT_SCHEMA,
     _stat_row,
     annual_log_growth,
     descriptive_stats,
     filter_firms,
+    ingest_csv,
     normalize_by_year,
 )
 
@@ -178,6 +186,71 @@ def loop_leave_one_out_rescale(series):
         return np.where(mad > 0, (g - loo_mean) / mad, np.nan)
 
 
+def loop_ingest_csv(path, schema=None):
+    schema = dict(DEFAULT_SCHEMA if schema is None else schema)
+    fiscal_col = schema.get("fiscal_year_end_month")
+    firm_ids, periods, sizes, months = [], [], [], []
+    seen = {}
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames or []
+        for logical in ("firm_id", "year", "quarter", "size"):
+            col = schema.get(logical)
+            if col is None:
+                raise ValueError(f"schema is missing the {logical!r} column mapping")
+            if col not in header:
+                raise ValueError(f"missing column {col!r} (for {logical}) in {path}")
+        if fiscal_col is not None and fiscal_col not in header:
+            raise ValueError(f"missing column {fiscal_col!r} (for fiscal_year_end_month) in {path}")
+
+        for row_no, row in enumerate(reader, start=1):
+            firm = row[schema["firm_id"]].strip()
+            if not firm:
+                raise ValueError(f"row {row_no}: empty firm id")
+            try:
+                year = int(row[schema["year"]])
+                quarter = int(row[schema["quarter"]])
+            except (TypeError, ValueError):
+                raise ValueError(f"row {row_no}: non-integer year/quarter") from None
+            if not 1 <= quarter <= 4:
+                raise ValueError(f"row {row_no}: quarter {quarter} outside 1..4")
+            try:
+                size = float(row[schema["size"]])
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"row {row_no}: non-numeric size {row[schema['size']]!r}"
+                ) from None
+            if not size > 0 or not np.isfinite(size):
+                raise ValueError(f"row {row_no}: non-positive size {size!r}")
+            fiscal = -1
+            if fiscal_col is not None and (row[fiscal_col] or "").strip():
+                try:
+                    fiscal = int(row[fiscal_col])
+                except ValueError:
+                    raise ValueError(
+                        f"row {row_no}: non-integer fiscal month {row[fiscal_col]!r}"
+                    ) from None
+                if not 1 <= fiscal <= 12:
+                    raise ValueError(f"row {row_no}: fiscal month {fiscal} outside 1..12")
+            key = (firm, year, quarter)
+            if key in seen:
+                raise ValueError(
+                    f"row {row_no}: duplicate observation for {key} (first seen at row {seen[key]})"
+                )
+            seen[key] = row_no
+            firm_ids.append(firm)
+            periods.append(4 * year + quarter - 1)
+            sizes.append(size)
+            months.append(fiscal)
+    for firm in dict.fromkeys(firm_ids):
+        if any(c in firm for c in ',"\r\n'):
+            raise ValueError(
+                f"row {firm_ids.index(firm) + 1}: firm id {firm!r} holds a comma, a double quote"
+                " or a line break"
+            )
+    return Panel(firm_ids, periods, sizes, months)
+
+
 # ---------------------------------------------------------------------------
 # Inputs
 # ---------------------------------------------------------------------------
@@ -219,6 +292,55 @@ def quarterly_panel(seed, n_firms=300):
         size=np.exp(rng.normal(0.0, 1.5, t.size)),
         fiscal_year_end_month=fyr[firm],
     )
+
+
+# an export with renamed columns, where `fyr` is repeated and its last column
+# is the one read (a decoy fills the first)
+EXPORT_SCHEMA = {"firm_id": "gvkey", "year": "fyearq", "quarter": "fqtr", "size": "atq",
+                 "fiscal_year_end_month": "fyr"}
+EXPORT_HEADER = ["gvkey", "fyr", "fyearq", "fqtr", "atq", "datadate", "fyr"]
+
+
+def export_rows(seed, n_firms, shuffle=True):
+    """Fields of a well-formed export, one list per row: ragged firms with
+    zero-padded string ids, ``int()`` spellings such as ``" 7 "`` and ``+3``,
+    unknown months (empty, blank or cut off by a short row) and extra
+    trailing fields."""
+    rng = np.random.default_rng(seed)
+    lengths = ragged_lengths(rng, n_firms)
+    ids = rng.choice(10**6, n_firms, replace=False)
+    month = rng.choice(["12", "6", " 7 ", "+3", "09", "", "  "], n_firms)
+    rows = []
+    for firm in range(n_firms):
+        start = int(rng.integers(0, 8))
+        for t in range(start, start + lengths[firm]):
+            year, quarter = 2000 + t // 4, t % 4 + 1
+            rows.append([
+                f"{ids[firm]:06d}" if rng.random() > 0.1 else f" {ids[firm]:06d} ",
+                "decoy",
+                str(year) if rng.random() > 0.1 else f" {year} ",
+                str(quarter) if rng.random() > 0.1 else f"+{quarter}",
+                repr(float(np.exp(rng.normal(3.0, 2.0)))) if rng.random() > 0.1 else " 2.5e1",
+                f"{year}0331",
+                str(month[firm]),
+            ])
+            if rng.random() < 0.05:
+                rows[-1] = rows[-1][:6]  # ends before the month
+            elif rng.random() < 0.05:
+                rows[-1] += ["extra", ""]
+    order = rng.permutation(len(rows)) if shuffle else np.arange(len(rows))
+    return [rows[i] for i in order.tolist()]
+
+
+def write_export(path, rows, blank_every=0):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(EXPORT_HEADER)
+        for i, row in enumerate(rows, start=1):
+            writer.writerow(row)
+            if blank_every and i % blank_every == 0:
+                fh.write("\n")  # skipped, and not numbered
+    return path
 
 
 def assert_same_array(a, b):
@@ -426,3 +548,117 @@ def test_reduce_after_select_matches_groups_of_those_rows():
     for rowwise in (mad_volatility, lambda block: block.sum(axis=-1)):
         got = chosen.reduce(values, rowwise)
         assert got.tobytes() == alone.reduce(values[rows], rowwise).tobytes()
+
+
+def assert_same_panel(a, b):
+    for name in ("firm_id", "period", "size", "fiscal_year_end_month"):
+        assert_same_array(getattr(a, name), getattr(b, name))
+
+
+@pytest.mark.parametrize("seed, n_firms, shuffle, blank_every", [
+    (0, 40, True, 7),
+    (1, 600, True, 0),      # about 12,000 rows: firms span the chunks
+    (2, 600, False, 1000),
+])
+def test_ingest_csv_matches_loop(tmp_path, seed, n_firms, shuffle, blank_every):
+    rows = export_rows(seed, n_firms, shuffle)
+    path = write_export(tmp_path / "export.csv", rows, blank_every)
+    panel = ingest_csv(path, EXPORT_SCHEMA)
+    assert_same_panel(panel, loop_ingest_csv(path, EXPORT_SCHEMA))
+    if n_firms > 100:
+        assert len(panel) > _INGEST_CHUNK
+    assert {-1, 3, 6, 7, 9, 12} == set(panel.fiscal_year_end_month.tolist())
+
+
+@pytest.mark.parametrize("text", ["", "gvkey,fyr,fyearq,fqtr,atq\n", "\n"],
+                         ids=["empty", "header", "blank"])
+def test_ingest_csv_of_no_rows_matches_loop(tmp_path, text):
+    path = tmp_path / "export.csv"
+    path.write_text(text)
+    try:
+        expected = loop_ingest_csv(path, EXPORT_SCHEMA)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            ingest_csv(path, EXPORT_SCHEMA)
+        assert str(got.value) == str(exc)
+    else:
+        assert_same_panel(ingest_csv(path, EXPORT_SCHEMA), expected)
+
+
+def set_field(row, column, value):
+    def edit(rows):
+        # the last column of that name, the one read
+        rows[row - 1][len(EXPORT_HEADER) - 1 - EXPORT_HEADER[::-1].index(column)] = value
+    return edit
+
+
+def repeat_row(row, of):
+    def edit(rows):
+        rows[row - 1] = rows[of - 1][:]
+    return edit
+
+
+# each case edits a well-formed export of about 12,000 shuffled rows; rows
+# are 1-based data rows
+MALFORMED = {
+    "earlier_row_wins": [set_field(90, "atq", "abc"), set_field(50, "fqtr", "5")],
+    "earlier_row_wins_in_later_chunk": [set_field(9050, "gvkey", " "),
+                                        set_field(9000, "atq", "-1.5")],
+    "first_check_of_a_row": [set_field(70, "atq", "0"), set_field(70, "fqtr", "0")],
+    "error_after_row_8192": [set_field(9001, "fyr", "13")],
+    "error_on_row_8193": [set_field(8193, "fyearq", "2000.0")],
+    "error_on_row_8192": [set_field(8192, "fyearq", "")],
+    "duplicate_before_later_error": [repeat_row(701, of=300), set_field(9000, "atq", "x")],
+    "duplicate_in_the_error_chunk": [repeat_row(8300, of=8200), set_field(8400, "fqtr", "x")],
+    "error_before_later_duplicate": [set_field(100, "atq", "x"), repeat_row(200, of=10)],
+    "error_on_the_duplicate_row": [repeat_row(200, of=10), set_field(200, "atq", "inf")],
+    "duplicate_across_chunks": [repeat_row(9100, of=5)],
+    "earliest_second_row_of_repeats": [repeat_row(20, of=10), repeat_row(30, of=10),
+                                       repeat_row(25, of=15)],
+    "duplicate_before_bad_id": [set_field(5, "gvkey", "a,b"), repeat_row(11000, of=4)],
+    "error_before_bad_id": [set_field(5, "gvkey", 'say "hi"'), set_field(11000, "atq", "x")],
+    "bad_id": [set_field(9500, "gvkey", "two\nlines"), set_field(9700, "gvkey", "a,b")],
+    "blank_firm_id": [set_field(30, "gvkey", "  ")],
+    "fiscal_month_minus_one": [set_field(40, "fyr", "-1")],
+    "fiscal_month_zero": [set_field(40, "fyr", "0")],
+    "fiscal_month_word": [set_field(40, "fyr", "Dec")],
+    "fiscal_month_int_rejects": [set_field(40, "fyr", "\x1c12\x1c")],
+    "nan_size": [set_field(60, "atq", "nan")],
+    "negative_size": [set_field(60, "atq", "-0.0")],
+    "quarter_spelled_plus_five": [set_field(60, "fqtr", " +5 ")],
+    "row_ends_before_size": [lambda rows: rows.__setitem__(80, rows[80][:4])],
+    "row_ends_before_quarter": [lambda rows: rows.__setitem__(80, rows[80][:3])],
+}
+
+
+@pytest.fixture(scope="module")
+def long_export():
+    return export_rows(1, 600)
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_ingest_csv_error_matches_loop(tmp_path, long_export, case):
+    rows = [row[:] for row in long_export]
+    for edit in MALFORMED[case]:
+        edit(rows)
+    path = write_export(tmp_path / "export.csv", rows)
+    with pytest.raises(ValueError) as expected:
+        loop_ingest_csv(path, EXPORT_SCHEMA)
+    with pytest.raises(ValueError) as got:
+        ingest_csv(path, EXPORT_SCHEMA)
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("year, overflows", [
+    (2**61 - 1, False), (-(2**61), False), (2**61, True), (-(2**61) - 1, True), (2**64, True),
+])
+def test_ingest_csv_periods_beyond_int64_match_loop(tmp_path, year, overflows):
+    # 4 * year + quarter - 1 must fit an int64 for every quarter; NumPy would wrap it silently
+    path = tmp_path / "export.csv"
+    path.write_text(f"firm_id,year,quarter,size\na,2000,1,1.0\nb,{year},4,2.0\nb,{year},1,2.0\n")
+    if overflows:
+        for parse in (loop_ingest_csv, ingest_csv):
+            with pytest.raises(OverflowError, match="Python int too large to convert to C long"):
+                parse(path)
+    else:
+        assert_same_panel(ingest_csv(path), loop_ingest_csv(path))

@@ -438,6 +438,24 @@ class TestIngest:
         assert f"error: row 9: firm id {firm!r} holds a comma" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_row_ending_before_firm_id_is_validation_error(self, tmp_path, capsys):
+        data = tmp_path / "short.csv"
+        data.write_text("year,quarter,size,firm_id\n2000,1,1.0,a\n2000,2,1.5\n")
+        out = tmp_path / "ing"
+        cfg = write_config(tmp_path, f"[run]\nout_dir = {out}\n[ingest]\ninput = {data}\n")
+        assert main(["--config", cfg, "ingest"]) == 1
+        assert "error: row 2: empty firm id" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_header_only_input_is_validation_error(self, tmp_path, capsys):
+        data = tmp_path / "header.csv"
+        data.write_text("firm_id,year,quarter,size\n\n")
+        out = tmp_path / "ing"
+        cfg = write_config(tmp_path, f"[run]\nout_dir = {out}\n[ingest]\ninput = {data}\n")
+        assert main(["--config", cfg, "ingest"]) == 1
+        assert f"error: ingest input {data} has no data rows" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestReproduce:
     def test_unknown_experiment_lists_catalog(self, tmp_path, capsys):
@@ -473,6 +491,16 @@ class TestReproduce:
         assert main(["--config", cfg, "reproduce", experiment]) == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_default_section_keys_are_not_overrides(self, tmp_path):
+        out = tmp_path / "rep"
+        cfg = write_config(
+            tmp_path,
+            f"[DEFAULT]\nbase = {tmp_path}\n\n[run]\nout_dir = {out}\n\n"
+            "[reproduce]\nn_sums = 100000\n",
+        )
+        assert main(["--config", cfg, "reproduce", "laplace_sum"]) == 0
+        assert (out / "laplace_sum_result.json").exists()
 
     def test_override_takes_the_type_of_the_default(self, monkeypatch):
         # a config string becomes the default's type: "2" for a float is 2.0
