@@ -74,8 +74,7 @@ def load_config(path):
         accepted = CONFIG_KEYS[name]
         if accepted is None:
             continue
-        # [DEFAULT] keys show up in every section, where no command reads them
-        unknown = sorted(set(cfg[name]) - set(cfg.defaults()) - set(accepted))
+        unknown = sorted(set(_own_keys(cfg, name)) - set(accepted))
         if unknown:
             raise ValidationError(
                 f"unknown [{name}] key(s) {', '.join(unknown)}; accepted: {', '.join(accepted)}"
@@ -89,10 +88,16 @@ def config_hash(cfg: configparser.ConfigParser):
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
+def _own_keys(cfg, section):
+    """The keys set in `section` itself.  No command reads the [DEFAULT] keys, which configparser
+    merges into every section's view and items(); only its private `_sections` leaves them out."""
+    return list(cfg._sections.get(section, ()))
+
+
 def _settings(cfg, section):
-    """The values of `section`, over the table's defaults."""
-    given = cfg[section] if cfg.has_section(section) else {}
-    return {key: given.get(key, default) for key, default in CONFIG_KEYS[section].items()}
+    """The values of `section`'s own keys, over the table's defaults."""
+    own = {key: cfg.get(section, key) for key in _own_keys(cfg, section)}
+    return {**(CONFIG_KEYS[section] or {}), **own}
 
 
 def _boolean(section, key, value):
@@ -365,10 +370,8 @@ def cmd_ingest(cfg, args):
 def cmd_reproduce(cfg, args):
     seed, out_dir = run_settings(cfg, args)
     name = args.experiment
-    given = cfg["reproduce"] if cfg.has_section("reproduce") else {}
-    # [DEFAULT] keys show up in every section, where no command reads them
-    overrides = {key: value for key, value in given.items() if key not in cfg.defaults()}
-    if args.seed is None and not cfg.has_option("run", "seed"):
+    overrides = _settings(cfg, "reproduce")
+    if args.seed is None and "seed" not in _own_keys(cfg, "run"):
         seed = None  # keep the experiment's reference seed
 
     result = run_experiment(name, seed=seed, **overrides)

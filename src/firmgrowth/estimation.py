@@ -86,38 +86,38 @@ def _count_at_most(sorted_rows, x):
     return out
 
 
+def firm_groups(firm_id, period):
+    """:meth:`Groups.by_firm` of rows in any order; a repeated (firm, period) raises ValueError."""
+    firms, repeat = Groups.by_firm(firm_id, period)
+    if repeat:
+        first, second = repeat
+        raise ValueError(
+            f"row {second + 1}: duplicate rows for firm_id {firm_id[first]},"
+            f" period {period[first]} (first seen at row {first + 1})"
+        )
+    return firms
+
+
 def firm_size_volatility(firm_id, period, size):
     """Each firm's mean size and the adjusted MAD of its one-period growth rates.
 
     Growth rates s_{t+1} / s_t - 1 come only from pairs of a firm's rows
     exactly one period apart, so a gap in a firm's periods never passes for
     a one-period change.  Firms with fewer than two such rates are dropped.
-    Rows may come in any order; a repeated (firm, period) pair raises
-    ValueError citing the 1-based rows of its first two occurrences.
-    Returns ``(mean_sizes, volatilities, n_dropped)`` with the kept firms in
-    ascending id order.
+    Rows are indexed by :func:`firm_groups`.  Returns ``(mean_sizes,
+    volatilities, n_dropped)`` with the kept firms in ascending id order.
     """
-    order = np.lexsort((period, firm_id))
-    fid, per, siz = (np.asarray(col)[order] for col in (firm_id, period, size))
-    same_firm = fid[1:] == fid[:-1]
-    step = per[1:] - per[:-1]
-    repeated = np.flatnonzero(same_firm & (step == 0))
-    if repeated.size:
-        # the sort is stable, so order[i] and order[i + 1] are the rows of a
-        # repeat in file order; cite the repeat whose second row comes first
-        i = repeated[np.argmin(order[repeated + 1])]
-        raise ValueError(
-            f"row {order[i + 1] + 1}: duplicate rows for firm_id {fid[i]}, period {per[i]}"
-            f" (first seen at row {order[i] + 1})"
-        )
-    pair = same_firm & (step == 1)
-    rated = Groups.of(fid[:-1][pair])
-    rated = rated.select(rated.counts >= 2)
-    firms = Groups.of(fid)
-    kept = firms.select(np.isin(firms.keys, rated.keys))
-    growth = siz[1:][pair] / siz[:-1][pair] - 1.0
-    mean_sizes = kept.reduce(siz, lambda rows: rows.mean(axis=-1))
-    return mean_sizes, rated.reduce(growth, mad_volatility), firms.keys.size - rated.keys.size
+    firm_id, period, size = map(np.asarray, (firm_id, period, size))
+    firms = firm_groups(firm_id, period)
+    later = firms.lag_pairs(period, 1)
+    paired = later >= 0
+    growth = np.zeros(size.size)
+    growth[paired] = size[later[paired]] / size[paired] - 1.0
+    rated = firms.rows(paired)
+    kept = rated.counts >= 2
+    mean_sizes = firms.select(kept).reduce(size, lambda rows: rows.mean(axis=-1))
+    vols = rated.select(kept).reduce(growth, mad_volatility)
+    return mean_sizes, vols, firms.keys.size - np.count_nonzero(kept)
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +212,8 @@ def fit_mig_mle(samples) -> FitResult:
         raise ValueError("need at least 100 samples")
     if np.any(x <= 0):
         raise ValueError("samples must be positive")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("samples must be finite")
 
     theta0 = _moment_init(x)
     nll0 = _mig_nll(theta0, x)

@@ -1,10 +1,10 @@
 """Rows grouped by key (a firm, a size bin), with no pass over all rows per group.
 
-The rows are stable-sorted by key once; each group is then a run of that
-order, given by its start and its row count.  A reduction gathers all
-groups of one length L into a single ``(n_groups, L)`` array and reduces it
-along the last axis, so the Python loop runs once per distinct length, not
-once per group.
+The rows are stable-sorted by key once (a panel's by firm and then period,
+:meth:`Groups.by_firm`); each group is then a run of that order, given by its
+start and its row count.  A reduction gathers all groups of one length L into
+a single ``(n_groups, L)`` array and reduces it along the last axis, so the
+Python loop runs once per distinct length, not once per group.
 
 A row-wise reduction of such a block performs, row by row, the same
 floating-point operations in the same order as reducing each group on its
@@ -22,7 +22,8 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Groups:
-    """Groups of equal keys: ascending keys, rows in input order within a group."""
+    """Groups of equal keys, ascending.  :meth:`of` keeps a group's rows in input
+    order (or in ascending ``then``); :meth:`by_firm` keeps a firm's in period order."""
 
     keys: np.ndarray    # one per group, ascending
     order: np.ndarray   # row indices, stable-sorted by key
@@ -30,20 +31,51 @@ class Groups:
     counts: np.ndarray  # each group's number of rows
 
     @classmethod
-    def of(cls, keys):
+    def of(cls, keys, then=None):
         keys = np.asarray(keys)
-        order = np.argsort(keys, kind="stable")
+        order = np.argsort(keys, kind="stable") if then is None else np.lexsort((then, keys))
         ordered = keys[order]
         starts = np.flatnonzero(np.concatenate(([keys.size > 0], ordered[1:] != ordered[:-1])))
         counts = np.diff(np.append(starts, keys.size))
         return cls(ordered[starts], order, starts, counts)
 
+    @classmethod
+    def by_firm(cls, firm_id, period):
+        """Firms with their rows in ascending period, and None or the rows ``(first, second)``
+        of the repeated (firm, period) whose second row comes first."""
+        firms = cls.of(firm_id, then=period)
+        later = firms.lag_pairs(period, 0)
+        if not np.any(later >= 0):
+            return firms, None
+        first = int(np.argmin(np.where(later >= 0, later, later.size)))
+        return firms, (first, int(later[first]))
+
+    def lag_pairs(self, period, lag):
+        """Each row's partner in its :meth:`by_firm` group, `lag` periods on, or -1.  Periods
+        strictly increase within a firm with no repeat, so the partner is at most `lag`
+        positions on.  With lag 0 it is the next row of a repeat."""
+        p = np.asarray(period)[self.order]
+        group = np.repeat(np.arange(self.keys.size), self.counts)
+        later = np.full(p.size, -1)
+        for d in range(1, max(lag, 1) + 1):
+            # a step within a group that wraps round int64 turns negative, never a lag
+            found = np.flatnonzero((group[d:] == group[:-d]) & (p[d:] - p[:-d] == lag))
+            later[self.order[found]] = self.order[found + d]
+        return later
+
     def select(self, mask):
         """The groups where `mask` (one flag per group) is true, over the same rows."""
         return Groups(self.keys[mask], self.order, self.starts[mask], self.counts[mask])
 
+    def rows(self, flags):
+        """The same groups over the rows where `flags` (one per row) is true; some may be empty."""
+        kept = np.asarray(flags)[self.order]
+        before = np.append(0, np.cumsum(kept))  # kept rows ahead of each position
+        starts, ends = before[self.starts], before[self.starts + self.counts]
+        return Groups(self.keys, self.order[kept], starts, ends - starts)
+
     def split(self, values):
-        """Each group's values as one array, rows in input order within a group."""
+        """Each group's values as one array, rows in `order` within a group."""
         values = np.asarray(values)
         runs = zip(self.starts.tolist(), self.counts.tolist())
         return [values[self.order[s : s + n]] for s, n in runs]

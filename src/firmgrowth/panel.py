@@ -17,7 +17,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from firmgrowth.estimation import mad_volatility
+from firmgrowth.estimation import firm_groups, mad_volatility
 from firmgrowth.groups import Groups
 from firmgrowth.model import Panel, row_chunks
 
@@ -152,16 +152,12 @@ def _check_repeats(firm_ids, periods):
     """Raise ValueError at the first row whose (firm, period) an earlier row holds."""
     code_of = dict(zip(dict.fromkeys(firm_ids), count()))
     codes = np.fromiter(map(code_of.__getitem__, firm_ids), np.int64, len(firm_ids))
-    order = np.lexsort((periods, codes))  # stable: equal keys stay in row order
-    c, p = codes[order], periods[order]
-    repeated = np.flatnonzero((c[1:] == c[:-1]) & (p[1:] == p[:-1]))
-    if repeated.size:
-        # cite the repeat whose second row comes first, as annual_log_growth does
-        i = repeated[np.argmin(order[repeated + 1])]
-        key = (firm_ids[order[i]], *_year_quarter(int(p[i])))
+    _, repeat = Groups.by_firm(codes, periods)
+    if repeat:
+        first, second = repeat
+        key = (firm_ids[first], *_year_quarter(int(periods[first])))
         raise ValueError(
-            f"row {order[i + 1] + 1}: duplicate observation for {key}"
-            f" (first seen at row {order[i] + 1})"
+            f"row {second + 1}: duplicate observation for {key} (first seen at row {first + 1})"
         )
 
 
@@ -186,8 +182,10 @@ class DeflatorSeries:
                     value = float(row["index"])
                 except (KeyError, TypeError, ValueError):
                     raise ValueError(f"deflator row {row_no}: need year,quarter,index") from None
-                if not value > 0:
+                if value <= 0:
                     raise ValueError(f"deflator row {row_no}: non-positive index")
+                if not np.isfinite(value):
+                    raise ValueError(f"deflator row {row_no}: non-finite index {value!r}")
                 if key in first_row:
                     raise ValueError(
                         f"deflator rows {first_row[key]} and {row_no} both give {key[0]}Q{key[1]}"
@@ -263,27 +261,9 @@ def annual_log_growth(panel: Panel) -> GrowthRecords:
     """
     if np.any(panel.size <= 0):
         raise ValueError("sizes must be positive to take logs")
-    # periods from 0 up, so one firm's keys never reach into another's
-    t = panel.period - panel.period.min()
-    firms, codes = np.unique(panel.firm_id, return_inverse=True)
-    key = codes.astype(np.int64) * (t.max() + 5) + t
-    order = np.argsort(key, kind="stable")
-    sorted_key = key[order]
-    repeated = np.flatnonzero(sorted_key[1:] == sorted_key[:-1])
-    if repeated.size:
-        # cite the repeat whose second row comes first, as firm_size_volatility does
-        i = repeated[np.argmin(order[repeated + 1])]
-        raise ValueError(
-            f"row {order[i + 1] + 1}: duplicate rows for firm_id {panel.firm_id[order[i]]},"
-            f" period {panel.period[order[i]]} (first seen at row {order[i] + 1})"
-        )
-    target = key + 4
-    pos = np.searchsorted(sorted_key, target)
-    pos_clip = np.minimum(pos, sorted_key.size - 1)
-    found = sorted_key[pos_clip] == target
-    base = np.flatnonzero(found)
-    later = order[pos_clip[base]]
-    growth = np.log(panel.size[later]) - np.log(panel.size[base])
+    later = firm_groups(panel.firm_id, panel.period).lag_pairs(panel.period, 4)
+    base = np.flatnonzero(later >= 0)  # records in input row order
+    growth = np.log(panel.size[later[base]]) - np.log(panel.size[base])
     return GrowthRecords(panel.firm_id[base], panel.period[base], growth)
 
 

@@ -6,10 +6,13 @@ byte (``tobytes()`` / ``repr``) on gap-free inputs: unsorted rows, ragged
 firms, firms with one or two rows, and string keys.  ``loop_ingest_csv`` is
 the row-at-a-time ``csv.DictReader`` parse that the columnar, chunked
 ``ingest_csv`` replaced: same columns on well-formed exports, same
-``ValueError`` text on malformed ones.
+``ValueError`` text on malformed ones.  ``loop_annual_log_growth`` looks up
+each row's (firm, period + 4) in a dict, with Python ints, so it holds on
+gapped panels and at periods where int64 arithmetic would wrap.
 """
 
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -27,6 +30,7 @@ from firmgrowth.estimation import (
     leave_one_out_rescale,
     mad_volatility,
 )
+from firmgrowth.cli import main
 from firmgrowth.experiments import _upper_window_moment_slopes
 from firmgrowth.groups import Groups
 from firmgrowth.model import FirmPopulation, Panel, fraction_few_subunits
@@ -61,6 +65,23 @@ def loop_firm_stats(firm_id, period, size):
         sizes_mean.append(s.mean())
         vols.append(mad_volatility(growth))
     return np.array(sizes_mean), np.array(vols), dropped
+
+
+def loop_annual_log_growth(panel):
+    """Each row's record, by a dict lookup of its firm's row four quarters on."""
+    keys = list(zip(panel.firm_id.tolist(), panel.period.tolist()))
+    row_of = {}
+    for row, key in enumerate(keys):
+        if key in row_of:
+            raise ValueError(
+                f"row {row + 1}: duplicate rows for firm_id {key[0]}, period {key[1]}"
+                f" (first seen at row {row_of[key] + 1})"
+            )
+        row_of[key] = row
+    pairs = [(row, row_of[f, p + 4]) for row, (f, p) in enumerate(keys) if (f, p + 4) in row_of]
+    base, later = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    growth = np.log(panel.size[later]) - np.log(panel.size[base])
+    return panel.firm_id[base], panel.period[base], growth
 
 
 def loop_normalize_by_year(panel):
@@ -294,6 +315,19 @@ def quarterly_panel(seed, n_firms=300):
     )
 
 
+def gapped_panel(seed, offset=0, far=0):
+    """A shuffled ragged :func:`quarterly_panel` with about one row in five
+    dropped and its periods moved by `offset`.  With `far`, the first row's
+    firm moves on until its last period lies `far` above the panel's first."""
+    panel = quarterly_panel(seed)
+    keep = np.random.default_rng(seed).random(len(panel)) < 0.8
+    firm_id, period = panel.firm_id[keep], panel.period[keep] + offset
+    if far:
+        moved = firm_id == firm_id[0]
+        period[moved] += period.min() + far - period[moved].max()
+    return Panel(firm_id, period, panel.size[keep], panel.fiscal_year_end_month[keep])
+
+
 # an export with renamed columns, where `fyr` is repeated and its last column
 # is the one read (a decoy fills the first)
 EXPORT_SCHEMA = {"firm_id": "gvkey", "year": "fyearq", "quarter": "fqtr", "size": "atq",
@@ -390,6 +424,87 @@ def test_filter_firms_matches_loop(min_growth_obs, fiscal_december_only):
     ref_growths = annual_log_growth(ref_kept)
     for column in ("firm_id", "period", "growth"):
         assert_same_array(getattr(growths, column), getattr(ref_growths, column))
+
+
+@pytest.mark.parametrize("seed, offset, far", [
+    (20, 0, 0),
+    (21, -4 * 3000, 0),       # negative periods
+    (22, -4 * 3000, 2**62),   # periods that span 2**62
+])
+def test_annual_log_growth_matches_dict_loop(seed, offset, far):
+    panel = gapped_panel(seed, offset, far)
+    assert not far or np.ptp(panel.period) == far
+    got = annual_log_growth(panel)
+    ref = loop_annual_log_growth(panel)
+    for column, expected in zip(("firm_id", "period", "growth"), ref):
+        assert_same_array(getattr(got, column), expected)
+    # a firm without gaps has one row with no successor, its last
+    keys = set(zip(panel.firm_id.tolist(), panel.period.tolist()))
+    assert sum((f, p + 1) not in keys for f, p in keys) > np.unique(panel.firm_id).size
+    assert len(got) > 0
+
+
+def test_annual_log_growth_at_the_ends_of_int64_matches_dict_loop():
+    # steps between these periods wrap round int64; none may pass for four quarters
+    lo, hi = -(2**63), 2**63 - 1
+    panel = Panel(np.array(list("xxxxyy")), [hi, lo + 4, hi - 4, lo, lo, hi], np.arange(1.0, 7.0))
+    got = annual_log_growth(panel)
+    ref = loop_annual_log_growth(panel)
+    for column, expected in zip(("firm_id", "period", "growth"), ref):
+        assert_same_array(getattr(got, column), expected)
+    assert got.period.tolist() == [hi - 4, lo]
+
+
+def test_annual_log_growth_of_periods_2_62_apart():
+    panel = Panel(np.array(list("aabcdee")), [0, 20, 2**62, 1, 1, 0, 4], np.arange(1.0, 8.0))
+    got = annual_log_growth(panel)
+    assert got.firm_id.tolist() == ["e"] and got.period.tolist() == [0]
+    assert got.growth.tolist() == [np.log(7.0) - np.log(6.0)]
+
+
+def test_ingest_of_years_2_60_apart_pairs_no_rows(tmp_path, capsys):
+    # no two rows of a firm lie four quarters apart, so no firm keeps a growth rate
+    data = tmp_path / "quarters.csv"
+    data.write_text(
+        "firm_id,year,quarter,size\na,0,1,1\na,6,1,1\nb,1152921504606846976,1,1\n"
+        "c,0,2,2\nd,0,2,2\ne,0,1,1\ne,2,1,1\n"
+    )
+    out = tmp_path / "out"
+    cfg = tmp_path / "config.ini"
+    cfg.write_text(f"[run]\nout_dir = {out}\n\n[ingest]\ninput = {data}\nmin_growth_obs = 1\n")
+    assert main(["--config", str(cfg), "ingest"]) == 1
+    assert "no observations survive the filters" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def cited_rows(message):
+    """The (second, first) 1-based rows a duplicate-key error cites."""
+    match = re.fullmatch(r"row (\d+): .* \(first seen at row (\d+)\)", message)
+    return int(match[1]), int(match[2])
+
+
+def test_every_path_cites_the_same_repeat(tmp_path):
+    panel = gapped_panel(23)
+    take = list(range(len(panel)))
+    # copies of rows 10 and 5 far on, and two of row 250 right after row 299
+    for at, of in [(900, 10), (600, 5), (301, 250), (300, 250)]:
+        take.insert(at, of)
+    rows = Panel(panel.firm_id[take], panel.period[take], panel.size[take])
+    with pytest.raises(ValueError) as expected:
+        loop_annual_log_growth(rows)
+    assert cited_rows(str(expected.value)) == (301, 251)
+    for path in (annual_log_growth, lambda p: firm_size_volatility(p.firm_id, p.period, p.size)):
+        with pytest.raises(ValueError) as got:
+            path(rows)
+        assert str(got.value) == str(expected.value)
+    data = tmp_path / "quarters.csv"
+    year, quarter = rows.period // 4, rows.period % 4 + 1
+    data.write_text("firm_id,year,quarter,size\n" + "".join(
+        f"{f},{y},{q},{s!r}\n" for f, y, q, s in zip(rows.firm_id, year, quarter, rows.size.tolist())
+    ))
+    with pytest.raises(ValueError, match=r"duplicate observation for \(") as got:
+        ingest_csv(data)
+    assert cited_rows(str(got.value)) == (301, 251)
 
 
 @pytest.mark.parametrize("seed", [4, 5])

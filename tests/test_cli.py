@@ -319,6 +319,17 @@ class TestFit:
         data.write_text(header + "0.25,1\n")
         assert _read_samples(data).tolist() == [0.25]
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_mig_non_finite_sample_exits_1_and_writes_nothing(self, tmp_path, capsys, bad):
+        samples = np.exp(np.random.default_rng(0).normal(0.0, 0.5, 500)).tolist()
+        data = tmp_path / "samples.csv"
+        data.write_text("\n".join([*map(repr, samples), bad]) + "\n")
+        out = tmp_path / "fit"
+        argv = ["fit", "--family", "mig", "--input", str(data), "--out-dir", str(out)]
+        assert main(argv) == 1
+        assert "samples must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_family_or_input(self, tmp_path):
         cfg = write_config(tmp_path, "[run]\n")
         assert main(["--config", cfg, "fit", "--input", "nope.csv"]) == 1  # family unset
@@ -635,6 +646,40 @@ class TestConfig:
         body = ALL_SECTIONS_CFG.format(out=out) + "\n[ingets]\nmin_growth_obs = 3\n"
         assert main(["--config", write_config(tmp_path, body), "simulate"]) == 1
         assert "unknown section [ingets]; accepted: run, model" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_default_key_is_no_simulate_setting(self, tmp_path):
+        out = tmp_path / "out"
+        body = (f"[DEFAULT]\nn_firms = 5\n\n[run]\nout_dir = {out}\n\n"
+                "[model]\nmu = 1.5\nalpha = 1.2\n\n[simulate]\nn_periods = 3\n")
+        assert main(["--config", write_config(tmp_path, body), "simulate"]) == 0
+        assert len((out / "panel.csv").read_text().splitlines()) == 1 + 1000 * 3
+
+    def test_section_key_wins_over_default_key(self, tmp_path):
+        out = tmp_path / "rep"
+        body = (f"[DEFAULT]\nn_per_k = 5\n\n[run]\nout_dir = {out}\n\n"
+                "[reproduce]\nn_per_k = 200\n")
+        assert main(["--config", write_config(tmp_path, body), "reproduce", "prop2_scaling"]) == 0
+        result = json.loads((out / "prop2_scaling_result.json").read_text())
+        assert result["scalars"]["n_per_k"] == 200
+
+    def test_default_seed_keeps_the_reference_seed(self, tmp_path):
+        seeds = []
+        for default in ("", "[DEFAULT]\nseed = 5\n\n"):
+            out = tmp_path / f"rep{len(seeds)}"
+            body = f"{default}[run]\nout_dir = {out}\n\n[reproduce]\nn_per_k = 200\n"
+            cfg = write_config(tmp_path, body)
+            assert main(["--config", cfg, "reproduce", "prop2_scaling"]) == 0
+            result = json.loads((out / "prop2_scaling_result.json").read_text())
+            seeds.append(result["_meta"]["seed"])
+        assert seeds[0] == seeds[1] != 5
+
+    def test_misspelt_key_shadowing_a_default_key_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        body = (f"[DEFAULT]\nn_firm = 3\n\n[run]\nout_dir = {out}\n\n"
+                "[model]\nmu = 1.5\nalpha = 1.2\n\n[simulate]\nn_firm = 5\n")
+        assert main(["--config", write_config(tmp_path, body), "simulate"]) == 1
+        assert "unknown [simulate] key(s) n_firm; accepted: " in capsys.readouterr().err
         assert not out.exists()
 
     def test_default_keys_load(self, tmp_path):

@@ -154,6 +154,15 @@ class TestMigMle:
         with pytest.raises(ValueError):
             fit_mig_mle(np.concatenate([np.full(200, 0.5), [-1.0]]))
 
+    @pytest.mark.parametrize("bad, message", [
+        (np.nan, "samples must be finite"), (np.inf, "samples must be finite"),
+        (-np.inf, "samples must be positive"), (0.0, "samples must be positive"),
+    ])
+    def test_non_finite_rejected(self, bad, message):
+        x = np.exp(np.random.default_rng(3).normal(0.0, 0.5, 500))
+        with pytest.raises(ValueError, match=message):
+            fit_mig_mle(np.append(x, bad))
+
 
 class TestGseNls:
     def test_zero_residual_self_fit(self):

@@ -121,6 +121,16 @@ class TestDeflate:
         d = DeflatorSeries.from_csv(path)
         assert d.lookup(2000, 2) == pytest.approx(0.9)
 
+    @pytest.mark.parametrize("index, message", [
+        ("inf", "non-finite index inf"), ("nan", "non-finite index nan"),
+        ("-inf", "non-positive index"), ("0", "non-positive index"),
+    ])
+    def test_from_csv_rejects_bad_index_citing_its_row(self, tmp_path, index, message):
+        path = tmp_path / "deflator.csv"
+        path.write_text(f"year,quarter,index\n2000,1,0.8\n2000,2,{index}\n")
+        with pytest.raises(ValueError, match=f"^deflator row 2: {message}$"):
+            DeflatorSeries.from_csv(path)
+
     def test_from_csv_rejects_repeated_quarter(self, tmp_path):
         path = tmp_path / "deflator.csv"
         path.write_text("year,quarter,index\n2000,1,0.8\n2000,2,0.9\n2000,1,0.85\n")
