@@ -10,7 +10,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from firmgrowth.groups import Groups
 
@@ -228,14 +227,24 @@ def _kde_binned(samples, grid, h):
 def _convolve_same(a, kernel):
     """``scipy.signal.fftconvolve(a, kernel, mode="same")`` for 1-D real arrays.
 
-    The same transforms in the same order, so the result is bit-identical;
-    written out with ``scipy.fft`` because importing ``scipy.signal`` costs
-    about a second (it loads ``scipy.stats``, ``interpolate`` and ``optimize``).
+    The same real transforms at the same length, so the result is bit-identical
+    (NumPy 2's pocketfft gives ``scipy.fft``'s bits); no SciPy module loads.
     """
     n = a.size + kernel.size - 1
-    nfft = scipy.fft.next_fast_len(n, True)
-    full = scipy.fft.irfft(scipy.fft.rfft(a, nfft) * scipy.fft.rfft(kernel, nfft), nfft)
+    nfft = _next_fast_len(n)
+    full = np.fft.irfft(np.fft.rfft(a, nfft) * np.fft.rfft(kernel, nfft), nfft)
     return full[(n - a.size) // 2 :][: a.size]
+
+
+def _next_fast_len(n):
+    """The smallest ``2**a * 3**b * 5**c >= n``, as ``scipy.fft.next_fast_len(n, True)``."""
+    best, p5 = 1 << (n - 1).bit_length(), 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:  # the least power of two that takes p35 to n or beyond
+            best, p35 = min(best, p35 << (-(-n // p35) - 1).bit_length()), p35 * 3
+        p5 *= 5
+    return best
 
 
 # ---------------------------------------------------------------------------

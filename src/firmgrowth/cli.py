@@ -64,6 +64,10 @@ def load_config(path):
     if path is not None:
         try:
             found = cfg.read(path)
+            for name in cfg.sections():  # interpolate every value here, before any work
+                cfg.items(name)
+        except configparser.InterpolationError as exc:
+            raise ValidationError(f"[{exc.section}] {exc.option}: {exc.message}") from None
         except configparser.Error as exc:
             raise ValidationError(str(exc)) from None
         if not found:

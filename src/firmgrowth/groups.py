@@ -55,11 +55,14 @@ class Groups:
         strictly increase within a firm with no repeat, so the partner is at most `lag`
         positions on.  With lag 0 it is the next row of a repeat."""
         p = np.asarray(period)[self.order]
-        group = np.repeat(np.arange(self.keys.size), self.counts)
         later = np.full(p.size, -1)
+        same = np.ones(p.size, dtype=bool)
         for d in range(1, max(lag, 1) + 1):
+            # same[i]: positions i and i + d of `order` hold rows of one group
+            same = same[:-1]
+            same[self.starts[self.starts >= d] - d] = False
             # a step within a group that wraps round int64 turns negative, never a lag
-            found = np.flatnonzero((group[d:] == group[:-d]) & (p[d:] - p[:-d] == lag))
+            found = np.flatnonzero(same & (p[d:] - p[:-d] == lag))
             later[self.order[found]] = self.order[found + d]
         return later
 

@@ -259,6 +259,15 @@ class TestKde:
         got = _convolve_same(weights, kernel)
         assert got.tobytes() == fftconvolve(weights, kernel, mode="same").tobytes()
 
+    def test_fast_length_matches_scipy(self):
+        # SciPy is the oracle here only; the package computes the length itself
+        from scipy.fft import next_fast_len
+
+        from firmgrowth.analysis import _next_fast_len
+
+        for n in [*range(1, (1 << 17) + 1), *range(1 << 20, (1 << 20) + 5_000)]:
+            assert _next_fast_len(n) == next_fast_len(n, True), n
+
     def test_bandwidth_matches_rule(self):
         rng = np.random.default_rng(8)
         x = rng.standard_normal(4096)

@@ -687,6 +687,19 @@ class TestConfig:
         assert main(["--config", write_config(tmp_path, body), "simulate"]) == 0
         assert (tmp_path / "out" / "panel.csv").exists()
 
+    # configparser reads '%' as interpolation; a lone one is a config error, not a runtime one
+    @pytest.mark.parametrize("body, command, where", [
+        ("[fit]\ninput = nan%.csv\n", ["fit", "--family", "mig"], "[fit] input"),
+        (SIM_CFG.format(out="o%x"), ["simulate"], "[run] out_dir"),
+    ], ids=["fit_input", "out_dir"])
+    def test_lone_percent_exits_1_naming_the_key(self, tmp_path, capsys, monkeypatch, body,
+                                                 command, where):
+        monkeypatch.chdir(tmp_path)
+        assert main(["--config", write_config(tmp_path, body), *command]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {where}: '%' must be followed by")
+        assert [p.name for p in tmp_path.iterdir()] == ["config.ini"]
+
     @pytest.mark.parametrize("value, retained", [
         ("on", 3), ("1", 3), ("yes", 3), ("true", 3),
         ("off", 4), ("0", 4), ("no", 4), ("false", 4),

@@ -1,9 +1,13 @@
 """Which SciPy submodules each CLI step loads.
 
 The package imports only the ``scipy`` package at top level; a submodule
-loads the first time one of its attributes is used.  Loading
-``scipy.signal`` alone takes about a second (it pulls in ``scipy.stats``,
-``interpolate`` and ``optimize``), which is most of a short CLI step.
+loads the first time one of its attributes is used.  Importing a SciPy
+submodule costs more than most of the work of a short CLI step: loading
+``scipy.signal`` takes about a second (it pulls in ``scipy.stats``,
+``interpolate`` and ``optimize``), and ``scipy.special`` or ``scipy.fft``
+load SciPy's array-API layer, which pulls in ``numpy.f2py`` and
+``numpy.testing``.  So ``ingest`` and ``analyze`` (whose binned KDE runs on
+``numpy.fft``) load none, and ``simulate`` loads ``scipy.special`` only.
 Each case runs in a fresh interpreter and reports the ``scipy.*`` modules
 it ended with.
 """
@@ -22,11 +26,12 @@ import firmgrowth
 SRC = str(Path(firmgrowth.__file__).resolve().parents[1])
 
 
-def scipy_modules(code):
-    """The ``scipy.*`` modules loaded after running `code` in a fresh interpreter."""
+def scipy_modules(code, also=()):
+    """The ``scipy.*`` modules, and those of the modules named in `also`, loaded after
+    running `code` in a fresh interpreter."""
     script = code + (
-        "\nimport json, sys"
-        "\nprint(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy.'))))"
+        f"\nimport json, sys\nalso = {list(also)!r}"
+        "\nprint(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy.') or m in also)))"
     )
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -67,7 +72,7 @@ def test_ingest_loads_no_scipy_submodule(tmp_path, bare_scipy):
     assert scipy_modules(run_cli(argv)) == bare_scipy
 
 
-def test_analyze_loads_neither_signal_nor_stats(tmp_path):
+def test_analyze_loads_neither_signal_nor_stats(tmp_path, bare_scipy):
     # enough firms that the rescaled-volatility KDE takes the binned FFT path
     rng = np.random.default_rng(2)
     n_firms, n_periods = 12_000, 3
@@ -80,6 +85,17 @@ def test_analyze_loads_neither_signal_nor_stats(tmp_path):
         + "".join(f"{f},{p},{s!r}\n" for f, p, s in zip(firm_id, period, size.tolist()))
     )
     argv = ["analyze", "--panel", str(panel), "--out-dir", str(tmp_path / "out")]
-    loaded = scipy_modules(run_cli(argv))
-    assert "scipy.fft" in loaded  # the binned KDE ran
-    assert not {m for m in loaded if m.split(".")[1] in ("signal", "stats")}
+    loaded = scipy_modules(run_cli(argv), also=["numpy.fft"])
+    # the binned KDE ran: nothing else loads numpy.fft
+    assert loaded == bare_scipy | {"numpy.fft"}
+
+
+def test_simulate_loads_special_but_neither_fft_nor_optimize(tmp_path):
+    cfg = tmp_path / "sim.ini"
+    cfg.write_text(
+        f"[run]\nout_dir = {tmp_path / 'out'}\n\n[model]\nmu = 1.5\nalpha = 1.2\n\n"
+        "[simulate]\nn_firms = 50\nn_periods = 3\n"
+    )
+    loaded = scipy_modules(run_cli(["--config", str(cfg), "simulate"]))
+    assert "scipy.special" in loaded
+    assert not {m for m in loaded if m.split(".")[1] in ("fft", "optimize")}
