@@ -13,6 +13,7 @@ import configparser
 import hashlib
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -147,17 +148,27 @@ def model_params_from_config(cfg):
 # Output helpers
 # ---------------------------------------------------------------------------
 
-def _fmt(value):
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
+_CSV_CHUNK = 1 << 13
 
 
-def write_table_csv(path, header, rows, meta=None):
-    with open(path, "w") as fh:
+def write_table_csv(path, header, columns, meta=None, newline="\n"):
+    """Write equal-length `columns` (arrays, lists or tuples) under `header`: the one CSV writer.
+
+    Each value is written unquoted as ``str(value)``, so floats, Python or
+    NumPy, keep their full ``repr`` precision.  Rows are formatted 8,192 at a
+    time, one ``%``-format per chunk.  `newline` ends each line: CRLF only in
+    descriptive_stats.csv, the ending its first writer (csv.DictWriter) gave it.
+    With `meta`, a ``.meta.json`` sidecar is written next to the file.
+    """
+    n_rows = len(columns[0]) if columns else 0  # a table of no rows may come as no columns
+    line = ",".join(["%s"] * len(columns)) + "\n"
+    with open(path, "w", newline=newline) as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for lo in range(0, n_rows, _CSV_CHUNK):
+            block = np.empty((min(_CSV_CHUNK, n_rows - lo), len(columns)), dtype=object)
+            for j, col in enumerate(columns):
+                block[:, j] = col[lo : lo + _CSV_CHUNK]
+            fh.write(line * len(block) % tuple(block.ravel()))
     if meta is not None:
         write_json(Path(str(path) + ".meta.json"), meta)
 
@@ -214,7 +225,9 @@ def cmd_simulate(cfg, args):
     out_dir.mkdir(parents=True, exist_ok=True)
     panel, clamp_count = simulate_panel(params, n_firms, n_periods, seed)
     panel_path = out_dir / "panel.csv"
-    panel.write_csv(panel_path)
+    write_table_csv(
+        panel_path, ["firm_id", "period", "size"], [panel.firm_id, panel.period, panel.size]
+    )
     meta = _meta(cfg, seed, {
         "params": params.to_dict(),
         "n_firms": n_firms,
@@ -259,30 +272,22 @@ def cmd_analyze(cfg, args):
 
     # every table is computed above, so a failure leaves no partial bundle
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_table_csv(
-        out_dir / "binned_stats.csv",
-        ["bin", "mean_size", "n"] + [f"q{q}" for q in q_list],
-        zip(bins.keys, mean_size, bins.counts, *(moments[q] for q in q_list)),
-        meta=_meta(cfg, seed),
-    )
-    rows = [[b, v] for b, r in enumerate(rescaled) for v in r]
-    write_table_csv(out_dir / "collapse.csv", ["bin", "rescaled_vol"], rows, meta=_meta(cfg, seed))
-    write_table_csv(
-        out_dir / "rescaled_vol_density.csv",
-        ["x", "density"],
-        list(zip(dens.grid, dens.values)),
-        meta=_meta(cfg, seed),
-    )
+    meta = _meta(cfg, seed)
+    tables = {
+        "binned_stats": (["bin", "mean_size", "n"] + [f"q{q}" for q in q_list],
+                         [bins.keys, mean_size, bins.counts, *(moments[q] for q in q_list)]),
+        "collapse": (["bin", "rescaled_vol"],
+                     [np.repeat(np.arange(len(rescaled)), [r.size for r in rescaled]), pooled]),
+        "rescaled_vol_density": (["x", "density"], [dens.grid, dens.values]),
+        "exponent_profile": (["q", "slope", "se", "r2"], list(zip(*(
+            [q, profile[q].slope, profile[q].slope_se, profile[q].r_squared] for q in q_list)))),
+    }
+    for name, (header, columns) in tables.items():
+        write_table_csv(out_dir / f"{name}.csv", header, columns, meta=meta)
     write_json(
         out_dir / "scaling_fits.json",
         {"_meta": _meta(cfg, seed, {"dropped_firms": dropped}),
          "fits": {str(q): profile[q].to_dict() for q in q_list}},
-    )
-    write_table_csv(
-        out_dir / "exponent_profile.csv",
-        ["q", "slope", "se", "r2"],
-        [[q, profile[q].slope, profile[q].slope_se, profile[q].r_squared] for q in q_list],
-        meta=_meta(cfg, seed),
     )
     print(f"wrote analysis bundle to {out_dir} ({len(vols)} firms, {dropped} dropped)")
     return EXIT_OK
@@ -297,7 +302,32 @@ def _read_samples(path):
         skip = 0
     except ValueError:
         skip = 1
-    return np.loadtxt(path, delimiter=",", usecols=0, skiprows=skip, ndmin=1)
+    with warnings.catch_warnings():  # no data rows raises below instead
+        warnings.simplefilter("ignore", UserWarning)
+        samples = np.loadtxt(path, delimiter=",", usecols=0, skiprows=skip, ndmin=1)
+    if samples.size == 0:
+        raise ValidationError(f"fit input {path} has no data rows")
+    return samples
+
+
+def _read_density(path):
+    """The x and density columns, found by name in the header, of a CSV of finite numbers."""
+    with open(path) as fh:
+        header = [name.strip() for name in fh.readline().split(",")]
+        if "x" not in header or "density" not in header:
+            raise ValidationError("gse input needs columns x,density")
+        cols = (header.index("x"), header.index("density"))
+        with warnings.catch_warnings():  # no data rows raises below instead
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.genfromtxt(fh, delimiter=",", usecols=cols, ndmin=2)
+    if data.size == 0:
+        raise ValidationError(f"fit input {path} has no data rows")
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if bad.size:
+        raise ValidationError(
+            f"fit input {path}, row {bad[0] + 1}: x and density must be finite numbers"
+        )
+    return DensityEstimate(data[:, 0], data[:, 1])
 
 
 def cmd_fit(cfg, args):
@@ -313,11 +343,7 @@ def cmd_fit(cfg, args):
     if family == "mig":
         fit = estimation.fit_mig_mle(_read_samples(input_path))
     else:
-        data = np.genfromtxt(input_path, delimiter=",", names=True)
-        if "x" not in data.dtype.names or "density" not in data.dtype.names:
-            raise ValidationError("gse input needs columns x,density")
-        dens = DensityEstimate(data["x"], data["density"])
-        fit = estimation.fit_gse_nls(dens)
+        fit = estimation.fit_gse_nls(_read_density(input_path))
 
     out_dir.mkdir(parents=True, exist_ok=True)
     out = dict(fit.to_dict())
@@ -354,10 +380,15 @@ def cmd_ingest(cfg, args):
         raise ValidationError("no observations survive the filters")
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    panel_mod.write_growth_csv(growths, out_dir / "growth.csv")
-    write_json(Path(str(out_dir / "growth.csv") + ".meta.json"), _meta(cfg, seed))
-    panel_mod.write_stats_csv(
-        panel_mod.descriptive_stats(panel, growths), out_dir / "descriptive_stats.csv"
+    write_table_csv(
+        out_dir / "growth.csv", ["firm_id", "year", "quarter", "g"],
+        [growths.firm_id, *panel_mod.year_quarter(growths.period), growths.growth],
+        meta=_meta(cfg, seed),
+    )
+    stats = panel_mod.descriptive_stats(panel, growths)  # one dict per row, keyed by column
+    write_table_csv(
+        out_dir / "descriptive_stats.csv", list(stats[0]), list(zip(*map(dict.values, stats))),
+        newline="\r\n",
     )
     write_json(
         out_dir / "exclusions.json",
@@ -382,7 +413,7 @@ def cmd_reproduce(cfg, args):
     out_dir.mkdir(parents=True, exist_ok=True)
     meta = _meta(cfg, result.seed, {"experiment": name})
     for table_name, (header, rows) in result.tables.items():
-        write_table_csv(out_dir / f"{name}_{table_name}.csv", header, rows, meta=meta)
+        write_table_csv(out_dir / f"{name}_{table_name}.csv", header, list(zip(*rows)), meta=meta)
     write_json(
         out_dir / f"{name}_result.json",
         {

@@ -23,6 +23,7 @@ from __future__ import annotations
 import copy
 import math
 import os
+import warnings
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -349,17 +350,6 @@ def draw_population(params: ModelParams, n_firms, rng) -> FirmPopulation:
 # ---------------------------------------------------------------------------
 
 _PANEL_COLUMNS = [("firm_id", np.int64), ("period", np.int64), ("size", float)]
-_CSV_CHUNK = 1 << 13
-
-
-def row_chunks(*columns):
-    """The rows of equal-length `columns` as tuples of Python scalars, 8,192 at a time.
-
-    A CSV writer joins one chunk's lines per write, so the Python objects it
-    holds stay near 1 MB however long the table is.
-    """
-    for lo in range(0, len(columns[0]), _CSV_CHUNK):
-        yield zip(*(col[lo : lo + _CSV_CHUNK].tolist() for col in columns))
 
 
 @dataclass
@@ -404,31 +394,24 @@ class Panel:
             None if months is None else months[mask],
         )
 
-    def write_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("firm_id,period,size\n")
-            for rows in row_chunks(self.firm_id, self.period, self.size):
-                fh.write("".join([f"{i},{t},{s!r}\n" for i, t, s in rows]))
-
     @classmethod
     def read_csv(cls, path):
         """Read a panel CSV whose header names the three columns, in any order.
 
         Every size must be a positive finite number; the first that is not
-        raises ValueError with its 1-based data row.
+        raises ValueError with its 1-based data row, as does a file of no rows.
         """
         with open(path) as fh:
             header = [name.strip() for name in fh.readline().split(",")]
             missing = [name for name, _ in _PANEL_COLUMNS if name not in header]
             if missing:
                 raise ValueError(f"panel CSV {path} lacks column(s) {', '.join(missing)}")
-            rows = np.loadtxt(
-                fh,
-                delimiter=",",
-                usecols=[header.index(name) for name, _ in _PANEL_COLUMNS],
-                dtype=_PANEL_COLUMNS,
-                ndmin=1,
-            )
+            cols = [header.index(name) for name, _ in _PANEL_COLUMNS]
+            with warnings.catch_warnings():  # no data rows raises below instead
+                warnings.simplefilter("ignore", UserWarning)
+                rows = np.loadtxt(fh, delimiter=",", usecols=cols, dtype=_PANEL_COLUMNS, ndmin=1)
+        if rows.size == 0:
+            raise ValueError(f"panel CSV {path} has no data rows")
         bad = np.flatnonzero(~(np.isfinite(rows["size"]) & (rows["size"] > 0)))
         if bad.size:
             raise ValueError(

@@ -19,7 +19,7 @@ import numpy as np
 
 from firmgrowth.estimation import firm_groups, mad_volatility
 from firmgrowth.groups import Groups
-from firmgrowth.model import Panel, row_chunks
+from firmgrowth.model import Panel
 
 DEFAULT_SCHEMA = {
     "firm_id": "firm_id",
@@ -155,7 +155,7 @@ def _check_repeats(firm_ids, periods):
     _, repeat = Groups.by_firm(codes, periods)
     if repeat:
         first, second = repeat
-        key = (firm_ids[first], *_year_quarter(int(periods[first])))
+        key = (firm_ids[first], *year_quarter(int(periods[first])))
         raise ValueError(
             f"row {second + 1}: duplicate observation for {key} (first seen at row {first + 1})"
         )
@@ -204,11 +204,12 @@ class DeflatorSeries:
 def deflate(panel: Panel, deflator: DeflatorSeries) -> Panel:
     """Real sizes: nominal divided by the period's price index."""
     periods, period_of_row = np.unique(panel.period, return_inverse=True)
-    index = np.array([deflator.lookup(*_year_quarter(p)) for p in periods.tolist()])
+    index = np.array([deflator.lookup(*year_quarter(p)) for p in periods.tolist()])
     return replace(panel, size=panel.size / index[period_of_row])
 
 
-def _year_quarter(period):
+def year_quarter(period):
+    """The year and quarter (1-4) of a period index ``4 * year + quarter - 1``, or of an array."""
     year, q = divmod(period, 4)
     return year, q + 1
 
@@ -333,19 +334,3 @@ def descriptive_stats(panel: Panel, growths: GrowthRecords):
         _stat_row("growth_volatility_mad", vols),
         _stat_row("n_growth_rates_per_firm", firms.counts),
     ]
-
-
-def write_stats_csv(rows, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["variable", "n", "mean", "sd", "min", "max"])
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
-
-
-def write_growth_csv(growths: GrowthRecords, path):
-    with open(path, "w") as fh:
-        fh.write("firm_id,year,quarter,g\n")
-        year, quarter = _year_quarter(growths.period)
-        for rows in row_chunks(growths.firm_id, year, quarter, growths.growth):
-            fh.write("".join([f"{f},{y},{q},{g!r}\n" for f, y, q, g in rows]))

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,15 @@ def bin_calls(monkeypatch):
 
     monkeypatch.setattr(analysis, "equal_count_bins", counted)
     return calls
+
+
+def main_without_warnings(argv):
+    """main(argv)'s exit code, asserting that it raised no warning (NumPy's print to stderr)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert not [str(w.message) for w in caught]
+    return code
 
 
 def write_config(tmp_path, body):
@@ -216,6 +226,14 @@ class TestAnalyze:
         assert main(["--config", cfg, "analyze"]) == 1
         assert "row 10: size" in capsys.readouterr().err
 
+    def test_header_only_panel_exits_1_without_a_warning(self, tmp_path, capsys):
+        panel = tmp_path / "panel.csv"
+        panel.write_text("firm_id,period,size\n")
+        out = tmp_path / "out"
+        assert main_without_warnings(["analyze", "--panel", str(panel), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: panel CSV {panel} has no data rows\n"
+        assert not out.exists()
+
     def test_missing_panel_is_error(self, tmp_path):
         cfg = write_config(tmp_path, SIM_CFG.format(out=tmp_path / "out"))
         assert main(["--config", cfg, "analyze"]) == 1
@@ -328,6 +346,36 @@ class TestFit:
         argv = ["fit", "--family", "mig", "--input", str(data), "--out-dir", str(out)]
         assert main(argv) == 1
         assert "samples must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("body", ["", "value\n", "value\n\n"])
+    def test_mig_input_without_data_rows_exits_1_without_a_warning(self, tmp_path, capsys, body):
+        data = tmp_path / "samples.csv"
+        data.write_text(body)
+        out = tmp_path / "fit"
+        argv = ["fit", "--family", "mig", "--input", str(data), "--out-dir", str(out)]
+        assert main_without_warnings(argv) == 1
+        assert capsys.readouterr().err == f"error: fit input {data} has no data rows\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("body, message", [
+        ("", "gse input needs columns x,density"),
+        ("x,density\n", "fit input {data} has no data rows"),
+        ("x,density\n0.5,0.1\n", "grid must cover [-8.0, 8.0]"),
+        ("x,density\n-9,0.1\nabc,0.2\n9,0.1\n",
+         "fit input {data}, row 2: x and density must be finite numbers"),
+        ("density,x\n0.1,-9\n\n0.1,0\nabc,3\n0.1,9\n",
+         "fit input {data}, row 3: x and density must be finite numbers"),
+        ("x,density\n-9,0.1\n0,nan\n9,0.1\n",
+         "fit input {data}, row 2: x and density must be finite numbers"),
+    ], ids=["empty", "header_only", "one_row", "bad_x", "bad_density_blank_line", "nan_density"])
+    def test_bad_gse_input_exits_1_naming_its_cause(self, tmp_path, capsys, body, message):
+        data = tmp_path / "density.csv"
+        data.write_text(body)
+        out = tmp_path / "fit"
+        argv = ["fit", "--family", "gse", "--input", str(data), "--out-dir", str(out)]
+        assert main_without_warnings(argv) == 1
+        assert capsys.readouterr().err == f"error: {message.format(data=data)}\n"
         assert not out.exists()
 
     def test_bad_family_or_input(self, tmp_path):

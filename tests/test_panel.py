@@ -10,8 +10,6 @@ from firmgrowth.panel import (
     filter_firms,
     ingest_csv,
     normalize_by_year,
-    write_growth_csv,
-    write_stats_csv,
 )
 
 
@@ -289,14 +287,3 @@ class TestDescriptiveStats:
         stats = descriptive_stats(panel, annual_log_growth(panel))
         count_row = next(r for r in stats if r["variable"] == "n_growth_rates_per_firm")
         assert count_row["mean"] == pytest.approx(n_quarters - 4)
-
-    def test_csv_writers(self, tmp_path):
-        rows = quarterly_firm("f1", [1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7])
-        panel = make_panel(rows)
-        write_stats_csv(descriptive_stats(panel, annual_log_growth(panel)), tmp_path / "stats.csv")
-        write_growth_csv(annual_log_growth(panel), tmp_path / "growth.csv")
-        stats_text = (tmp_path / "stats.csv").read_text().splitlines()
-        assert stats_text[0] == "variable,n,mean,sd,min,max"
-        growth_text = (tmp_path / "growth.csv").read_text().splitlines()
-        assert growth_text[0] == "firm_id,year,quarter,g"
-        assert len(growth_text) == 1 + 4
