@@ -43,7 +43,7 @@ targets = [
 print("\nlog-log slopes vs K:")
 for name, values, theory in targets:
     fit = loglog_ols(ks, values)
-    print(f"  {name:<14} measured {fit.slope:+.3f} (se {fit.slope_se:.3f}),"
+    print(f"  {name:<14} measured {fit.slope:+.3f} (se {fit.se:.3f}),"
           f" theory {theory:+.3f}")
 
 print(

@@ -42,7 +42,7 @@ print("(interior bins collapse; the outermost bins keep the ranking artifacts"
 
 pooled = np.concatenate(rescaled[6:])
 fit = fit_mig_mle(pooled)
-p, se = fit.params, fit.standard_errors
+p, se = fit.params, fit.se
 print("\nmodified inverse gamma fit of the pooled rescaled volatilities:")
 print(f"  scale    {p['scale']:.3f} ({se['scale']:.3f})")
 print(f"  shape    {p['shape']:.3f} ({se['shape']:.3f})")

@@ -31,7 +31,6 @@ from firmgrowth.model import (
     ParetoCount,
     aggregate_firms,
     draw_population,
-    firm_stream,
     fraction_few_subunits,
     simulate_panel,
 )

@@ -91,16 +91,8 @@ def binned_volatility_moments(bins, sizes, vols, q_list):
 class ScalingFit:
     slope: float
     intercept: float
-    slope_se: float
-    r_squared: float
-
-    def to_dict(self):
-        return {
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "se": self.slope_se,
-            "r2": self.r_squared,
-        }
+    se: float  # of the slope
+    r2: float
 
 
 def loglog_ols(x, y):

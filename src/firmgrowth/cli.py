@@ -14,6 +14,7 @@ import hashlib
 import json
 import sys
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,9 @@ import numpy as np
 from firmgrowth import __version__, analysis, estimation
 from firmgrowth.analysis import DensityEstimate
 from firmgrowth.experiments import EXPERIMENTS, run_experiment
-from firmgrowth.model import FixedCount, ModelParams, Panel, ParetoCount, simulate_panel
+from firmgrowth.model import (
+    FixedCount, ModelParams, Panel, ParetoCount, load_csv_rows, simulate_panel,
+)
 from firmgrowth import panel as panel_mod
 
 EXIT_OK = 0
@@ -174,32 +177,24 @@ def write_table_csv(path, header, columns, meta=None, newline="\n"):
 
 
 def _nan_to_null(o):
-    # strict JSON has no NaN or Infinity tokens: write non-finite floats as null
+    # a NumPy scalar becomes its Python value, and a non-finite float null,
+    # because strict JSON has no NaN or Infinity tokens
     if isinstance(o, dict):
         return {k: _nan_to_null(v) for k, v in o.items()}
     if isinstance(o, np.ndarray):
         o = o.tolist()
     if isinstance(o, (list, tuple)):
         return [_nan_to_null(v) for v in o]
-    if isinstance(o, (float, np.floating)) and not np.isfinite(o):
+    if isinstance(o, np.generic):
+        o = o.item()
+    if isinstance(o, float) and not np.isfinite(o):
         return None
     return o
 
 
 def write_json(path, payload):
-    def default(o):
-        if isinstance(o, (np.integer,)):
-            return int(o)
-        if isinstance(o, (np.floating,)):
-            return float(o)
-        if isinstance(o, (np.bool_,)):
-            return bool(o)
-        raise TypeError(f"cannot serialize {type(o)}")
-
     with open(path, "w") as fh:
-        json.dump(
-            _nan_to_null(payload), fh, indent=2, sort_keys=True, default=default, allow_nan=False
-        )
+        json.dump(_nan_to_null(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -280,14 +275,14 @@ def cmd_analyze(cfg, args):
                      [np.repeat(np.arange(len(rescaled)), [r.size for r in rescaled]), pooled]),
         "rescaled_vol_density": (["x", "density"], [dens.grid, dens.values]),
         "exponent_profile": (["q", "slope", "se", "r2"], list(zip(*(
-            [q, profile[q].slope, profile[q].slope_se, profile[q].r_squared] for q in q_list)))),
+            [q, profile[q].slope, profile[q].se, profile[q].r2] for q in q_list)))),
     }
     for name, (header, columns) in tables.items():
         write_table_csv(out_dir / f"{name}.csv", header, columns, meta=meta)
     write_json(
         out_dir / "scaling_fits.json",
         {"_meta": _meta(cfg, seed, {"dropped_firms": dropped}),
-         "fits": {str(q): profile[q].to_dict() for q in q_list}},
+         "fits": {str(q): asdict(profile[q]) for q in q_list}},
     )
     print(f"wrote analysis bundle to {out_dir} ({len(vols)} firms, {dropped} dropped)")
     return EXIT_OK
@@ -302,9 +297,7 @@ def _read_samples(path):
         skip = 0
     except ValueError:
         skip = 1
-    with warnings.catch_warnings():  # no data rows raises below instead
-        warnings.simplefilter("ignore", UserWarning)
-        samples = np.loadtxt(path, delimiter=",", usecols=0, skiprows=skip, ndmin=1)
+    samples = load_csv_rows(path, f"fit input {path}", usecols=0, skiprows=skip)
     if samples.size == 0:
         raise ValidationError(f"fit input {path} has no data rows")
     return samples
@@ -346,7 +339,7 @@ def cmd_fit(cfg, args):
         fit = estimation.fit_gse_nls(_read_density(input_path))
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    out = dict(fit.to_dict())
+    out = asdict(fit)
     out["_meta"] = _meta(cfg, seed, {"family": family})
     path = out_dir / f"fit_{family}.json"
     write_json(path, out)
@@ -418,7 +411,7 @@ def cmd_reproduce(cfg, args):
         out_dir / f"{name}_result.json",
         {
             "_meta": meta,
-            "checks": [c.to_dict() for c in result.checks],
+            "checks": [asdict(c) for c in result.checks],
             "scalars": result.scalars,
             "passed": result.passed,
         },

@@ -7,7 +7,7 @@ squares against a kernel density estimate).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy
@@ -127,19 +127,10 @@ def firm_size_volatility(firm_id, period, size):
 @dataclass
 class FitResult:
     params: dict
-    standard_errors: dict | None
+    se: dict | None
     objective: float
     n_obs: int
     converged: bool
-
-    def to_dict(self):
-        return {
-            "params": self.params,
-            "se": self.standard_errors,
-            "objective": self.objective,
-            "n_obs": self.n_obs,
-            "converged": self.converged,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +222,7 @@ def fit_mig_mle(samples) -> FitResult:
     objective = float(min(res.fun, nll0))
     converged = bool(res.success and res.fun <= nll0)
 
-    names = ("scale", "shape", "location")
+    names = [f.name for f in fields(MigParams)]
     se = None
     if converged:
         # a location estimate on its boundary has no Wald standard error:
@@ -255,7 +246,7 @@ def fit_mig_mle(samples) -> FitResult:
             converged = False
     return FitResult(
         params=dict(zip(names, map(float, theta))),
-        standard_errors=se,
+        se=se,
         objective=objective,
         n_obs=int(x.size),
         converged=converged,
@@ -317,7 +308,7 @@ def fit_gse_nls(density: DensityEstimate) -> FitResult:
     sse = float(2.0 * res.cost)
     converged = res.status > 0
 
-    names = ("amplitude", "core_width", "center", "crossover", "stretch")
+    names = [f.name for f in fields(GseParams)]
     se = None
     if converged and x.size > 5:
         jac = res.jac
@@ -330,7 +321,7 @@ def fit_gse_nls(density: DensityEstimate) -> FitResult:
             se = None
     return FitResult(
         params=dict(zip(names, map(float, res.x))),
-        standard_errors=se,
+        se=se,
         objective=sse,
         n_obs=int(x.size),
         converged=bool(converged),

@@ -10,7 +10,7 @@ deterministic functions of their seed.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 import scipy
@@ -30,13 +30,7 @@ from firmgrowth.model import (
 # Published reference fit for the heterogeneously rescaled growth rates of
 # the US public-company panel (not reproducible from synthetic data; recorded
 # for side-by-side reporting in the table1 recipe).
-GSE_REFERENCE_HETEROGENEOUS = {
-    "amplitude": 0.483,
-    "core_width": 0.894,
-    "center": -0.006,
-    "crossover": 1.905,
-    "stretch": 0.377,
-}
+GSE_REFERENCE_HETEROGENEOUS = GseParams(0.483, 0.894, -0.006, 1.905, 0.377)
 # Published rescaled-volatility fit (scale, shape, location) for the same
 # panel; also the generator used by the mixture experiments below.
 MIG_REFERENCE = MigParams(4.788, 4.620, 0.326)
@@ -58,15 +52,6 @@ class Check:
     @classmethod
     def below(cls, name, value, limit):
         return cls(name, float(value), float(limit), 0.0, bool(value < limit))
-
-    def to_dict(self):
-        return {
-            "name": self.name,
-            "value": self.value,
-            "target": self.target,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
 
 
 @dataclass
@@ -166,9 +151,9 @@ def run_prop2_scaling(seed=20260801, n_per_k=10_000, mu=1.5, k_exponents=range(6
     res.scalars = {
         "mu": mu,
         "n_per_k": n_per_k,
-        "fit_mean_hhi": fit_mean.to_dict(),
-        "fit_mean_sqrt_hhi": fit_sqrt.to_dict(),
-        "fit_median_hhi": fit_med.to_dict(),
+        "fit_mean_hhi": asdict(fit_mean),
+        "fit_mean_sqrt_hhi": asdict(fit_sqrt),
+        "fit_median_hhi": asdict(fit_med),
     }
     return res
 
@@ -252,7 +237,12 @@ def run_prop7_aggregation(seed=20260803, n_firms=1_000_000, mu=1.6, alpha=1.2, g
 # fig1_right / fig4: volatility moment scaling with size
 # ---------------------------------------------------------------------------
 
-def _diversified_mean_slope(counts, sizes, vols, mu, size_floor=30.0, n_bins=25):
+# the diversified class's size floor and its number of equal-count size bins
+_DIVERSIFIED_SIZE_FLOOR = 30.0
+_DIVERSIFIED_BINS = 25
+
+
+def _diversified_mean_slope(counts, sizes, vols, mu):
     """Mean volatility scaling over the diversified class.
 
     Diversified firms are those whose sub-unit count accounts for at least
@@ -262,9 +252,10 @@ def _diversified_mean_slope(counts, sizes, vols, mu, size_floor=30.0, n_bins=25)
     feasible sample size.
     """
     mean_s = mu / (mu - 1.0)
-    sel = (counts * mean_s >= 0.5 * sizes) & (sizes >= size_floor)
+    sel = (counts * mean_s >= 0.5 * sizes) & (sizes >= _DIVERSIFIED_SIZE_FLOOR)
     sizes, vols = sizes[sel], vols[sel]
-    return _moment_slopes(analysis.equal_count_bins(sizes, n_bins), sizes, vols, [1])[1], sizes.size
+    bins = analysis.equal_count_bins(sizes, _DIVERSIFIED_BINS)
+    return _moment_slopes(bins, sizes, vols, [1])[1], sizes.size
 
 
 def _moment_slopes(bins, sizes, vols, q_list):
@@ -306,16 +297,16 @@ def run_fig4(seed=20260804, n_firms=8_000_000, mu=1.25, alpha=1.1, sigma0=0.1):
     )
     res.tables["exponent_profile"] = (
         ["q", "slope", "se", "r2"],
-        [[q, profile[q].slope, profile[q].slope_se, profile[q].r_squared] for q in (1, 2, 3, 4)],
+        [[q, profile[q].slope, profile[q].se, profile[q].r2] for q in (1, 2, 3, 4)],
     )
     res.scalars = {
         "mu": mu,
         "alpha": alpha,
         "n_firms": n_firms,
         "n_diversified": n_div,
-        "unconditional_profile": {q: profile[q].to_dict() for q in profile},
-        "diversified_mean_fit": div_fit.to_dict(),
-        "upper_window_fits": {q: f.to_dict() for q, f in upper.items()},
+        "unconditional_profile": {q: asdict(profile[q]) for q in profile},
+        "diversified_mean_fit": asdict(div_fit),
+        "upper_window_fits": {q: asdict(f) for q, f in upper.items()},
     }
     return res
 
@@ -354,9 +345,9 @@ def run_fig1_right(seed=20260804, n_firms=4_000_000, mu=1.25, alpha=1.1, sigma0=
         "alpha": alpha,
         "n_firms": n_firms,
         "n_diversified": n_div,
-        "unconditional_fit": fit_all.to_dict(),
+        "unconditional_fit": asdict(fit_all),
         "unconditional_slope_bootstrap_se": bootstrap_se,
-        "diversified_fit": div_fit.to_dict(),
+        "diversified_fit": asdict(div_fit),
     }
     return res
 
@@ -511,7 +502,7 @@ def run_fig3(seed=20260806, mu=1.9, n_per_class=10_000, n_bins=29,
         "size_floor": float(floor),
         "pooled_hill": hill,
         "pooled_hill_se": hill_se,
-        "mig_fit_pooled_rescaled": mig_fit.to_dict(),
+        "mig_fit_pooled_rescaled": asdict(mig_fit),
     }
     return res
 
@@ -542,8 +533,8 @@ def run_fig5(seed=20260807, n_samples=1_000_000, mig=MIG_REFERENCE, grid_points=
     )
     res.scalars = {
         "n_samples": n_samples,
-        "mig_params": {"scale": mig.scale, "shape": mig.shape, "location": mig.location},
-        "gse_fit": fit.to_dict(),
+        "mig_params": asdict(mig),
+        "gse_fit": asdict(fit),
         "gaussian_mass_at_crossover": mass,
     }
     return res
@@ -569,6 +560,11 @@ def run_table1(seed=20260808, n_firms=20_000, n_periods=28, mu=1.6, alpha=1.2, s
     het = leave_one_out_rescale(growth).ravel()
     het = het[np.isfinite(het)]
 
+    names = [f.name for f in fields(GseParams)]
+
+    def row(label, values, se, mass):
+        return [label, *(v for n in names for v in (values[n], se.get(n, np.nan))), mass]
+
     grid = np.linspace(-8.0, 8.0, 2_500)
     rows = []
     fits = {}
@@ -578,25 +574,9 @@ def run_table1(seed=20260808, n_firms=20_000, n_periods=28, mu=1.6, alpha=1.2, s
         fits[label] = fit
         w = fit.params["crossover"]
         mass = estimation.gaussian_mass_fraction(dens, min(w, 7.9))
-        se = fit.standard_errors or {}
-        rows.append(
-            [
-                label,
-                fit.params["amplitude"], se.get("amplitude", np.nan),
-                fit.params["core_width"], se.get("core_width", np.nan),
-                fit.params["center"], se.get("center", np.nan),
-                fit.params["crossover"], se.get("crossover", np.nan),
-                fit.params["stretch"], se.get("stretch", np.nan),
-                mass,
-            ]
-        )
-    ref = GSE_REFERENCE_HETEROGENEOUS
+        rows.append(row(label, fit.params, fit.se or {}, mass))
     rows.append(
-        [
-            "reference_us_panel_heterogeneous",
-            ref["amplitude"], np.nan, ref["core_width"], np.nan, ref["center"], np.nan,
-            ref["crossover"], np.nan, ref["stretch"], np.nan, 0.897,
-        ]
+        row("reference_us_panel_heterogeneous", asdict(GSE_REFERENCE_HETEROGENEOUS), {}, 0.897)
     )
 
     res = ExperimentResult("table1", seed)
@@ -608,9 +588,7 @@ def run_table1(seed=20260808, n_firms=20_000, n_periods=28, mu=1.6, alpha=1.2, s
         ),
     ]
     res.tables["gse_fits"] = (
-        ["rescaling", "amplitude", "se_amplitude", "core_width", "se_core_width",
-         "center", "se_center", "crossover", "se_crossover", "stretch", "se_stretch",
-         "mass_in_crossover_window"],
+        ["rescaling", *(c for n in names for c in (n, f"se_{n}")), "mass_in_crossover_window"],
         rows,
     )
     res.scalars = {
@@ -618,7 +596,7 @@ def run_table1(seed=20260808, n_firms=20_000, n_periods=28, mu=1.6, alpha=1.2, s
         "n_periods": n_periods,
         "clamp_count": clamp_count,
         "n_heterogeneous_obs": int(het.size),
-        "fits": {k: f.to_dict() for k, f in fits.items()},
+        "fits": {k: asdict(f) for k, f in fits.items()},
     }
     return res
 

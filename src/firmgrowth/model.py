@@ -6,7 +6,8 @@ supported: a fixed sub-unit count per firm, and a Pareto-distributed count
 Monte Carlo work uses :class:`FirmPopulation`, a flat ragged-array layout.
 
 Randomness contract: each firm of a simulated panel has its own Philox4x64-10
-substream, keyed by the master seed and the firm index (:func:`firm_stream`).
+substream, keyed by ``(firm_id << 64) | (seed mod 2**64)`` with the counter
+starting at zero.
 :func:`simulate_panel` builds no generator per firm: it computes the Philox
 blocks of a whole block of firms at once in NumPy (:func:`_philox_doubles`),
 so every firm gets exactly the numbers its own generator would draw, however
@@ -23,6 +24,7 @@ from __future__ import annotations
 import copy
 import math
 import os
+import re
 import warnings
 from dataclasses import dataclass, field
 from typing import Union
@@ -138,17 +140,6 @@ def shocks_from_uniforms(u, law="gaussian", student_dof=5.0):
 # RNG substreams
 # ---------------------------------------------------------------------------
 
-def firm_stream(seed, firm_id):
-    """Independent counter-based substream for one firm.
-
-    Philox keyed by ``(firm_id << 64) | (seed mod 2**64)``; the counter starts
-    at zero.  This is the documented seed -> firm split of
-    :func:`simulate_panel`, which computes these streams with
-    :func:`_philox_doubles` instead of making one generator per firm.
-    """
-    return np.random.Generator(np.random.Philox(key=((int(firm_id) << 64) | (int(seed) & _SEED_MASK))))
-
-
 # Philox4x64-10 as NumPy computes it: round multipliers and key (Weyl) bumps
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
@@ -167,13 +158,14 @@ def _mulhilo(a, m):
 
 
 def _philox_doubles(seed, firm_ids, counters):
-    """Row i: the 4 doubles of block ``counters[i]`` of ``firm_stream(seed, firm_ids[i])``.
+    """Row i: the 4 doubles of block ``counters[i]`` of firm ``firm_ids[i]``'s substream.
 
-    Block b of a firm's stream holds its words 4b to 4b + 3: Philox4x64-10
-    under key ``(seed mod 2**64, firm_id)`` and counter ``(b + 1, 0, 0, 0)``,
-    each word made a double in [0, 1) as ``(word >> 11) * 2**-53``.  So the
-    rows of one firm's blocks 0, 1, ... flatten to what its generator's
-    ``random`` returns.
+    A firm's substream is NumPy's Philox generator keyed by
+    ``(firm_id << 64) | (seed mod 2**64)``, its counter starting at zero.
+    Block b holds its words 4b to 4b + 3: Philox4x64-10 under key
+    ``(seed mod 2**64, firm_id)`` and counter ``(b + 1, 0, 0, 0)``, each word
+    made a double in [0, 1) as ``(word >> 11) * 2**-53``.  So the rows of one
+    firm's blocks 0, 1, ... flatten to what its generator's ``random`` returns.
     """
     firm_ids = np.asarray(firm_ids, dtype=np.uint64)
     counters = np.asarray(counters, dtype=np.uint64)
@@ -350,6 +342,29 @@ def draw_population(params: ModelParams, n_firms, rng) -> FirmPopulation:
 # ---------------------------------------------------------------------------
 
 _PANEL_COLUMNS = [("firm_id", np.int64), ("period", np.int64), ("size", float)]
+# NumPy's message for a cell it cannot convert, whose row it counts from 0;
+# compiled on the first fault, not at import
+_UNCONVERTED = r"(could not convert .*) at row (\d+), column (\d+)\."
+
+
+def load_csv_rows(source, what, **kwargs):
+    """``np.loadtxt`` of comma-separated data rows (blank lines skipped), at least 1-D.
+
+    No data rows give an empty array, without NumPy's warning.  A cell NumPy
+    cannot convert raises ValueError ``"{what}, row N: ..."`` with its 1-based
+    data row, as every other reader counts rows.
+    """
+    with warnings.catch_warnings():  # no data rows is the caller's to report
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            return np.loadtxt(source, delimiter=",", ndmin=1, **kwargs)
+        except ValueError as exc:
+            fault = re.fullmatch(_UNCONVERTED, str(exc))
+            if fault is None:
+                raise
+            raise ValueError(
+                f"{what}, row {int(fault[2]) + 1}: {fault[1]} in column {fault[3]}"
+            ) from None
 
 
 @dataclass
@@ -398,8 +413,9 @@ class Panel:
     def read_csv(cls, path):
         """Read a panel CSV whose header names the three columns, in any order.
 
-        Every size must be a positive finite number; the first that is not
-        raises ValueError with its 1-based data row, as does a file of no rows.
+        Every cell must parse and every size be a positive finite number; the
+        first that fails raises ValueError with its 1-based data row, and a
+        file of no rows raises too.
         """
         with open(path) as fh:
             header = [name.strip() for name in fh.readline().split(",")]
@@ -407,9 +423,7 @@ class Panel:
             if missing:
                 raise ValueError(f"panel CSV {path} lacks column(s) {', '.join(missing)}")
             cols = [header.index(name) for name, _ in _PANEL_COLUMNS]
-            with warnings.catch_warnings():  # no data rows raises below instead
-                warnings.simplefilter("ignore", UserWarning)
-                rows = np.loadtxt(fh, delimiter=",", usecols=cols, dtype=_PANEL_COLUMNS, ndmin=1)
+            rows = load_csv_rows(fh, f"panel CSV {path}", usecols=cols, dtype=_PANEL_COLUMNS)
         if rows.size == 0:
             raise ValueError(f"panel CSV {path} has no data rows")
         bad = np.flatnonzero(~(np.isfinite(rows["size"]) & (rows["size"] > 0)))
@@ -424,7 +438,8 @@ class Panel:
 def simulate_panel(params: ModelParams, n_firms, n_periods, seed):
     """Simulate a panel of firm sizes under multiplicative sub-unit shocks.
 
-    Each firm evolves on its own substream (see :func:`firm_stream`): first
+    Each firm evolves on its own substream, Philox keyed by
+    ``(firm_id << 64) | (seed mod 2**64)`` with the counter at zero: first
     the count draw (ParetoCount only), then the initial sizes, then one block
     of shock uniforms per period in period-major order.  Per-period size
     multipliers 1 + sigma0 * shock are floored at 1e-6 to preserve positivity;
@@ -512,29 +527,29 @@ def fraction_few_subunits(population: FirmPopulation, size_bin_edges, k_threshol
     return mean_size, fraction, n_firms
 
 
-def few_subunit_tail_slope(
-    population: FirmPopulation,
-    k_threshold,
-    size_floor=40.0,
-    n_bins=10,
-    trim_decades=0.2,
-    min_count=150,
-):
+# the upper size window of few_subunit_tail_slope
+_TAIL_SIZE_FLOOR = 40.0
+_TAIL_BINS = 10
+_TAIL_TRIM_DECADES = 0.2
+_TAIL_MIN_COUNT = 150
+
+
+def few_subunit_tail_slope(population: FirmPopulation, k_threshold):
     """Log-log slope of the few-sub-unit fraction over the upper size range.
 
-    Log-spaced bins run from size_floor up to the largest size trimmed by
-    trim_decades (see :func:`firmgrowth.analysis.upper_window_edges`).
-    Bins need min_count firms and a nonzero fraction; the fit weights each
+    Log-spaced bins run from _TAIL_SIZE_FLOOR up to the largest size trimmed
+    by _TAIL_TRIM_DECADES (see :func:`firmgrowth.analysis.upper_window_edges`).
+    Bins need _TAIL_MIN_COUNT firms and a nonzero fraction; the fit weights each
     bin by n * f / (1 - f), the inverse variance of log of a binomial rate.
     Per the tail structure of the size distribution the slope estimates
     alpha - mu.  Returns (slope, n_bins_used, table), where table is the
     (mean_size, fraction, n_firms) result of :func:`fraction_few_subunits`
     over all bins.
     """
-    edges = upper_window_edges(population.sizes(), size_floor, trim_decades, n_bins)
+    edges = upper_window_edges(population.sizes(), _TAIL_SIZE_FLOOR, _TAIL_TRIM_DECADES, _TAIL_BINS)
     table = fraction_few_subunits(population, edges, k_threshold)
     mean_size, fraction, counts = table
-    keep = (counts >= min_count) & (fraction > 0) & np.isfinite(fraction)
+    keep = (counts >= _TAIL_MIN_COUNT) & (fraction > 0) & np.isfinite(fraction)
     if keep.sum() < 3:
         raise ValueError("fewer than 3 usable bins for the tail-fraction fit")
     weights = counts[keep] * fraction[keep] / (1.0 - np.minimum(fraction[keep], 1 - 1e-9))

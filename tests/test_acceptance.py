@@ -185,7 +185,7 @@ def test_criterion_8_mig_self_fit_coverage():
         fit = fit_mig_mle(draws)
         assert fit.converged
         shapes.append(fit.params["shape"])
-        if abs(fit.params["shape"] - truth.shape) < 1.96 * fit.standard_errors["shape"]:
+        if abs(fit.params["shape"] - truth.shape) < 1.96 * fit.se["shape"]:
             hits += 1
     coverage = hits / n_reps
     median_shape = float(np.median(shapes))
@@ -308,5 +308,5 @@ def test_criterion_11_determinism(tmp_path):
 def test_prop2_scaling_is_a_function_of_its_seed():
     a = xp.run_prop2_scaling(n_per_k=200)
     b = xp.run_prop2_scaling(n_per_k=200)
-    assert [c.to_dict() for c in a.checks] == [c.to_dict() for c in b.checks]
+    assert a.checks == b.checks
     assert a.scalars == b.scalars

@@ -166,7 +166,7 @@ class TestLogLogOls:
         x = np.array([1.0, 2.0, 4.0, 8.0, 16.0])
         fit = loglog_ols(x, 10.0 * x**-0.5)
         assert fit.slope == pytest.approx(-0.5, abs=1e-12)
-        assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
+        assert fit.r2 == pytest.approx(1.0, abs=1e-12)
 
     def test_two_points_rejected(self):
         with pytest.raises(ValueError):

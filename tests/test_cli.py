@@ -234,6 +234,18 @@ class TestAnalyze:
         assert capsys.readouterr().err == f"error: panel CSV {panel} has no data rows\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("row, message", [
+        ("0,1,abc", "could not convert string 'abc' to float64 in column 3"),
+        ("0,x,2.0", "could not convert string 'x' to int64 in column 2"),
+    ], ids=["size", "period"])
+    def test_unparsable_cell_exits_1_citing_its_data_row(self, tmp_path, capsys, row, message):
+        panel = tmp_path / "panel.csv"
+        panel.write_text(f"firm_id,period,size\n0,0,1.0\n\n{row}\n")  # blank lines are not rows
+        out = tmp_path / "out"
+        assert main(["analyze", "--panel", str(panel), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: panel CSV {panel}, row 2: {message}\n"
+        assert not out.exists()
+
     def test_missing_panel_is_error(self, tmp_path):
         cfg = write_config(tmp_path, SIM_CFG.format(out=tmp_path / "out"))
         assert main(["--config", cfg, "analyze"]) == 1
@@ -346,6 +358,18 @@ class TestFit:
         argv = ["fit", "--family", "mig", "--input", str(data), "--out-dir", str(out)]
         assert main(argv) == 1
         assert "samples must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("body", ["x\n1.5\n2.5\nabc\n", "1.5\n\n2.5\nabc\n"],
+                             ids=["header", "blank_line"])
+    def test_mig_unparsable_sample_exits_1_citing_its_data_row(self, tmp_path, capsys, body):
+        data = tmp_path / "samples.csv"
+        data.write_text(body)
+        out = tmp_path / "fit"
+        argv = ["fit", "--family", "mig", "--input", str(data), "--out-dir", str(out)]
+        assert main(argv) == 1
+        message = "could not convert string 'abc' to float64 in column 1"
+        assert capsys.readouterr().err == f"error: fit input {data}, row 3: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("body", ["", "value\n", "value\n\n"])

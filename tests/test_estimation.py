@@ -105,7 +105,7 @@ class TestMigMle:
         x = mig_sample(p, rng.random(24_000))
         fit = fit_mig_mle(x)
         assert fit.converged
-        assert abs(fit.params["shape"] - p.shape) < 3 * fit.standard_errors["shape"]
+        assert abs(fit.params["shape"] - p.shape) < 3 * fit.se["shape"]
         assert fit.params["scale"] == pytest.approx(p.scale, rel=0.15)
 
     def test_plain_inverse_gamma_location_shrinks_to_zero(self):
@@ -116,8 +116,8 @@ class TestMigMle:
         assert fit.converged
         # a boundary estimate (location exactly 0) has no Wald s.e. and is
         # reported without one; otherwise the estimate must sit within s.e.
-        if "location" in fit.standard_errors:
-            tol = max(3 * fit.standard_errors["location"], 0.02)
+        if "location" in fit.se:
+            tol = max(3 * fit.se["location"], 0.02)
             assert abs(fit.params["location"]) < tol
         else:
             assert fit.params["location"] == 0.0
@@ -242,4 +242,4 @@ class TestExponentProfile:
         assert list(profile) == [1, 2, 3, 4]
         for q, target in ((1, -0.2), (2, -0.4), (3, -0.6), (4, -0.8)):
             assert profile[q].slope == pytest.approx(target, abs=1e-10)
-            assert profile[q].r_squared == pytest.approx(1.0, abs=1e-10)
+            assert profile[q].r2 == pytest.approx(1.0, abs=1e-10)

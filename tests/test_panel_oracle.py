@@ -16,10 +16,14 @@ from firmgrowth.model import (
     ModelParams,
     ParetoCount,
     _philox_doubles,
-    firm_stream,
     shocks_from_uniforms,
     simulate_panel,
 )
+
+
+def firm_stream(seed, firm_id):
+    """Firm `firm_id`'s own generator: Philox keyed by (firm_id << 64) | (seed mod 2**64)."""
+    return np.random.Generator(np.random.Philox(key=(int(firm_id) << 64) | (int(seed) % 2**64)))
 
 
 def loop_panel(params, n_firms, n_periods, seed):

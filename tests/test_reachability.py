@@ -23,10 +23,7 @@ PACKAGE = Path(firmgrowth.__file__).resolve().parent
 ROOTS = ("cli.main", "cli._COMMANDS", "experiments._RUNNERS")
 
 # definitions no command reaches, kept on purpose, with the reason
-ALLOWED_UNREACHED = {
-    "model.firm_stream": "the tests' oracle of the per-firm randomness contract:"
-                         " simulate_panel must give each firm the sizes of its own stream",
-}
+ALLOWED_UNREACHED = {}
 
 
 def _names_in(*trees):
