@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from firmgrowth.groups import Groups
+from firmgrowth.groups import _BLOCK, Groups
 
 
 # ---------------------------------------------------------------------------
@@ -186,11 +186,16 @@ def kde_gaussian(samples, grid):
         raise ValueError("bandwidth must be positive")
 
     if samples.size * grid.size <= int(2e7):
-        values = np.zeros(grid.size)
-        block = max(1, int(2e7) // grid.size)
-        for i in range(0, samples.size, block):
-            z = (grid[None, :] - samples[i : i + block, None]) / h
-            values += np.exp(-0.5 * z * z).sum(axis=0)
+        # blocks of about _BLOCK kernel values; a sum over axis 0 adds the rows
+        # one after another, so the running sum goes on in the next block's first row
+        rows = max(1, _BLOCK // grid.size)
+        values = None
+        for i in range(0, samples.size, rows):
+            z = (grid[None, :] - samples[i : i + rows, None]) / h
+            e = np.exp(-0.5 * z * z)
+            if values is not None:
+                e[0] += values
+            values = e.sum(axis=0)
         values /= samples.size * h * np.sqrt(2 * np.pi)
     else:
         values = _kde_binned(samples, grid, h)
@@ -202,13 +207,19 @@ def _kde_binned(samples, grid, h):
     hi = max(samples.max(), grid[-1]) + 3 * h
     n_fine = 1 << 16
     step = (hi - lo) / (n_fine - 1)
-    # linear binning: split each sample's mass between its two nearest nodes
-    pos = (samples - lo) / step
-    left = np.floor(pos).astype(np.int64)
-    frac = pos - left
+    # linear binning: split each sample's mass between its two nearest nodes,
+    # in blocks of _BLOCK samples; every left-node weight goes in first, then
+    # every right-node one, so each node sums its weights in the whole-array order
     weights = np.zeros(n_fine)
-    np.add.at(weights, left, 1.0 - frac)
-    np.add.at(weights, np.minimum(left + 1, n_fine - 1), frac)
+    for right in (False, True):
+        for i in range(0, samples.size, _BLOCK):
+            pos = (samples[i : i + _BLOCK] - lo) / step
+            left = np.floor(pos).astype(np.int64)
+            frac = pos - left
+            if right:
+                np.add.at(weights, np.minimum(left + 1, n_fine - 1), frac)
+            else:
+                np.add.at(weights, left, 1.0 - frac)
     half_width = int(np.ceil(8.5 * h / step))
     offsets = np.arange(-half_width, half_width + 1) * step
     kernel = np.exp(-0.5 * (offsets / h) ** 2) / (h * np.sqrt(2 * np.pi))

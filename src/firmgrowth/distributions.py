@@ -13,6 +13,8 @@ from math import comb, factorial
 import numpy as np
 import scipy
 
+from firmgrowth.groups import _BLOCK
+
 
 # ---------------------------------------------------------------------------
 # Pareto
@@ -63,23 +65,29 @@ def mig_sample(p: MigParams, u):
     x + location is scale / G, with G a Gamma(shape) variable truncated to
     G <= scale / location.  The draw inverts G's upper tail; where that
     rounds to 1 (so the draw would be infinite), it inverts the lower tail.
-    Raises ValueError if that is not finite either.
+    Raises ValueError if that is not finite either.  The draws go in blocks
+    of ``_BLOCK`` elements, each an elementwise function of its own u.
     """
     u = np.asarray(u, dtype=float)
-    if np.any(u <= 0) or np.any(u >= 1):
+    if not np.all((u > 0) & (u < 1)):
         raise ValueError("uniforms must lie in (0, 1)")
     a, b, m = p.scale, p.shape, p.location
     f_m = scipy.special.gammaincc(b, a / m) if m > 0 else 0.0
-    prob = f_m + u * (1.0 - f_m)
-    with np.errstate(divide="ignore"):
-        x = np.asarray(a / scipy.special.gammainccinv(b, prob) - m)
-        lost = ~np.isfinite(x)
-        if lost.any():
-            kept = scipy.special.gammainc(b, a / m) if m > 0 else 1.0
-            x[lost] = a / scipy.special.gammaincinv(b, (1.0 - u[lost]) * kept) - m
-    if not np.isfinite(x).all():
-        raise ValueError(f"{p} has draws beyond double precision")
-    return x[()]
+    out = np.empty(u.shape)
+    flat_out, flat_u = out.reshape(-1), u.reshape(-1)
+    for i in range(0, u.size, _BLOCK):
+        x, v = flat_out[i : i + _BLOCK], flat_u[i : i + _BLOCK]
+        prob = f_m + v * (1.0 - f_m)
+        with np.errstate(divide="ignore"):
+            np.divide(a, scipy.special.gammainccinv(b, prob, out=prob), out=x)
+            x -= m
+            lost = ~np.isfinite(x)
+            if lost.any():
+                kept = scipy.special.gammainc(b, a / m) if m > 0 else 1.0
+                x[lost] = a / scipy.special.gammaincinv(b, (1.0 - v[lost]) * kept) - m
+        if not np.isfinite(x).all():
+            raise ValueError(f"{p} has draws beyond double precision")
+    return out[()]
 
 
 # ---------------------------------------------------------------------------
@@ -159,5 +167,22 @@ def laplace_sum_pdf(k, y):
     # floor keeps 0 * log(0) = 0 for the constant term at y = 0
     log_ry = np.log(np.maximum(np.atleast_1d(ry), 1e-300))
     terms = log_coef[:, None] + np.arange(k)[:, None] * log_ry[None, :]
-    out = np.exp(log_pref + scipy.special.logsumexp(terms, axis=0) - np.atleast_1d(ry))
+    out = np.exp(log_pref + _logsumexp_rows(terms) - np.atleast_1d(ry))
     return float(out[0]) if np.ndim(y) == 0 else out.reshape(np.shape(y))
+
+
+def _logsumexp_rows(a):
+    """``scipy.special.logsumexp(a, axis=0)`` of a real 2-D array, bit for bit.
+
+    SciPy 1.17's own steps without its array-API dispatch: every entry equal
+    to the column maximum is taken out of the sum and counted (m), and the
+    result is ``log1p(s / m) + log(m) + max``.  A plain max shift differs in
+    the last bit.  A column of NaN or +inf gives SciPy's NaN or inf; one of
+    only -inf, which ``laplace_sum_pdf`` never makes, gives NaN, not -inf.
+    """
+    top = a.max(axis=0)
+    tie = a == top
+    m = tie.sum(axis=0, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.exp(np.where(tie, -np.inf, a) - top).sum(axis=0) / m
+        return np.log1p(s) + np.log(m) + top

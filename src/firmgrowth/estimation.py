@@ -14,7 +14,7 @@ import scipy
 
 from firmgrowth.analysis import DensityEstimate, loglog_ols
 from firmgrowth.distributions import GseParams, MigParams, gse_pdf
-from firmgrowth.groups import Groups
+from firmgrowth.groups import _BLOCK, Groups
 
 _ADJ = np.sqrt(np.pi / 2.0)
 
@@ -44,12 +44,24 @@ def leave_one_out_rescale(series):
     computed on the series with element t removed (the mean inside the MAD is
     the leave-one-out mean as well).  Elements whose leave-one-out MAD is zero
     come back as NaN; needs at least 3 observations.  A 2-D array is
-    rescaled row by row, one series per row.
+    rescaled row by row, one series per row, in blocks of about ``_BLOCK``
+    elements: each row's arithmetic is its own, so a block gives the same bits.
     """
     g = np.asarray(series, dtype=float)
     n = g.shape[-1] if g.ndim else 0
     if n < 3:
         raise ValueError("need at least 3 observations")
+    if g.ndim == 1:
+        return _loo_rows(g)
+    out = np.empty(g.shape)
+    rows = max(1, _BLOCK // n)
+    for a in range(0, len(g), rows):
+        out[a : a + rows] = _loo_rows(g[a : a + rows])
+    return out
+
+
+def _loo_rows(g):
+    n = g.shape[-1]
     loo_mean = (g.sum(axis=-1, keepdims=True) - g) / (n - 1)
     # sum over t' of |g_t' - m| via sorted prefix sums, O(n log n) overall
     srt = np.sort(g, axis=-1)
@@ -148,15 +160,19 @@ def _mig_log_norm(p: MigParams):
     return log_c
 
 
-def _mig_nll(theta, x):
+def _mig_nll(theta, x, work=None):
+    """The negative log likelihood; `work`, an array shaped like `x`, holds the
+    temporaries, so repeated calls allocate nothing the size of `x`."""
     a, b, m = theta
     if not (a > 0 and b > 0 and m >= 0):
         return np.inf
-    y = x + m
     # a lower incomplete gamma of 0 makes log_c +inf, and the value inf below
     with np.errstate(divide="ignore"):
         log_c = _mig_log_norm(MigParams(a, b, m))
-    val = -(x.size * log_c) + (1.0 + b) * np.log(y).sum() + a * (1.0 / y).sum()
+    y = np.add(x, m, out=work)
+    log_sum = np.log(y, out=y).sum()
+    inv_sum = np.divide(1.0, np.add(x, m, out=y), out=y).sum()
+    val = -(x.size * log_c) + (1.0 + b) * log_sum + a * inv_sum
     return val if np.isfinite(val) else np.inf
 
 
@@ -207,12 +223,13 @@ def fit_mig_mle(samples) -> FitResult:
         raise ValueError("samples must be finite")
 
     theta0 = _moment_init(x)
-    nll0 = _mig_nll(theta0, x)
+    work = np.empty_like(x)
+    nll0 = _mig_nll(theta0, x, work)
     bounds = [(1e-8, None), (1e-8, None), (0.0, None)]
     res = scipy.optimize.minimize(
         _mig_nll,
         theta0,
-        args=(x,),
+        args=(x, work),
         method="L-BFGS-B",
         jac="3-point",
         bounds=bounds,
@@ -232,7 +249,7 @@ def fit_mig_mle(samples) -> FitResult:
         def nll_free(sub):
             full = theta.copy()
             full[free] = sub
-            return _mig_nll(full, x)
+            return _mig_nll(full, x, work)
 
         hess = _numeric_hessian(nll_free, theta[free], lower=[1e-8, 1e-8, 0.0][: len(free)])
         try:

@@ -513,8 +513,8 @@ def run_fig3(seed=20260806, mu=1.9, n_per_class=10_000, n_bins=29,
 
 def run_fig5(seed=20260807, n_samples=1_000_000, mig=MIG_REFERENCE, grid_points=10_000):
     rng = _rng(seed)
-    sigma = mig_sample(mig, 1.0 - rng.random(n_samples))
-    g = sigma * rng.standard_normal(n_samples)
+    g = mig_sample(mig, 1.0 - rng.random(n_samples))
+    g *= rng.standard_normal(n_samples)  # sigma * z, in place
     grid = np.linspace(-8.0, 8.0, grid_points)
     dens = analysis.kde_gaussian(g, grid)
     fit = estimation.fit_gse_nls(dens)
@@ -550,14 +550,17 @@ def run_table1(seed=20260808, n_firms=20_000, n_periods=28, mu=1.6, alpha=1.2, s
 
     params = ModelParams(mu=mu, alpha=alpha, sigma0=sigma0, k_mode=ParetoCount())
     panel, clamp_count = simulate_panel(params, n_firms, n_periods, seed)
-
-    # per firm: one-period relative growth series
+    # per firm: one-period relative growth series; each array is let go once
+    # it is used up, so the fits below hold only the rescaled growths
     sizes = panel.size.reshape(n_firms, n_periods)
+    del panel
     growth = sizes[:, 1:] / sizes[:, :-1] - 1.0
+    del sizes
 
     pooled = growth.ravel()
     hom = (pooled - pooled.mean()) / mad_volatility(pooled)
     het = leave_one_out_rescale(growth).ravel()
+    del growth, pooled
     het = het[np.isfinite(het)]
 
     names = [f.name for f in fields(GseParams)]

@@ -19,6 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# elements per block of every blocked kernel (samplers, firm blocks of a panel,
+# leave-one-out rows, KDE binning): 1 MB of doubles, so a block and its
+# temporaries stay in cache and peak memory does not grow with the input
+_BLOCK = 1 << 17
+
 
 @dataclass(frozen=True)
 class Groups:

@@ -34,13 +34,10 @@ import scipy
 
 from firmgrowth.analysis import binned_means, edge_bins, upper_window_edges, weighted_loglog_slope
 from firmgrowth.distributions import pareto_sample
-from firmgrowth.groups import Groups
+from firmgrowth.groups import _BLOCK, Groups
 
 _SEED_MASK = (1 << 64) - 1
 _MULTIPLIER_FLOOR = 1e-6
-# doubles per sampler block, and words per firm block of a panel: 1 MB, so a
-# block and its temporaries stay in cache
-_BLOCK = 1 << 17
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,69 @@
+"""Peak memory of the blocked kernels does not grow with their input.
+
+Each kernel runs on an input of 16 blocks under ``tracemalloc``, which counts
+NumPy's array buffers.  Its peak may hold the output plus a fixed number of
+blocks of temporaries, fewer than 16: one full-size temporary more fails.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+import scipy.special  # noqa: F401  loaded here, so its import is not traced as the kernels' memory
+
+from firmgrowth.analysis import _kde_binned, kde_gaussian
+from firmgrowth.distributions import MigParams, mig_sample
+from firmgrowth.estimation import _mig_nll, leave_one_out_rescale
+from firmgrowth.groups import _BLOCK
+
+N_BLOCKS = 16
+BLOCK_BYTES = _BLOCK * 8
+TEMPORARY_BLOCKS = 12
+
+
+def traced_peak(f, *args):
+    """The output of ``f(*args)`` and the peak bytes traced while it ran, beyond what was held before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = f(*args)
+        return out, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def assert_bounded(f, *args):
+    out, peak = traced_peak(f, *args)
+    assert peak <= out.nbytes + TEMPORARY_BLOCKS * BLOCK_BYTES, (
+        f"peak {peak / BLOCK_BYTES:.1f} blocks for an output of {out.nbytes / BLOCK_BYTES:.1f}"
+    )
+
+
+RNG = np.random.default_rng(16)
+N = N_BLOCKS * _BLOCK
+
+
+def test_leave_one_out_rescale():
+    assert_bounded(leave_one_out_rescale, RNG.standard_normal((N // 27, 27)))
+
+
+def test_mig_sample():
+    assert_bounded(mig_sample, MigParams(4.788, 4.620, 0.326), RNG.uniform(0.01, 0.99, N))
+
+
+def test_kde_binned():
+    assert_bounded(_kde_binned, RNG.standard_normal(N), np.linspace(-8.0, 8.0, 10_000), 0.05)
+
+
+def test_kde_exact_path():
+    grid = np.linspace(-4.0, 4.0, 1_000)
+    samples = RNG.standard_normal(N // grid.size)
+    assert samples.size * grid.size <= int(2e7)
+    assert_bounded(lambda x, g: kde_gaussian(x, g).values, samples, grid)
+
+
+@pytest.mark.parametrize("theta", [(4.788, 4.620, 0.326), (1e-6, 200.0, 1.0)])
+def test_mig_nll_with_work_allocates_nothing_the_size_of_x(theta):
+    x = RNG.uniform(0.5, 3.0, N)
+    _, peak = traced_peak(_mig_nll, np.array(theta), x, np.empty_like(x))
+    assert peak < BLOCK_BYTES

@@ -8,6 +8,7 @@ from firmgrowth.distributions import (
     GseParams,
     MigParams,
     gse_pdf,
+    _logsumexp_rows,
     laplace_sum_pdf,
     mig_sample,
     pareto_sample,
@@ -109,6 +110,11 @@ class TestMig:
         with pytest.raises(ValueError, match="double precision"):
             mig_sample(MigParams(0.001, 200.0, 10.0), [0.5])
 
+    @pytest.mark.parametrize("u", [[0.5, np.nan], np.nan, [0.0], [1.0], [0.5, -np.inf]])
+    def test_uniform_outside_the_open_interval_is_error(self, u):
+        with pytest.raises(ValueError, match=r"uniforms must lie in \(0, 1\)"):
+            mig_sample(MigParams(4.788, 4.620, 0.326), u)
+
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             MigParams(-1.0, 1.0, 0.0)
@@ -188,6 +194,25 @@ class TestLaplaceSum:
     def test_symmetry(self):
         y = np.linspace(0.2, 5, 17)
         assert np.array_equal(laplace_sum_pdf(4, y), laplace_sum_pdf(4, -y))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 8, 100])
+    def test_logsumexp_is_scipys_bit_for_bit(self, k):
+        rng = np.random.default_rng(k)
+        a = rng.standard_normal((k, 20_000)) * 10.0 ** rng.uniform(-3, 3, 20_000)
+        a[:, :2_000] = np.round(a[:, :2_000])         # ties, often at the maximum
+        a[:, 2_000:2_100] = 1.5                       # every entry a maximum
+        a[-1, 2_100:4_000] = a[:, 2_100:4_000].max(axis=0)  # a tie with an earlier row
+        a[0, 4_001], a[-1, 4_002] = np.inf, np.nan    # SciPy's inf and NaN
+        a[0, 4_003] = -np.inf if k > 1 else 0.0       # no column of -inf alone
+        y = np.linspace(-30.0, 30.0, 20_001)          # and the terms laplace_sum_pdf sums
+        terms = np.log(rng.uniform(1.0, 2.0, (k, 1))) + np.arange(k)[:, None] * np.log(
+            np.maximum(np.sqrt(2.0 * k) * np.abs(y), 1e-300))
+        for case in (a, terms, a[:, :1]):
+            with np.errstate(invalid="ignore"):
+                ref = special.logsumexp(case, axis=0)
+            assert _logsumexp_rows(case).tobytes() == ref.tobytes()
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(laplace_sum_pdf(k, [np.nan, np.inf, -np.inf])).all()
 
     def test_k_zero_rejected(self):
         with pytest.raises(ValueError):
