@@ -17,6 +17,7 @@ import scipy
 
 from firmgrowth import analysis, estimation
 from firmgrowth.distributions import GseParams, MigParams, gse_pdf, laplace_sum_pdf, mig_sample
+from firmgrowth.groups import _BLOCK
 from firmgrowth.model import (
     FixedCount,
     ModelParams,
@@ -511,12 +512,28 @@ def run_fig3(seed=20260806, mu=1.9, n_per_class=10_000, n_bins=29,
 # fig5: Gaussian mixture with modified-inverse-gamma volatilities + GSE fit
 # ---------------------------------------------------------------------------
 
+def _mig_growths(rng, mig, n):
+    """n growth rates sigma * z: sigma drawn from `mig` at 1 - U, z standard normal.
+
+    Every uniform is drawn before any normal, as by whole-array calls, but
+    ``_BLOCK`` at a time, so the output is the only full-size array.
+    """
+    g = np.empty(n)
+    for i in range(0, n, _BLOCK):
+        u = rng.random(min(_BLOCK, n - i))
+        g[i : i + u.size] = mig_sample(mig, np.subtract(1.0, u, out=u))
+    for i in range(0, n, _BLOCK):
+        g[i : i + _BLOCK] *= rng.standard_normal(min(_BLOCK, n - i))
+    return g
+
+
 def run_fig5(seed=20260807, n_samples=1_000_000, mig=MIG_REFERENCE, grid_points=10_000):
-    rng = _rng(seed)
-    g = mig_sample(mig, 1.0 - rng.random(n_samples))
-    g *= rng.standard_normal(n_samples)  # sigma * z, in place
+    if n_samples < 2:
+        raise ValueError(f"n_samples must be >= 2, got {n_samples}")
+    g = _mig_growths(_rng(seed), mig, n_samples)
     grid = np.linspace(-8.0, 8.0, grid_points)
     dens = analysis.kde_gaussian(g, grid)
+    del g  # the draws go before the fit loads scipy.optimize
     fit = estimation.fit_gse_nls(dens)
     w = fit.params["crossover"]
     mass = estimation.gaussian_mass_fraction(dens, min(w, 7.99))
@@ -551,7 +568,8 @@ def run_table1(seed=20260808, n_firms=20_000, n_periods=28, mu=1.6, alpha=1.2, s
     params = ModelParams(mu=mu, alpha=alpha, sigma0=sigma0, k_mode=ParetoCount())
     panel, clamp_count = simulate_panel(params, n_firms, n_periods, seed)
     # per firm: one-period relative growth series; each array is let go once
-    # it is used up, so the fits below hold only the rescaled growths
+    # it is used up, and both densities are estimated before the first fit
+    # loads scipy.optimize, so the fits hold no sample
     sizes = panel.size.reshape(n_firms, n_periods)
     del panel
     growth = sizes[:, 1:] / sizes[:, :-1] - 1.0
@@ -562,17 +580,23 @@ def run_table1(seed=20260808, n_firms=20_000, n_periods=28, mu=1.6, alpha=1.2, s
     het = leave_one_out_rescale(growth).ravel()
     del growth, pooled
     het = het[np.isfinite(het)]
+    n_het = int(het.size)
+
+    grid = np.linspace(-8.0, 8.0, 2_500)
+    densities = {
+        label: analysis.kde_gaussian(np.clip(x, -20, 20, out=x), grid)
+        for label, x in (("homogeneous", hom), ("heterogeneous", het))
+    }
+    del hom, het
 
     names = [f.name for f in fields(GseParams)]
 
     def row(label, values, se, mass):
         return [label, *(v for n in names for v in (values[n], se.get(n, np.nan))), mass]
 
-    grid = np.linspace(-8.0, 8.0, 2_500)
     rows = []
     fits = {}
-    for label, data in (("homogeneous", hom), ("heterogeneous", het)):
-        dens = analysis.kde_gaussian(np.clip(data, -20, 20), grid)
+    for label, dens in densities.items():
         fit = estimation.fit_gse_nls(dens)
         fits[label] = fit
         w = fit.params["crossover"]
@@ -598,7 +622,7 @@ def run_table1(seed=20260808, n_firms=20_000, n_periods=28, mu=1.6, alpha=1.2, s
         "n_firms": n_firms,
         "n_periods": n_periods,
         "clamp_count": clamp_count,
-        "n_heterogeneous_obs": int(het.size),
+        "n_heterogeneous_obs": n_het,
         "fits": {k: asdict(f) for k, f in fits.items()},
     }
     return res

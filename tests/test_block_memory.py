@@ -3,17 +3,22 @@
 Each kernel runs on an input of 16 blocks under ``tracemalloc``, which counts
 NumPy's array buffers.  Its peak may hold the output plus a fixed number of
 blocks of temporaries, fewer than 16: one full-size temporary more fails.
+table1's and fig5's GSE fits, which load ``scipy.optimize``, must start with
+no sample array held.
 """
 
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.optimize  # noqa: F401  loaded here, like scipy.special, so imports are not traced
 import scipy.special  # noqa: F401  loaded here, so its import is not traced as the kernels' memory
 
+from firmgrowth import estimation
 from firmgrowth.analysis import _kde_binned, kde_gaussian
 from firmgrowth.distributions import MigParams, mig_sample
 from firmgrowth.estimation import _mig_nll, leave_one_out_rescale
+from firmgrowth.experiments import run_fig5, run_table1
 from firmgrowth.groups import _BLOCK
 
 N_BLOCKS = 16
@@ -67,3 +72,25 @@ def test_mig_nll_with_work_allocates_nothing_the_size_of_x(theta):
     x = RNG.uniform(0.5, 3.0, N)
     _, peak = traced_peak(_mig_nll, np.array(theta), x, np.empty_like(x))
     assert peak < BLOCK_BYTES
+
+
+@pytest.mark.parametrize("run, kwargs, n_fits", [
+    (run_table1, {"n_firms": 5_000}, 2),       # 135,000 growths: 1.1 MB per rescaled array
+    (run_fig5, {"n_samples": 300_000}, 1),
+])
+def test_no_sample_is_held_into_a_gse_fit(monkeypatch, run, kwargs, n_fits):
+    held = []
+    fit_gse_nls = estimation.fit_gse_nls
+
+    def traced_fit(density):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return fit_gse_nls(density)
+
+    monkeypatch.setattr(estimation, "fit_gse_nls", traced_fit)
+    tracemalloc.start()
+    try:
+        run(**kwargs)
+    finally:
+        tracemalloc.stop()
+    assert len(held) == n_fits
+    assert max(held) < BLOCK_BYTES, f"{max(held) / BLOCK_BYTES:.2f} blocks held at a fit"

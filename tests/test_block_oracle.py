@@ -18,6 +18,7 @@ from firmgrowth.cli import main, write_table_csv
 from firmgrowth.distributions import MigParams, mig_sample
 from firmgrowth.estimation import _ADJ, _count_at_most, _mig_log_norm, _mig_nll
 from firmgrowth.estimation import leave_one_out_rescale
+from firmgrowth.experiments import _mig_growths, _rng
 from firmgrowth.groups import _BLOCK
 
 
@@ -96,6 +97,12 @@ def old_mig_nll(theta, x):
         log_c = _mig_log_norm(MigParams(a, b, m))
     val = -(x.size * log_c) + (1.0 + b) * np.log(y).sum() + a * (1.0 / y).sum()
     return val if np.isfinite(val) else np.inf
+
+
+def old_fig5_draws(rng, mig, n):
+    g = old_mig_sample(mig, 1.0 - rng.random(n))
+    g *= rng.standard_normal(n)
+    return g
 
 
 def assert_same_bytes(got, ref):
@@ -301,3 +308,23 @@ def test_mig_nll_zero_shifted_sample_is_inf_as_before():
     with np.errstate(divide="ignore", invalid="ignore"):
         assert old_mig_nll(np.array([1.0, 1.0, 0.0]), x) == np.inf
         assert _mig_nll(np.array([1.0, 1.0, 0.0]), x, work) == np.inf
+
+
+# ---------------------------------------------------------------------------
+# fig5's growth draws: every uniform, then every normal, a block at a time
+# ---------------------------------------------------------------------------
+
+def generator_state(rng):
+    """The bit generator's state with its arrays as lists, so states compare with ==."""
+    def plain(v):
+        if isinstance(v, dict):
+            return {k: plain(x) for k, x in v.items()}
+        return v.tolist() if isinstance(v, np.ndarray) else v
+    return plain(rng.bit_generator.state)
+
+
+@pytest.mark.parametrize("n", around(_BLOCK))
+def test_fig5_draws_match_whole_array(n):
+    rng, ref_rng = _rng(n), _rng(n)
+    assert_same_bytes(_mig_growths(rng, MIG, n), old_fig5_draws(ref_rng, MIG, n))
+    assert generator_state(rng) == generator_state(ref_rng)

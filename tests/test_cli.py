@@ -561,6 +561,14 @@ class TestReproduce:
         assert main(["--config", cfg, "reproduce", experiment]) == 1
         assert "n_samples must be >= 1, got 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n", [-3, 1])
+    def test_fig5_needs_two_samples(self, tmp_path, capsys, n):
+        out = tmp_path / "rep"
+        cfg = write_config(tmp_path, f"[run]\nout_dir = {out}\n\n[reproduce]\nn_samples = {n}\n")
+        assert main(["--config", cfg, "reproduce", "fig5"]) == 1
+        assert f"n_samples must be >= 2, got {n}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("experiment, line, message", [
         ("fig3", "n_per_class = 5e3", "fig3 n_per_class takes ints, got '5e3'"),
         ("prop2_scaling", "n_per_k = 2e2", "prop2_scaling n_per_k takes ints, got '2e2'"),
