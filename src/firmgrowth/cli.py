@@ -312,7 +312,7 @@ def _read_density(path):
         cols = (header.index("x"), header.index("density"))
         with warnings.catch_warnings():  # no data rows raises below instead
             warnings.simplefilter("ignore", UserWarning)
-            data = np.genfromtxt(fh, delimiter=",", usecols=cols, ndmin=2)
+            data = np.genfromtxt(fh, delimiter=",", usecols=cols, ndmin=2, comments=None)
     if data.size == 0:
         raise ValidationError(f"fit input {path} has no data rows")
     bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
@@ -357,7 +357,14 @@ def cmd_ingest(cfg, args):
         raise ValidationError(f"ingest input not found: {input_path!r}")
     if ing["deflator"] and not Path(ing["deflator"]).exists():
         raise ValidationError(f"ingest deflator not found: {ing['deflator']!r}")
-    min_growth_obs = int(ing["min_growth_obs"])
+    try:
+        min_growth_obs = int(ing["min_growth_obs"])
+    except ValueError:
+        min_growth_obs = -1
+    if min_growth_obs < 0:
+        raise ValidationError(
+            f"[ingest] min_growth_obs = {ing['min_growth_obs']!r} is not an integer >= 0"
+        )
     december_only = _boolean("ingest", "fiscal_december_only", ing["fiscal_december_only"])
     schema = {logical: ing[f"{logical}_col"] for logical in _SCHEMA_FIELDS}
 

@@ -347,14 +347,14 @@ _UNCONVERTED = r"(could not convert .*) at row (\d+), column (\d+)\."
 def load_csv_rows(source, what, **kwargs):
     """``np.loadtxt`` of comma-separated data rows (blank lines skipped), at least 1-D.
 
-    No data rows give an empty array, without NumPy's warning.  A cell NumPy
-    cannot convert raises ValueError ``"{what}, row N: ..."`` with its 1-based
-    data row, as every other reader counts rows.
+    ``#`` starts no comment, so a cell that holds one fails to convert.  No data rows give an
+    empty array, without NumPy's warning.  A cell NumPy cannot convert raises ValueError
+    ``"{what}, row N: ..."`` with its 1-based data row, as every other reader counts rows.
     """
     with warnings.catch_warnings():  # no data rows is the caller's to report
         warnings.simplefilter("ignore", UserWarning)
         try:
-            return np.loadtxt(source, delimiter=",", ndmin=1, **kwargs)
+            return np.loadtxt(source, delimiter=",", ndmin=1, comments=None, **kwargs)
         except ValueError as exc:
             fault = re.fullmatch(_UNCONVERTED, str(exc))
             if fault is None:

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field, replace
-from itertools import compress, count, islice
+from itertools import chain, compress, islice
 from operator import itemgetter
 
 import numpy as np
 
 from firmgrowth.estimation import firm_groups, mad_volatility
 from firmgrowth.groups import Groups
-from firmgrowth.model import Panel
+from firmgrowth.model import Panel, load_csv_rows
 
 DEFAULT_SCHEMA = {
     "firm_id": "firm_id",
@@ -34,7 +34,10 @@ DEFAULT_SCHEMA = {
 # Ingestion
 # ---------------------------------------------------------------------------
 
-_INGEST_CHUNK = 1 << 13  # rows converted at once, so a long export is never held whole
+_INGEST_CHUNK = 1 << 13  # lines (or csv rows) read at once, so a long export is never held whole
+# Tab, CR, LF and printable ASCII but '"': np.loadtxt splits and converts such text as
+# csv.reader, int() and float() do, or raises.  UTF-8 encodes the rest of Unicode in bytes >= 128.
+_PLAIN = bytes([9, 10, 13, *range(32, 127)]).replace(b'"', b"")
 
 
 def ingest_csv(path, schema=None) -> Panel:
@@ -48,16 +51,16 @@ def ingest_csv(path, schema=None) -> Panel:
     CSV writes ids unquoted), are rejected the same way.  Returns a
     :class:`Panel` with one row per CSV row, in file order: string firm ids,
     period ``4 * year + quarter - 1``, nominal sizes, and fiscal year-end
-    months (-1 where unknown).  Rows are converted a column and a chunk at a time.
+    months (-1 where unknown).  ``np.loadtxt`` parses chunks of plain lines;
+    from the first other or failing chunk on, ``csv.reader`` parses the rest.
     """
     schema = dict(DEFAULT_SCHEMA if schema is None else schema)
     fields = ["firm_id", "year", "quarter", "size"]
     fields += [] if schema.get("fiscal_year_end_month") is None else ["fiscal_year_end_month"]
-    # empty columns first, so an input without data rows concatenates too
-    firm_ids, parts, fault = [], [(np.zeros(0, np.int64), np.zeros(0), np.zeros(0, np.int64))], None
+    # each chunk's firm codes, periods, sizes and months, after those of no rows
+    parts, code_of, fault = [(np.zeros(0, np.int64),) * 4], {}, None
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
+        header = next(csv.reader(fh), [])
         for logical in fields:
             col = schema.get(logical)
             if col is None:
@@ -67,36 +70,73 @@ def ingest_csv(path, schema=None) -> Panel:
         # a repeated name resolves to its last column, as in csv.DictReader
         where = {name: i for i, name in enumerate(header)}
         cols = [where[schema[logical]] for logical in fields]
-        records = filter(None, reader)  # blank rows are skipped and not numbered
+        # plain chunks until one is not: it and the rest of the file go to csv.reader
+        while (lines := list(islice(fh, _INGEST_CHUNK))) and (chunk := _load_plain(lines, *cols)):
+            parts.append(_coded(chunk, code_of))
+        records = filter(None, csv.reader(chain(lines, fh)))  # blank rows are not numbered
         for rows in iter(lambda: list(islice(records, _INGEST_CHUNK)), []):
             chunk = _parse_rows(rows, *cols)
             if chunk is None:
                 bad, fault = _first_fault(rows, *cols)
                 chunk = _parse_rows(rows[:bad], *cols)
-            firm_ids += chunk[0]
-            parts.append(chunk[1:])
+            parts.append(_coded(chunk, code_of))
             if fault:
                 break
-    periods, sizes, months = map(np.concatenate, zip(*parts))
-    _check_repeats(firm_ids, periods)  # over the rows before a failing one
+    codes, periods, sizes, months = map(np.concatenate, zip(*parts))
+    labels = list(code_of)
+    _, repeat = Groups.by_firm(codes, periods)  # over the rows before a failing one
+    if repeat:
+        first, second = repeat
+        key = (labels[codes[first]], *year_quarter(int(periods[first])))
+        raise ValueError(
+            f"row {second + 1}: duplicate observation for {key} (first seen at row {first + 1})"
+        )
     if fault:
-        raise ValueError(f"row {len(firm_ids) + 1}: {fault}")
-    for firm in dict.fromkeys(firm_ids):
-        if any(c in firm for c in ',"\r\n'):
-            raise ValueError(
-                f"row {firm_ids.index(firm) + 1}: firm id {firm!r} holds a comma, a double quote"
-                " or a line break"
-            )
-    return Panel(firm_ids, periods, sizes, months)
+        raise ValueError(f"row {len(codes) + 1}: {fault}")
+    bad = [code for code, firm in enumerate(labels) if any(c in firm for c in ',"\r\n')]
+    if bad:
+        row = int(np.flatnonzero(np.isin(codes, bad))[0])
+        raise ValueError(
+            f"row {row + 1}: firm id {labels[codes[row]]!r} holds a comma, a double quote"
+            " or a line break"
+        )
+    return Panel(np.array(labels)[codes], periods, sizes, months)
+
+
+def _coded(chunk, code_of):
+    """A parsed chunk with its firm ids as codes; `code_of` numbers each new id."""
+    firm, *numbers = chunk
+    labels, inverse = np.unique(firm, return_inverse=True)
+    codes = np.fromiter((code_of.setdefault(f, len(code_of)) for f in labels.tolist()), np.int64)
+    return codes[inverse], *numbers
+
+
+def _load_plain(lines, firm_col, year_col, quarter_col, size_col, fiscal_col=None):
+    """What :func:`_parse_rows` gives for the csv rows of `lines`, by ``np.loadtxt``; None if
+    their text is not plain, a row does not load or a row fails a check."""
+    too_long = max(map(len, lines)) > csv.field_size_limit()  # csv.reader rejects a longer field
+    if too_long or "".join(lines).encode().translate(None, _PLAIN):
+        return None
+    cols = [col for col in (year_col, quarter_col, size_col, fiscal_col) if col is not None]
+    dtype = [("year", np.int64), ("quarter", np.int64), ("size", float), ("month", np.int64)]
+    try:
+        firm = np.strings.strip(load_csv_rows(lines, "ingest", usecols=firm_col, dtype=str))
+        numbers = load_csv_rows(lines, "ingest", usecols=cols, dtype=dtype[: len(cols)])
+    except ValueError:
+        return None
+    known = np.full(len(firm), fiscal_col is not None)  # an empty month fails to load
+    month = numbers["month"].copy() if fiscal_col is not None else np.full(len(firm), -1)
+    return _checked(firm, numbers["year"], numbers["quarter"], numbers["size"].copy(), month, known)
 
 
 def _parse_rows(rows, firm_col, year_col, quarter_col, size_col, fiscal_col=None):
-    """Stripped firm ids, periods, sizes and months of `rows`, or None if a row fails a check."""
+    """Stripped firm ids, periods, sizes and months of `rows`, or None if a row fails a check.
+    The ids are Python strings in an object array: one that ends in NUL is not the one without."""
     n, width = len(rows), 1 + max(firm_col, year_col, quarter_col, size_col, fiscal_col or 0)
     rows = list(rows)  # a short row is padded with empty fields in this copy only
     for j in np.flatnonzero(np.fromiter(map(len, rows), np.intp, n) < width).tolist():
         rows[j] = rows[j] + [""] * (width - len(rows[j]))
-    firm = list(map(str.strip, map(itemgetter(firm_col), rows)))
+    firm = np.fromiter(map(str.strip, map(itemgetter(firm_col), rows)), object, n)
     raw = [""] * n if fiscal_col is None else list(map(itemgetter(fiscal_col), rows))
     stripped = list(map(str.strip, raw))
     known = np.fromiter(map(bool, stripped), bool, n)
@@ -110,6 +150,11 @@ def _parse_rows(rows, firm_col, year_col, quarter_col, size_col, fiscal_col=None
         month[known] = np.fromiter(map(int, compress(raw, stripped)), np.int64)
     except (ValueError, OverflowError):
         return None
+    return _checked(firm, year, quarter, size, month, known)
+
+
+def _checked(firm, year, quarter, size, month, known):
+    """A chunk's firm ids, periods, sizes and months, or None if a row fails a check."""
     ok = (
         (quarter >= 1) & (quarter <= 4) & np.isfinite(size) & (size > 0)
         & (~known | (month >= 1) & (month <= 12))
@@ -146,19 +191,6 @@ def _first_fault(rows, firm_col, year_col, quarter_col, size_col, fiscal_col=Non
                 return j, f"fiscal month {fiscal} outside 1..12"
         if not -(2**61) <= year < 2**61:
             raise OverflowError("Python int too large to convert to C long")  # as Panel says it
-
-
-def _check_repeats(firm_ids, periods):
-    """Raise ValueError at the first row whose (firm, period) an earlier row holds."""
-    code_of = dict(zip(dict.fromkeys(firm_ids), count()))
-    codes = np.fromiter(map(code_of.__getitem__, firm_ids), np.int64, len(firm_ids))
-    _, repeat = Groups.by_firm(codes, periods)
-    if repeat:
-        first, second = repeat
-        key = (firm_ids[first], *year_quarter(int(periods[first])))
-        raise ValueError(
-            f"row {second + 1}: duplicate observation for {key} (first seen at row {first + 1})"
-        )
 
 
 # ---------------------------------------------------------------------------

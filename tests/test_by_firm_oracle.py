@@ -30,6 +30,7 @@ from firmgrowth.estimation import (
     leave_one_out_rescale,
     mad_volatility,
 )
+from firmgrowth import panel as panel_module
 from firmgrowth.cli import main
 from firmgrowth.experiments import _upper_window_moment_slopes
 from firmgrowth.groups import Groups
@@ -777,3 +778,124 @@ def test_ingest_csv_periods_beyond_int64_match_loop(tmp_path, year, overflows):
                 parse(path)
     else:
         assert_same_panel(ingest_csv(path), loop_ingest_csv(path))
+
+
+# ---------------------------------------------------------------------------
+# Plain chunks: np.loadtxt against the loop
+# ---------------------------------------------------------------------------
+
+def plain_rows(seed, n_firms):
+    """:func:`export_rows` with every month present and no short row, so its
+    chunks are plain text (ASCII, no double quote) that ``np.loadtxt`` reads."""
+    rows = export_rows(seed, n_firms)
+    for row in rows:
+        if len(row) < 7:
+            row.append("12")
+        elif not row[6].strip():
+            row[6] = "12"
+    return rows
+
+
+def write_lines(path, rows, ends):
+    """`rows` as csv.writer writes them, each ended by its own line end in
+    `ends`; a str row is written as it is."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(EXPORT_HEADER) + "\n")
+        for row, end in zip(rows, ends):
+            if isinstance(row, str):
+                fh.write(row + end)
+            else:
+                csv.writer(fh, lineterminator=end).writerow(row)
+    return path
+
+
+def respell(row, column, spell):
+    def edit(rows, ends):
+        fields = rows[row - 1]
+        at = len(EXPORT_HEADER) - 1 - EXPORT_HEADER[::-1].index(column)
+        fields[at] = spell(fields[at])
+    return edit
+
+
+NEXT_CHUNK = _INGEST_CHUNK + 808  # a data row in the second chunk of lines
+ARABIC_INDIC_DIGITS = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")  # int() reads them
+
+# each trap first appears in the second chunk, after a chunk that np.loadtxt reads
+PLAIN_TRAPS = {
+    "quoted_comma_in_id": respell(NEXT_CHUNK, "gvkey", lambda v: v + ",x"),
+    # the quoted id's two lines are the second chunk's last line and the third's first
+    "quoted_line_break_across_chunks": respell(2 * _INGEST_CHUNK, "gvkey", lambda v: v + "\nx"),
+    "quoted_id_without_a_comma": lambda rows, ends: rows.__setitem__(
+        NEXT_CHUNK - 1, '"' + ",".join(rows[NEXT_CHUNK - 1]).replace(",", '",', 1)
+    ),
+    "year_loadtxt_reads_and_int_rejects": respell(NEXT_CHUNK, "fyearq",
+                                                  lambda v: f"\x1c{v.strip()}\x1c"),
+    "year_with_underscore": respell(NEXT_CHUNK, "fyearq", lambda v: f"{v[:-3]}_{v[-3:]}"),
+    "year_in_arabic_indic_digits": respell(NEXT_CHUNK, "fyearq",
+                                           lambda v: v.translate(ARABIC_INDIC_DIGITS)),
+    "whitespace_only_line": lambda rows, ends: rows.insert(NEXT_CHUNK - 1, " \t "),
+    "cr_line_ends": lambda rows, ends: ends.__setitem__(
+        slice(_INGEST_CHUNK, None), ["\r"] * (len(ends) - _INGEST_CHUNK)
+    ),
+    "empty_fiscal_month": respell(NEXT_CHUNK, "fyr", lambda v: ""),
+    "hash_in_id": respell(NEXT_CHUNK, "gvkey", lambda v: "#" + v),
+    "id_beyond_the_csv_field_limit": respell(NEXT_CHUNK, "gvkey",
+                                             lambda v: v.rjust(csv.field_size_limit() + 1, "0")),
+    # an id that ends in NUL is another firm than the id without it, though
+    # NumPy's str arrays show the two alike
+    "id_ending_in_nul_beside_it_without": lambda rows, ends: rows.__setitem__(
+        NEXT_CHUNK - 1, [rows[NEXT_CHUNK][0].strip() + "\x00", *rows[NEXT_CHUNK][1:]]
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def plain_export():
+    rows = plain_rows(5, 1000)
+    assert len(rows) > 2 * _INGEST_CHUNK + 1  # three chunks of lines
+    return rows
+
+
+def assert_same_outcome(path):
+    try:
+        expected = loop_ingest_csv(path, EXPORT_SCHEMA)
+    except (ValueError, csv.Error) as exc:
+        with pytest.raises(type(exc)) as got:
+            ingest_csv(path, EXPORT_SCHEMA)
+        assert str(got.value) == str(exc)
+    else:
+        assert_same_panel(ingest_csv(path, EXPORT_SCHEMA), expected)
+
+
+def test_plain_ingest_matches_loop(tmp_path, plain_export):
+    path = write_lines(tmp_path / "export.csv", plain_export, ["\n"] * len(plain_export))
+    assert_same_panel(ingest_csv(path, EXPORT_SCHEMA), loop_ingest_csv(path, EXPORT_SCHEMA))
+
+
+@pytest.mark.parametrize("case", list(PLAIN_TRAPS))
+def test_plain_ingest_trap_matches_loop(tmp_path, plain_export, case):
+    rows, ends = [row[:] for row in plain_export], ["\n"] * len(plain_export)
+    PLAIN_TRAPS[case](rows, ends)
+    assert_same_outcome(write_lines(tmp_path / "export.csv", rows, ends))
+
+
+def test_plain_chunks_skip_the_csv_reader(tmp_path, monkeypatch, plain_export):
+    parse_rows, calls = panel_module._parse_rows, []
+
+    def refuse(rows, *cols):
+        raise AssertionError("a plain chunk reached the csv.reader path")
+
+    def record(rows, *cols):
+        calls.append(len(rows))
+        return parse_rows(rows, *cols)
+
+    ends = ["\n"] * len(plain_export)
+    path = write_lines(tmp_path / "plain.csv", plain_export, ends)
+    monkeypatch.setattr(panel_module, "_parse_rows", refuse)
+    assert len(ingest_csv(path, EXPORT_SCHEMA)) == len(plain_export)
+    rows = [*plain_export[:-1], 'a"b,' + ",".join(plain_export[-1][1:])]  # one double quote
+    path = write_lines(tmp_path / "quoted.csv", rows, ends)
+    monkeypatch.setattr(panel_module, "_parse_rows", record)
+    with pytest.raises(ValueError, match="holds a comma, a double quote"):
+        ingest_csv(path, EXPORT_SCHEMA)
+    assert calls == [len(rows) - 2 * _INGEST_CHUNK]  # the third chunk's rows

@@ -246,6 +246,18 @@ class TestAnalyze:
         assert capsys.readouterr().err == f"error: panel CSV {panel}, row 2: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("row, message", [
+        ("#1,1,2.0", "could not convert string '#1' to int64 in column 1"),
+        ("1,1,2.0 # note", "could not convert string '2.0 # note' to float64 in column 3"),
+    ], ids=["leading", "trailing"])
+    def test_hash_is_data_not_a_comment(self, tmp_path, capsys, row, message):
+        panel = tmp_path / "panel.csv"
+        panel.write_text(f"firm_id,period,size\n1,0,1.0\n{row}\n1,2,3.0\n")
+        out = tmp_path / "out"
+        assert main(["analyze", "--panel", str(panel), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: panel CSV {panel}, row 2: {message}\n"
+        assert not out.exists()
+
     def test_missing_panel_is_error(self, tmp_path):
         cfg = write_config(tmp_path, SIM_CFG.format(out=tmp_path / "out"))
         assert main(["--config", cfg, "analyze"]) == 1
@@ -372,6 +384,17 @@ class TestFit:
         assert capsys.readouterr().err == f"error: fit input {data}, row 3: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("sample", ["#2.5", "2.5 # note"])
+    def test_mig_hash_is_data_not_a_comment(self, tmp_path, capsys, sample):
+        data = tmp_path / "samples.csv"
+        data.write_text(f"value\n1.5\n{sample}\n3.5\n")
+        out = tmp_path / "fit"
+        argv = ["fit", "--family", "mig", "--input", str(data), "--out-dir", str(out)]
+        assert main(argv) == 1
+        message = f"could not convert string {sample!r} to float64 in column 1"
+        assert capsys.readouterr().err == f"error: fit input {data}, row 2: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("body", ["", "value\n", "value\n\n"])
     def test_mig_input_without_data_rows_exits_1_without_a_warning(self, tmp_path, capsys, body):
         data = tmp_path / "samples.csv"
@@ -400,6 +423,17 @@ class TestFit:
         argv = ["fit", "--family", "gse", "--input", str(data), "--out-dir", str(out)]
         assert main_without_warnings(argv) == 1
         assert capsys.readouterr().err == f"error: {message.format(data=data)}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("row", ["#0,0.2", "0,0.2 # note"])
+    def test_gse_hash_is_data_not_a_comment(self, tmp_path, capsys, row):
+        data = tmp_path / "density.csv"
+        data.write_text(f"x,density\n-9,0.1\n{row}\n9,0.1\n")
+        out = tmp_path / "fit"
+        argv = ["fit", "--family", "gse", "--input", str(data), "--out-dir", str(out)]
+        assert main(argv) == 1
+        message = f"fit input {data}, row 2: x and density must be finite numbers"
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_bad_family_or_input(self, tmp_path):
@@ -801,6 +835,22 @@ class TestConfig:
         assert main(["--config", str(cfg), "ingest"]) == 1
         assert "fiscal_december_only" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["-3", "2.5", "two"])
+    def test_min_growth_obs_not_a_count_exits_1(self, tmp_path, capsys, value):
+        cfg = Path(write_pinned_ingest(tmp_path))
+        cfg.write_text(cfg.read_text().replace("min_growth_obs = 3", f"min_growth_obs = {value}"))
+        assert main(["--config", str(cfg), "ingest"]) == 1
+        message = f"[ingest] min_growth_obs = {value!r} is not an integer >= 0"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_min_growth_obs_zero_keeps_firms_without_growth_rates(self, tmp_path):
+        cfg = Path(write_pinned_ingest(tmp_path))
+        cfg.write_text(cfg.read_text().replace("min_growth_obs = 3", "min_growth_obs = 0"))
+        assert main(["--config", str(cfg), "ingest"]) == 0
+        exclusions = json.loads((tmp_path / "out" / "exclusions.json").read_text())
+        assert set(exclusions["excluded_firms"].values()) == {"fiscal_year_not_december"}
 
     def test_readme_example_loads(self, tmp_path):
         readme = (Path(SRC).parent / "README.md").read_text()
