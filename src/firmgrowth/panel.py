@@ -96,18 +96,19 @@ def ingest_csv(path, schema=None) -> Panel:
     bad = [code for code, firm in enumerate(labels) if any(c in firm for c in ',"\r\n')]
     if bad:
         row = int(np.flatnonzero(np.isin(codes, bad))[0])
-        raise ValueError(
-            f"row {row + 1}: firm id {labels[codes[row]]!r} holds a comma, a double quote"
-            " or a line break"
-        )
+        what = f"firm id {labels[codes[row]]!r} holds a comma, a double quote or a line break"
+        raise ValueError(f"row {row + 1}: {what}")
     return Panel(np.array(labels)[codes], periods, sizes, months)
 
 
 def _coded(chunk, code_of):
     """A parsed chunk with its firm ids as codes; `code_of` numbers each new id."""
     firm, *numbers = chunk
-    labels, inverse = np.unique(firm, return_inverse=True)
-    codes = np.fromiter((code_of.setdefault(f, len(code_of)) for f in labels.tolist()), np.int64)
+    inverse = slice(None)  # csv.reader's str list (NUL kept): a lookup a row beats sorting it
+    if not isinstance(firm, list):  # a plain chunk's str array: a lookup per distinct id
+        labels, inverse = np.unique(firm, return_inverse=True)
+        firm = labels.tolist()
+    codes = np.fromiter((code_of.setdefault(f, len(code_of)) for f in firm), np.int64, len(firm))
     return codes[inverse], *numbers
 
 
@@ -130,13 +131,12 @@ def _load_plain(lines, firm_col, year_col, quarter_col, size_col, fiscal_col=Non
 
 
 def _parse_rows(rows, firm_col, year_col, quarter_col, size_col, fiscal_col=None):
-    """Stripped firm ids, periods, sizes and months of `rows`, or None if a row fails a check.
-    The ids are Python strings in an object array: one that ends in NUL is not the one without."""
+    """Stripped firm ids, periods, sizes and months of `rows`, or None if a row fails a check."""
     n, width = len(rows), 1 + max(firm_col, year_col, quarter_col, size_col, fiscal_col or 0)
     rows = list(rows)  # a short row is padded with empty fields in this copy only
     for j in np.flatnonzero(np.fromiter(map(len, rows), np.intp, n) < width).tolist():
         rows[j] = rows[j] + [""] * (width - len(rows[j]))
-    firm = np.fromiter(map(str.strip, map(itemgetter(firm_col), rows)), object, n)
+    firm = list(map(str.strip, map(itemgetter(firm_col), rows)))
     raw = [""] * n if fiscal_col is None else list(map(itemgetter(fiscal_col), rows))
     stripped = list(map(str.strip, raw))
     known = np.fromiter(map(bool, stripped), bool, n)

@@ -879,6 +879,40 @@ def test_plain_ingest_trap_matches_loop(tmp_path, plain_export, case):
     assert_same_outcome(write_lines(tmp_path / "export.csv", rows, ends))
 
 
+BLANK_FAULTS = {
+    "duplicate_key": lambda rows, ends: rows.__setitem__(NEXT_CHUNK - 1, rows[4][:]),
+    "quarter_outside_1_to_4": respell(NEXT_CHUNK, "fqtr", lambda v: "5"),
+    # chunk 2 goes to csv.reader, and its duplicate is numbered after chunk 1's rows
+    "duplicate_key_after_a_quoted_id": lambda rows, ends: (
+        rows.__setitem__(NEXT_CHUNK - 1, rows[4][:]),
+        rows.__setitem__(NEXT_CHUNK - 2, '"' + ",".join(rows[NEXT_CHUNK - 2]).replace(",", '",', 1)),
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", list(BLANK_FAULTS))
+def test_blank_lines_in_a_plain_chunk_are_not_numbered(tmp_path, monkeypatch, plain_export, fault):
+    """Blank lines ended by LF, CRLF and CR in chunk 1, which np.loadtxt reads, are
+    skipped and not numbered, as csv.reader's are: a fault in chunk 2 names the
+    same rows as the loop does."""
+    rows, ends = [row[:] for row in plain_export], ["\n"] * len(plain_export)
+    BLANK_FAULTS[fault](rows, ends)
+    for at, end in zip((100, 101, 2000, 5000), ("\n", "\r\n", "\r", "\r\n")):
+        rows.insert(at, "")
+        ends.insert(at, end)
+    path = write_lines(tmp_path / "export.csv", rows, ends)
+    load_plain, loaded = panel_module._load_plain, []
+    monkeypatch.setattr(panel_module, "_load_plain",
+                        lambda *args: loaded.append(load_plain(*args)) or loaded[-1])
+    with pytest.raises(ValueError) as got:
+        ingest_csv(path, EXPORT_SCHEMA)
+    assert loaded[0] is not None  # chunk 1 and its blank lines went through np.loadtxt
+    with pytest.raises(ValueError) as expected:
+        loop_ingest_csv(path, EXPORT_SCHEMA)
+    assert str(got.value) == str(expected.value)
+    assert str(got.value).startswith(f"row {NEXT_CHUNK}: ")
+
+
 def test_plain_chunks_skip_the_csv_reader(tmp_path, monkeypatch, plain_export):
     parse_rows, calls = panel_module._parse_rows, []
 
