@@ -108,6 +108,18 @@ def _settings(cfg, section):
     return {**(CONFIG_KEYS[section] or {}), **own}
 
 
+def _integer(section, key, value, minimum=None):
+    """`value` of [section] key as an int, no less than `minimum` when one is given."""
+    try:
+        number = int(value)
+    except ValueError:
+        number = None
+    if number is None or (minimum is not None and number < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ValidationError(f"[{section}] {key} = {value!r} is not an integer{bound}")
+    return number
+
+
 def _boolean(section, key, value):
     states = configparser.ConfigParser.BOOLEAN_STATES
     if value.strip().lower() not in states:
@@ -118,8 +130,8 @@ def _boolean(section, key, value):
 def run_settings(cfg, args):
     """[run] section with CLI flags taking precedence."""
     run = _settings(cfg, "run")
-    seed = args.seed if args.seed is not None else run["seed"]
-    return int(seed), Path(args.out_dir or run["out_dir"])
+    seed = args.seed if args.seed is not None else _integer("run", "seed", run["seed"])
+    return seed, Path(args.out_dir or run["out_dir"])
 
 
 def model_params_from_config(cfg):
@@ -139,7 +151,8 @@ def model_params_from_config(cfg):
             alpha=float(model["alpha"]) if mode == "pareto" else None,
             s0=float(model["s0"]),
             sigma0=float(model["sigma0"]),
-            k_mode=FixedCount(int(model["k"])) if mode == "fixed" else ParetoCount(),
+            k_mode=(FixedCount(_integer("model", "k", model["k"], 1)) if mode == "fixed"
+                    else ParetoCount()),
             shock_law=model["shock_law"].strip().lower(),
             student_dof=float(model["student_dof"]),
         )
@@ -213,9 +226,8 @@ def cmd_simulate(cfg, args):
     seed, out_dir = run_settings(cfg, args)
     params = model_params_from_config(cfg)
     sim = _settings(cfg, "simulate")
-    n_firms, n_periods = int(sim["n_firms"]), int(sim["n_periods"])
-    if n_firms < 1 or n_periods < 2:
-        raise ValidationError("need n_firms >= 1 and n_periods >= 2")
+    n_firms = _integer("simulate", "n_firms", sim["n_firms"], 1)
+    n_periods = _integer("simulate", "n_periods", sim["n_periods"], 2)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     panel, clamp_count = simulate_panel(params, n_firms, n_periods, seed)
@@ -240,8 +252,8 @@ def cmd_analyze(cfg, args):
     panel_path = args.panel or ana["panel"]
     if not panel_path or not Path(panel_path).exists():
         raise ValidationError(f"panel file not found: {panel_path!r}")
-    n_bins = int(ana["n_bins"])
-    q_list = [int(q) for q in ana["q_list"].split(",")]
+    n_bins = _integer("analyze", "n_bins", ana["n_bins"], 1)
+    q_list = [_integer("analyze", "q_list", q) for q in ana["q_list"].split(",")]
     for i, q in enumerate(q_list):
         if q < 1:
             raise ValidationError(f"[analyze] q_list: moment {q} is below 1")
@@ -357,14 +369,7 @@ def cmd_ingest(cfg, args):
         raise ValidationError(f"ingest input not found: {input_path!r}")
     if ing["deflator"] and not Path(ing["deflator"]).exists():
         raise ValidationError(f"ingest deflator not found: {ing['deflator']!r}")
-    try:
-        min_growth_obs = int(ing["min_growth_obs"])
-    except ValueError:
-        min_growth_obs = -1
-    if min_growth_obs < 0:
-        raise ValidationError(
-            f"[ingest] min_growth_obs = {ing['min_growth_obs']!r} is not an integer >= 0"
-        )
+    min_growth_obs = _integer("ingest", "min_growth_obs", ing["min_growth_obs"], 0)
     december_only = _boolean("ingest", "fiscal_december_only", ing["fiscal_december_only"])
     schema = {logical: ing[f"{logical}_col"] for logical in _SCHEMA_FIELDS}
 
@@ -402,14 +407,9 @@ def cmd_ingest(cfg, args):
     return EXIT_OK
 
 
-def cmd_reproduce(cfg, args):
-    seed, out_dir = run_settings(cfg, args)
-    name = args.experiment
-    overrides = _settings(cfg, "reproduce")
-    if args.seed is None and "seed" not in _own_keys(cfg, "run"):
-        seed = None  # keep the experiment's reference seed
-
-    result = run_experiment(name, seed=seed, **overrides)
+def write_result(cfg, result, out_dir):
+    """Write an experiment's tables (with sidecars) and its ``_result.json`` to `out_dir`."""
+    name = result.experiment
     out_dir.mkdir(parents=True, exist_ok=True)
     meta = _meta(cfg, result.seed, {"experiment": name})
     for table_name, (header, rows) in result.tables.items():
@@ -423,6 +423,17 @@ def cmd_reproduce(cfg, args):
             "passed": result.passed,
         },
     )
+
+
+def cmd_reproduce(cfg, args):
+    seed, out_dir = run_settings(cfg, args)
+    name = args.experiment
+    overrides = _settings(cfg, "reproduce")
+    if args.seed is None and "seed" not in _own_keys(cfg, "run"):
+        seed = None  # keep the experiment's reference seed
+
+    result = run_experiment(name, seed=seed, **overrides)
+    write_result(cfg, result, out_dir)
     for line in result.summary_lines():
         print(line)
     verdict = "PASS" if result.passed else "FAIL"

@@ -272,84 +272,57 @@ def _upper_window_moment_slopes(sizes, vols, q_list, lo=300.0, trim=0.2, n_bins=
     return _moment_slopes(bins.select(bins.counts >= min_count), sizes, vols, q_list)
 
 
-def run_fig4(seed=20260804, n_firms=8_000_000, mu=1.25, alpha=1.1, sigma0=0.1):
-    rng = _rng(seed)
-    params = ModelParams(mu=mu, alpha=alpha, sigma0=sigma0, k_mode=ParetoCount())
-    counts, sizes, hhi = _wb_stats(params, n_firms, rng)
-    vols = sigma0 * np.sqrt(hhi)
+def _volatility_scaling(name, seed, n_firms, mu, alpha, sigma0, q_list):
+    """The steps fig4 and fig1_right share, on the WB population drawn from `seed`.
 
+    Takes the `q_list` volatility moments over 25 equal-count size bins, their
+    exponent profile and the diversified mean slope.  Returns the result, with
+    the slope's check and the shared scalars, then the binned-moment rows, the
+    profile, the diversified fit, and the firms' sizes and volatilities.
+    """
+    params = ModelParams(mu=mu, alpha=alpha, sigma0=sigma0, k_mode=ParetoCount())
+    counts, sizes, hhi = _wb_stats(params, n_firms, _rng(seed))
+    vols = sigma0 * np.sqrt(hhi)
     bins = analysis.equal_count_bins(sizes, 25)
-    mean_size, moments = analysis.binned_volatility_moments(bins, sizes, vols, [1, 2, 3, 4])
+    mean_size, moments = analysis.binned_volatility_moments(bins, sizes, vols, q_list)
     profile = estimation.power_law_exponent_profile(mean_size, moments)
     div_fit, n_div = _diversified_mean_slope(counts, sizes, vols, mu)
-    upper = _upper_window_moment_slopes(sizes, vols, [2, 3, 4])
 
-    beta = (mu - 1.0) / mu
-    res = ExperimentResult("fig4", seed)
-    res.checks = [
-        Check.within("mean_vol_slope_diversified", div_fit.slope, -beta, 0.03),
-        Check.within("q2_slope_upper_window", upper[2].slope, alpha - mu, 0.1),
-        Check.within("q3_slope_upper_window", upper[3].slope, alpha - mu, 0.1),
-        Check.within("q4_slope_upper_window", upper[4].slope, alpha - mu, 0.1),
-    ]
-    res.tables["binned_moments"] = (
-        ["bin", "mean_size", "n_firms", "q1", "q2", "q3", "q4"],
-        list(zip(bins.keys, mean_size, bins.counts, *moments.values())),
+    res = ExperimentResult(name, seed)
+    res.checks = [Check.within("mean_vol_slope_diversified", div_fit.slope, (1 - mu) / mu, 0.03)]
+    res.scalars = {"mu": mu, "alpha": alpha, "n_firms": n_firms, "n_diversified": n_div}
+    rows = list(zip(bins.keys, mean_size, bins.counts, *moments.values()))
+    return res, rows, profile, div_fit, sizes, vols
+
+
+def run_fig4(seed=20260804, n_firms=8_000_000, mu=1.25, alpha=1.1, sigma0=0.1):
+    q_list = [1, 2, 3, 4]
+    res, rows, profile, div_fit, sizes, vols = _volatility_scaling(
+        "fig4", seed, n_firms, mu, alpha, sigma0, q_list
     )
+    upper = _upper_window_moment_slopes(sizes, vols, q_list[1:])
+    res.checks += [
+        Check.within(f"q{q}_slope_upper_window", upper[q].slope, alpha - mu, 0.1) for q in upper
+    ]
+    res.tables["binned_moments"] = (["bin", "mean_size", "n_firms", "q1", "q2", "q3", "q4"], rows)
     res.tables["exponent_profile"] = (
         ["q", "slope", "se", "r2"],
-        [[q, profile[q].slope, profile[q].se, profile[q].r2] for q in (1, 2, 3, 4)],
+        [[q, profile[q].slope, profile[q].se, profile[q].r2] for q in q_list],
     )
-    res.scalars = {
-        "mu": mu,
-        "alpha": alpha,
-        "n_firms": n_firms,
-        "n_diversified": n_div,
+    res.scalars.update({
         "unconditional_profile": {q: asdict(profile[q]) for q in profile},
         "diversified_mean_fit": asdict(div_fit),
         "upper_window_fits": {q: asdict(f) for q, f in upper.items()},
-    }
+    })
     return res
 
 
 def run_fig1_right(seed=20260804, n_firms=4_000_000, mu=1.25, alpha=1.1, sigma0=0.1):
-    rng = _rng(seed)
-    params = ModelParams(mu=mu, alpha=alpha, sigma0=sigma0, k_mode=ParetoCount())
-    counts, sizes, hhi = _wb_stats(params, n_firms, rng)
-    vols = sigma0 * np.sqrt(hhi)
-    bins = analysis.equal_count_bins(sizes, 25)
-    mean_size, moments = analysis.binned_volatility_moments(bins, sizes, vols, [1])
-    fit_all = estimation.power_law_exponent_profile(mean_size, moments)[1]
-    div_fit, n_div = _diversified_mean_slope(counts, sizes, vols, mu)
-
-    # the OLS slope s.e. on binned points ignores within-bin sampling error;
-    # report a firm-level bootstrap s.e. alongside as a diagnostic (run on a
-    # subsample, rescaled by sqrt(n_sub / n) since firms are independent)
-    boot_rng = _rng(seed + 1)
-    n_sub = min(400_000, sizes.size)
-    boot_slopes = []
-    for _ in range(50):
-        take = boot_rng.integers(0, n_sub, n_sub)
-        s, v = sizes[take], vols[take]
-        boot_slopes.append(_moment_slopes(analysis.equal_count_bins(s, 25), s, v, [1])[1].slope)
-    bootstrap_se = float(np.std(boot_slopes, ddof=1) * np.sqrt(n_sub / sizes.size))
-
-    beta = (mu - 1.0) / mu
-    res = ExperimentResult("fig1_right", seed)
-    res.checks = [Check.within("mean_vol_slope_diversified", div_fit.slope, -beta, 0.03)]
-    res.tables["binned_volatility"] = (
-        ["bin", "mean_size", "n_firms", "mean_vol"],
-        list(zip(bins.keys, mean_size, bins.counts, moments[1])),
+    res, rows, profile, div_fit, _, _ = _volatility_scaling(
+        "fig1_right", seed, n_firms, mu, alpha, sigma0, [1]
     )
-    res.scalars = {
-        "mu": mu,
-        "alpha": alpha,
-        "n_firms": n_firms,
-        "n_diversified": n_div,
-        "unconditional_fit": asdict(fit_all),
-        "unconditional_slope_bootstrap_se": bootstrap_se,
-        "diversified_fit": asdict(div_fit),
-    }
+    res.tables["binned_volatility"] = (["bin", "mean_size", "n_firms", "mean_vol"], rows)
+    res.scalars.update(unconditional_fit=asdict(profile[1]), diversified_fit=asdict(div_fit))
     return res
 
 

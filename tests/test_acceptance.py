@@ -7,6 +7,7 @@ reference seeds.  Run with `pytest tests/test_acceptance.py -v -s` to see the
 per-criterion lines.
 """
 
+import dataclasses
 import hashlib
 import json
 import time
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from scipy import integrate
 
 import firmgrowth.experiments as xp
@@ -22,6 +24,7 @@ from firmgrowth.distributions import GseParams, MigParams, gse_pdf, laplace_sum_
 from firmgrowth.estimation import fit_gse_nls, fit_mig_mle
 
 GOLDEN = Path(__file__).parent / "golden"
+MANIFEST = Path(__file__).parent / "reproduce_sha256.json"
 
 
 def report(criterion, result):
@@ -58,6 +61,11 @@ def fig4_result():
 
 
 @pytest.fixture(scope="session")
+def fig1_right_result():
+    return xp.run_fig1_right()
+
+
+@pytest.fixture(scope="session")
 def fig1_left_result():
     return xp.run_fig1_left()
 
@@ -80,6 +88,11 @@ def fig5_result():
 @pytest.fixture(scope="session")
 def laplace_result():
     return xp.run_laplace_sum()
+
+
+@pytest.fixture(scope="session")
+def table1_result():
+    return xp.run_table1()
 
 
 # --------------------------------------------------------------------------
@@ -119,6 +132,12 @@ def test_criterion_3_size_tail_and_fraction_slope(prop3_result):
 def test_criterion_4_moment_scaling(fig4_result):
     report(4, fig4_result)
     assert_checks(fig4_result)
+
+
+def test_criterion_4_fig1_right_diversified_mean_slope(fig1_right_result):
+    report(4, fig1_right_result)
+    assert_checks(fig1_right_result, names={"mean_vol_slope_diversified"})
+    assert [c.name for c in fig1_right_result.checks] == ["mean_vol_slope_diversified"]
 
 
 # --------------------------------------------------------------------------
@@ -303,6 +322,46 @@ def test_criterion_11_determinism(tmp_path):
         assert first and first == second
     print("criterion 11 [PASS] repeated reproduce runs are byte-identical "
           f"({', '.join(e for e, _ in cases)})")
+
+
+def test_criterion_11_reproduce_outputs_match_manifest(
+    tmp_path, prop2_result, prop3_result, prop7_result, fig1_left_result, fig1_right_result,
+    fig3_result, fig4_result, fig5_result, table1_result, laplace_result,
+):
+    """Every file `reproduce` writes at the reference seeds, against committed digests.
+
+    An intended output change replaces the manifest with the digests this
+    test prints on failure, in the same change that makes it.
+    """
+    from firmgrowth.cli import load_config, write_result
+
+    # the fixture's own runtime is no output of the experiment
+    scalars = {k: v for k, v in prop2_result.scalars.items() if k != "wall_seconds"}
+    results = [
+        dataclasses.replace(prop2_result, scalars=scalars), prop3_result, prop7_result,
+        fig1_left_result, fig1_right_result, fig3_result, fig4_result, fig5_result,
+        table1_result, laplace_result,
+    ]
+    assert sorted(r.experiment for r in results) == sorted(xp.EXPERIMENTS)
+    for result in results:
+        write_result(load_config(None), result, tmp_path)
+    got = {
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "sha256": {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in sorted(tmp_path.iterdir())},
+    }
+    want = json.loads(MANIFEST.read_text())
+    changed = sorted(
+        name for name in want["sha256"].keys() | got["sha256"].keys()
+        if want["sha256"].get(name) != got["sha256"].get(name)
+    )
+    assert not changed, (
+        f"{len(changed)} reproduce output(s) differ from {MANIFEST.name} "
+        f"(pinned under NumPy {want['numpy']}, SciPy {want['scipy']}): {', '.join(changed)}\n"
+        f"new manifest:\n{json.dumps(got, indent=2, sort_keys=True)}"
+    )
+    print(f"criterion 11 [PASS] all {len(got['sha256'])} reproduce outputs match {MANIFEST.name}")
 
 
 def test_prop2_scaling_is_a_function_of_its_seed():

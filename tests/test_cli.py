@@ -852,6 +852,38 @@ class TestConfig:
         exclusions = json.loads((tmp_path / "out" / "exclusions.json").read_text())
         assert set(exclusions["excluded_firms"].values()) == {"fiscal_year_not_december"}
 
+    @pytest.mark.parametrize("section, lines, command, message", [
+        ("run", "seed = 1.5", "simulate", "[run] seed = '1.5' is not an integer"),
+        ("model", "k_mode = fixed\nk = two", "simulate",
+         "[model] k = 'two' is not an integer >= 1"),
+        ("simulate", "n_firms = 2.5", "simulate",
+         "[simulate] n_firms = '2.5' is not an integer >= 1"),
+        ("simulate", "n_periods = x", "simulate",
+         "[simulate] n_periods = 'x' is not an integer >= 2"),
+        ("analyze", "n_bins = x", "analyze", "[analyze] n_bins = 'x' is not an integer >= 1"),
+        # no firm of the panel has two growth rates, so no bin could take a firm
+        ("analyze", "n_bins = 0", "analyze", "[analyze] n_bins = '0' is not an integer >= 1"),
+        ("analyze", "q_list = 1,x", "analyze", "[analyze] q_list = 'x' is not an integer"),
+    ])
+    def test_integer_key_not_an_integer_exits_1_naming_it(self, tmp_path, capsys, section,
+                                                          lines, command, message):
+        out = tmp_path / "out"
+        panel = tmp_path / "panel.csv"
+        panel.write_text("firm_id,period,size\n0,0,1.0\n0,1,1.5\n")
+        body = (ALL_SECTIONS_CFG.format(out=out).replace(f"{out}/panel.csv", str(panel))
+                .replace("n_firms = 50\nn_periods = 4\n", "")
+                .replace(f"[{section}]\n", f"[{section}]\n{lines}\n"))
+        assert main(["--config", write_config(tmp_path, body), command]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_integer_keys_at_their_lower_bounds_load(self, tmp_path):
+        out = tmp_path / "out"
+        body = (f"[run]\nout_dir = {out}\nseed = 0\n\n[model]\nmu = 1.5\nk_mode = fixed\nk = 1\n\n"
+                "[simulate]\nn_firms = 1\nn_periods = 2\n")
+        assert main(["--config", write_config(tmp_path, body), "simulate"]) == 0
+        assert len((out / "panel.csv").read_text().splitlines()) == 1 + 1 * 2
+
     def test_readme_example_loads(self, tmp_path):
         readme = (Path(SRC).parent / "README.md").read_text()
         example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
