@@ -14,7 +14,7 @@ import hashlib
 import json
 import sys
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -376,18 +376,21 @@ def cmd_ingest(cfg, args):
     panel = panel_mod.ingest_csv(input_path, schema)
     if len(panel) == 0:
         raise ValidationError(f"ingest input {input_path} has no data rows")
+    # from here on each firm is its id's rank, so no stage sorts strings and every order is the
+    # ids'; np.unique without return_inverse hashes the ids (NumPy >= 2.3), copying no row
+    labels = np.unique(panel.firm_id)
+    panel = replace(panel, firm_id=np.searchsorted(labels, panel.firm_id))
     if ing["deflator"]:
         panel = panel_mod.deflate(panel, panel_mod.DeflatorSeries.from_csv(ing["deflator"]))
-    panel, growths, exclusions = panel_mod.filter_firms(
-        panel_mod.normalize_by_year(panel), min_growth_obs, december_only
-    )
+    panel = panel_mod.normalize_by_year(panel)  # the unnormalized sizes go before filter_firms
+    panel, growths, exclusions = panel_mod.filter_firms(panel, min_growth_obs, december_only)
     if len(panel) == 0:
         raise ValidationError("no observations survive the filters")
 
     out_dir.mkdir(parents=True, exist_ok=True)
     write_table_csv(
         out_dir / "growth.csv", ["firm_id", "year", "quarter", "g"],
-        [growths.firm_id, *panel_mod.year_quarter(growths.period), growths.growth],
+        [labels[growths.firm_id], *panel_mod.year_quarter(growths.period), growths.growth],
         meta=_meta(cfg, seed),
     )
     stats = panel_mod.descriptive_stats(panel, growths)  # one dict per row, keyed by column
@@ -397,7 +400,8 @@ def cmd_ingest(cfg, args):
     )
     write_json(
         out_dir / "exclusions.json",
-        {"_meta": _meta(cfg, seed), "excluded_firms": exclusions,
+        {"_meta": _meta(cfg, seed),
+         "excluded_firms": dict(zip(labels[list(exclusions)].tolist(), exclusions.values())),
          "n_retained_firms": int(np.unique(panel.firm_id).size)},
     )
     print(
@@ -431,6 +435,9 @@ def cmd_reproduce(cfg, args):
     overrides = _settings(cfg, "reproduce")
     if args.seed is None and "seed" not in _own_keys(cfg, "run"):
         seed = None  # keep the experiment's reference seed
+    elif not 0 <= seed < 2**128:  # a Philox key
+        where = "[run] seed =" if args.seed is None else "--seed"
+        raise ValidationError(f"{where} {seed} is outside reproduce's range 0 .. 2**128 - 1")
 
     result = run_experiment(name, seed=seed, **overrides)
     write_result(cfg, result, out_dir)

@@ -120,6 +120,8 @@ def _wb_stats(params, n_firms, rng, with_growth=False, chunk=2_000_000):
 # ---------------------------------------------------------------------------
 
 def run_prop2_scaling(seed=20260801, n_per_k=10_000, mu=1.5, k_exponents=range(6, 15)):
+    if 1 <= n_per_k < 2:  # sample_firm_stats rejects fewer; one firm per k has no standard error
+        raise ValueError(f"n_per_k must be >= 2, got {n_per_k}")
     rng = _rng(seed)
     params = ModelParams(mu=mu, k_mode=FixedCount(1))
     ks, mean_h, mean_sqrt_h, median_h, se_h = [], [], [], [], []

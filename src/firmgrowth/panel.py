@@ -48,8 +48,9 @@ def ingest_csv(path, schema=None) -> Panel:
     work without code changes.  Rows failing validation raise ValueError with
     the 1-based data row number; duplicate (firm, year, quarter) keys, and
     firm ids that hold a comma, a double quote or a line break (the growth
-    CSV writes ids unquoted), are rejected the same way.  Returns a
-    :class:`Panel` with one row per CSV row, in file order: string firm ids,
+    CSV writes ids unquoted) or a NUL (NumPy's str arrays drop a trailing
+    one), are rejected the same way.  Returns a :class:`Panel` with one
+    row per CSV row, in file order: string firm ids,
     period ``4 * year + quarter - 1``, nominal sizes, and fiscal year-end
     months (-1 where unknown).  ``np.loadtxt`` parses chunks of plain lines;
     from the first other or failing chunk on, ``csv.reader`` parses the rest.
@@ -83,6 +84,7 @@ def ingest_csv(path, schema=None) -> Panel:
             if fault:
                 break
     codes, periods, sizes, months = map(np.concatenate, zip(*parts))
+    del parts  # the chunks are not held beside the joined columns
     labels = list(code_of)
     _, repeat = Groups.by_firm(codes, periods)  # over the rows before a failing one
     if repeat:
@@ -93,11 +95,11 @@ def ingest_csv(path, schema=None) -> Panel:
         )
     if fault:
         raise ValueError(f"row {len(codes) + 1}: {fault}")
-    bad = [code for code, firm in enumerate(labels) if any(c in firm for c in ',"\r\n')]
+    bad = [code for code, firm in enumerate(labels) if any(c in firm for c in ',"\r\n\x00')]
     if bad:
         row = int(np.flatnonzero(np.isin(codes, bad))[0])
-        what = f"firm id {labels[codes[row]]!r} holds a comma, a double quote or a line break"
-        raise ValueError(f"row {row + 1}: {what}")
+        what = "holds a comma, a double quote, a line break or a NUL"
+        raise ValueError(f"row {row + 1}: firm id {labels[codes[row]]!r} {what}")
     return Panel(np.array(labels)[codes], periods, sizes, months)
 
 

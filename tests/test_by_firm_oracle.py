@@ -265,10 +265,10 @@ def loop_ingest_csv(path, schema=None):
             sizes.append(size)
             months.append(fiscal)
     for firm in dict.fromkeys(firm_ids):
-        if any(c in firm for c in ',"\r\n'):
+        if any(c in firm for c in ',"\r\n\x00'):
             raise ValueError(
-                f"row {firm_ids.index(firm) + 1}: firm id {firm!r} holds a comma, a double quote"
-                " or a line break"
+                f"row {firm_ids.index(firm) + 1}: firm id {firm!r} holds a comma, a double quote,"
+                " a line break or a NUL"
             )
     return Panel(firm_ids, periods, sizes, months)
 
@@ -842,7 +842,7 @@ PLAIN_TRAPS = {
     "id_beyond_the_csv_field_limit": respell(NEXT_CHUNK, "gvkey",
                                              lambda v: v.rjust(csv.field_size_limit() + 1, "0")),
     # an id that ends in NUL is another firm than the id without it, though
-    # NumPy's str arrays show the two alike
+    # NumPy's str arrays show the two alike, so it is rejected
     "id_ending_in_nul_beside_it_without": lambda rows, ends: rows.__setitem__(
         NEXT_CHUNK - 1, [rows[NEXT_CHUNK][0].strip() + "\x00", *rows[NEXT_CHUNK][1:]]
     ),

@@ -555,6 +555,20 @@ class TestIngest:
         assert f"error: row 9: firm id {firm!r} holds a comma" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_firm_id_ending_in_nul_is_validation_error(self, tmp_path, capsys):
+        # NumPy's str arrays drop a trailing NUL, so "A\0" would join A's series
+        rows = ["firm_id,year,quarter,size"]
+        for firm, years in (("A", range(2000, 2003)), ("A\x00", range(2003, 2006))):
+            rows += [f"{firm},{year},{q},{year - 1990 + q}" for year in years for q in (1, 2, 3, 4)]
+        data = tmp_path / "quarters.csv"
+        data.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "ing"
+        cfg = write_config(tmp_path, f"[run]\nout_dir = {out}\n[ingest]\ninput = {data}\n")
+        assert main(["--config", cfg, "ingest"]) == 1
+        assert ("error: row 13: firm id 'A\\x00' holds a comma, a double quote, a line break"
+                " or a NUL") in capsys.readouterr().err
+        assert not out.exists()
+
     def test_row_ending_before_firm_id_is_validation_error(self, tmp_path, capsys):
         data = tmp_path / "short.csv"
         data.write_text("year,quarter,size,firm_id\n2000,1,1.0,a\n2000,2,1.5\n")
@@ -601,6 +615,26 @@ class TestReproduce:
         cfg = write_config(tmp_path, f"[run]\nout_dir = {out}\n\n[reproduce]\nn_samples = {n}\n")
         assert main(["--config", cfg, "reproduce", "fig5"]) == 1
         assert f"n_samples must be >= 2, got {n}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_prop2_scaling_needs_two_firms_per_k(self, tmp_path, capsys):
+        out = tmp_path / "rep"
+        cfg = write_config(tmp_path, f"[run]\nout_dir = {out}\n\n[reproduce]\nn_per_k = 1\n")
+        assert main_without_warnings(["--config", cfg, "reproduce", "prop2_scaling"]) == 1
+        assert "n_per_k must be >= 2, got 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("body, flag, message", [
+        ("seed = -1\n", [], "[run] seed = -1 is outside"),
+        (f"seed = {2**128}\n", [], f"[run] seed = {2**128} is outside"),
+        ("", ["--seed", "-1"], "--seed -1 is outside"),
+    ])
+    def test_seed_outside_philox_keys_exits_1_naming_it(self, tmp_path, capsys, body, flag,
+                                                        message):
+        out = tmp_path / "rep"
+        cfg = write_config(tmp_path, f"[run]\nout_dir = {out}\n{body}")
+        assert main(["--config", cfg, *flag, "reproduce", "prop2_scaling"]) == 1
+        assert f"error: {message} reproduce's range 0 .. 2**128 - 1" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("experiment, line, message", [
