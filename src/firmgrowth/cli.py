@@ -13,7 +13,6 @@ import configparser
 import hashlib
 import json
 import sys
-import warnings
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -23,7 +22,7 @@ from firmgrowth import __version__, analysis, estimation
 from firmgrowth.analysis import DensityEstimate
 from firmgrowth.experiments import EXPERIMENTS, run_experiment
 from firmgrowth.model import (
-    FixedCount, ModelParams, Panel, ParetoCount, load_csv_rows, simulate_panel,
+    FixedCount, ModelParams, Panel, ParetoCount, load_csv_rows, read_columns, simulate_panel,
 )
 from firmgrowth import panel as panel_mod
 
@@ -317,22 +316,13 @@ def _read_samples(path):
 
 def _read_density(path):
     """The x and density columns, found by name in the header, of a CSV of finite numbers."""
-    with open(path) as fh:
-        header = [name.strip() for name in fh.readline().split(",")]
-        if "x" not in header or "density" not in header:
-            raise ValidationError("gse input needs columns x,density")
-        cols = (header.index("x"), header.index("density"))
-        with warnings.catch_warnings():  # no data rows raises below instead
-            warnings.simplefilter("ignore", UserWarning)
-            data = np.genfromtxt(fh, delimiter=",", usecols=cols, ndmin=2, comments=None)
-    if data.size == 0:
-        raise ValidationError(f"fit input {path} has no data rows")
-    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    rows = read_columns(path, f"fit input {path}", [("x", float), ("density", float)])
+    bad = np.flatnonzero(~(np.isfinite(rows["x"]) & np.isfinite(rows["density"])))
     if bad.size:
         raise ValidationError(
             f"fit input {path}, row {bad[0] + 1}: x and density must be finite numbers"
         )
-    return DensityEstimate(data[:, 0], data[:, 1])
+    return DensityEstimate(rows["x"], rows["density"])
 
 
 def cmd_fit(cfg, args):

@@ -621,7 +621,7 @@ def run_laplace_sum(seed=20260810, n_sums=10_000_000, k_values=(2, 4, 8),
     for k in k_values:
         counts = np.zeros(n_bins, dtype=np.int64)
         done = 0
-        block = max(1, int(4e7) // k)
+        block = max(1, _BLOCK // k)
         while done < n_sums:
             c = min(block, n_sums - done)
             y = rng.laplace(size=(c, k)).sum(axis=1) / np.sqrt(2 * k)

@@ -22,6 +22,7 @@ the numbers do not depend on the core count.
 from __future__ import annotations
 
 import copy
+import csv
 import math
 import os
 import re
@@ -339,29 +340,51 @@ def draw_population(params: ModelParams, n_firms, rng) -> FirmPopulation:
 # ---------------------------------------------------------------------------
 
 _PANEL_COLUMNS = [("firm_id", np.int64), ("period", np.int64), ("size", float)]
-# NumPy's message for a cell it cannot convert, whose row it counts from 0;
-# compiled on the first fault, not at import
+# NumPy's messages for a cell it cannot convert, whose row it counts from 0, and for a row too
+# short for a column, whose row it counts from 1; compiled on the first fault, not at import
 _UNCONVERTED = r"(could not convert .*) at row (\d+), column (\d+)\."
+_SHORT_ROW = r"invalid column index (\d+) at row (\d+) with (\d+) columns"
 
 
 def load_csv_rows(source, what, **kwargs):
     """``np.loadtxt`` of comma-separated data rows (blank lines skipped), at least 1-D.
 
     ``#`` starts no comment, so a cell that holds one fails to convert.  No data rows give an
-    empty array, without NumPy's warning.  A cell NumPy cannot convert raises ValueError
-    ``"{what}, row N: ..."`` with its 1-based data row, as every other reader counts rows.
+    empty array, without NumPy's warning.  A cell NumPy cannot convert, or a row too short for
+    a column, raises ValueError ``"{what}, row N: ..."`` with its 1-based data row, as every
+    other reader counts rows, and its 1-based column.
     """
     with warnings.catch_warnings():  # no data rows is the caller's to report
         warnings.simplefilter("ignore", UserWarning)
         try:
             return np.loadtxt(source, delimiter=",", ndmin=1, comments=None, **kwargs)
         except ValueError as exc:
-            fault = re.fullmatch(_UNCONVERTED, str(exc))
-            if fault is None:
+            if fault := re.fullmatch(_UNCONVERTED, str(exc)):
+                row, cause = int(fault[2]) + 1, f"{fault[1]} in column {fault[3]}"
+            elif fault := re.fullmatch(_SHORT_ROW, str(exc)):
+                row, cause = fault[2], f"has {fault[3]} column(s), needs column {int(fault[1]) + 1}"
+            else:
                 raise
-            raise ValueError(
-                f"{what}, row {int(fault[2]) + 1}: {fault[1]} in column {fault[3]}"
-            ) from None
+            raise ValueError(f"{what}, row {row}: {cause}") from None
+
+
+def read_columns(path, what, columns):
+    """The `columns`, (name, dtype) pairs, of a CSV file whose header row names them in any order.
+
+    A structured array read by :func:`load_csv_rows`, quoted as ``csv.reader`` reads; a repeated
+    name is its last column.  A missing name raises ValueError ``"{what} lacks column(s) ..."``,
+    and a file without data rows ``"{what} has no data rows"``.
+    """
+    with open(path) as fh:
+        where = {name.strip(): i for i, name in enumerate(next(csv.reader(fh), []))}
+        missing = [name for name, _ in columns if name not in where]
+        if missing:
+            raise ValueError(f"{what} lacks column(s) {', '.join(missing)}")
+        cols = [where[name] for name, _ in columns]
+        rows = load_csv_rows(fh, what, usecols=cols, dtype=columns, quotechar='"')
+    if rows.size == 0:
+        raise ValueError(f"{what} has no data rows")
+    return rows
 
 
 @dataclass
@@ -408,21 +431,9 @@ class Panel:
 
     @classmethod
     def read_csv(cls, path):
-        """Read a panel CSV whose header names the three columns, in any order.
-
-        Every cell must parse and every size be a positive finite number; the
-        first that fails raises ValueError with its 1-based data row, and a
-        file of no rows raises too.
-        """
-        with open(path) as fh:
-            header = [name.strip() for name in fh.readline().split(",")]
-            missing = [name for name, _ in _PANEL_COLUMNS if name not in header]
-            if missing:
-                raise ValueError(f"panel CSV {path} lacks column(s) {', '.join(missing)}")
-            cols = [header.index(name) for name, _ in _PANEL_COLUMNS]
-            rows = load_csv_rows(fh, f"panel CSV {path}", usecols=cols, dtype=_PANEL_COLUMNS)
-        if rows.size == 0:
-            raise ValueError(f"panel CSV {path} has no data rows")
+        """Read a panel CSV by :func:`read_columns`; the first size that is not a positive
+        finite number raises ValueError with its 1-based data row."""
+        rows = read_columns(path, f"panel CSV {path}", _PANEL_COLUMNS)
         bad = np.flatnonzero(~(np.isfinite(rows["size"]) & (rows["size"] > 0)))
         if bad.size:
             raise ValueError(

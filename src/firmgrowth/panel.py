@@ -19,7 +19,7 @@ import numpy as np
 
 from firmgrowth.estimation import firm_groups, mad_volatility
 from firmgrowth.groups import Groups
-from firmgrowth.model import Panel, load_csv_rows
+from firmgrowth.model import Panel, load_csv_rows, read_columns
 
 DEFAULT_SCHEMA = {
     "firm_id": "firm_id",
@@ -208,24 +208,21 @@ class DeflatorSeries:
     @classmethod
     def from_csv(cls, path):
         """Read year,quarter,index rows; a repeated (year, quarter) raises ValueError."""
+        columns = [("year", np.int64), ("quarter", np.int64), ("index", float)]
+        rows = read_columns(path, f"deflator {path}", columns).tolist()
         table, first_row = {}, {}
-        with open(path, newline="") as fh:
-            for row_no, row in enumerate(csv.DictReader(fh), start=1):
-                try:
-                    key = (int(row["year"]), int(row["quarter"]))
-                    value = float(row["index"])
-                except (KeyError, TypeError, ValueError):
-                    raise ValueError(f"deflator row {row_no}: need year,quarter,index") from None
-                if value <= 0:
-                    raise ValueError(f"deflator row {row_no}: non-positive index")
-                if not np.isfinite(value):
-                    raise ValueError(f"deflator row {row_no}: non-finite index {value!r}")
-                if key in first_row:
-                    raise ValueError(
-                        f"deflator rows {first_row[key]} and {row_no} both give {key[0]}Q{key[1]}"
-                    )
-                first_row[key] = row_no
-                table[key] = value
+        for row_no, (year, quarter, value) in enumerate(rows, start=1):
+            key = (year, quarter)
+            if value <= 0:
+                raise ValueError(f"deflator row {row_no}: non-positive index")
+            if not np.isfinite(value):
+                raise ValueError(f"deflator row {row_no}: non-finite index {value!r}")
+            if key in first_row:
+                raise ValueError(
+                    f"deflator rows {first_row[key]} and {row_no} both give {key[0]}Q{key[1]}"
+                )
+            first_row[key] = row_no
+            table[key] = value
         return cls(table)
 
     def lookup(self, year, quarter):

@@ -18,6 +18,7 @@ from firmgrowth.cli import main, write_table_csv
 from firmgrowth.distributions import MigParams, mig_sample
 from firmgrowth.estimation import _ADJ, _count_at_most, _mig_log_norm, _mig_nll
 from firmgrowth.estimation import leave_one_out_rescale
+from firmgrowth import experiments as xp
 from firmgrowth.experiments import _mig_growths, _rng
 from firmgrowth.groups import _BLOCK
 
@@ -328,3 +329,14 @@ def test_fig5_draws_match_whole_array(n):
     rng, ref_rng = _rng(n), _rng(n)
     assert_same_bytes(_mig_growths(rng, MIG, n), old_fig5_draws(ref_rng, MIG, n))
     assert generator_state(rng) == generator_state(ref_rng)
+
+
+def test_laplace_sum_tables_do_not_depend_on_the_block(monkeypatch):
+    def run(block):
+        monkeypatch.setattr(xp, "_BLOCK", block)
+        return xp.run_laplace_sum(n_sums=200_000, k_values=(2, 4))
+
+    # 4e7 elements is the one block the old rule gave at these sizes; 1001 leaves a short last one
+    whole, blocked = run(int(4e7)), run(1001)
+    assert blocked.tables == whole.tables
+    assert [c.value for c in blocked.checks] == [c.value for c in whole.checks]

@@ -237,7 +237,8 @@ class TestAnalyze:
     @pytest.mark.parametrize("row, message", [
         ("0,1,abc", "could not convert string 'abc' to float64 in column 3"),
         ("0,x,2.0", "could not convert string 'x' to int64 in column 2"),
-    ], ids=["size", "period"])
+        ("0,1", "has 2 column(s), needs column 3"),
+    ], ids=["size", "period", "short_row"])
     def test_unparsable_cell_exits_1_citing_its_data_row(self, tmp_path, capsys, row, message):
         panel = tmp_path / "panel.csv"
         panel.write_text(f"firm_id,period,size\n0,0,1.0\n\n{row}\n")  # blank lines are not rows
@@ -406,16 +407,19 @@ class TestFit:
         assert not out.exists()
 
     @pytest.mark.parametrize("body, message", [
-        ("", "gse input needs columns x,density"),
+        ("", "fit input {data} lacks column(s) x, density"),
         ("x,density\n", "fit input {data} has no data rows"),
         ("x,density\n0.5,0.1\n", "grid must cover [-8.0, 8.0]"),
         ("x,density\n-9,0.1\nabc,0.2\n9,0.1\n",
-         "fit input {data}, row 2: x and density must be finite numbers"),
+         "fit input {data}, row 2: could not convert string 'abc' to float64 in column 1"),
         ("density,x\n0.1,-9\n\n0.1,0\nabc,3\n0.1,9\n",
-         "fit input {data}, row 3: x and density must be finite numbers"),
+         "fit input {data}, row 3: could not convert string 'abc' to float64 in column 1"),
         ("x,density\n-9,0.1\n0,nan\n9,0.1\n",
          "fit input {data}, row 2: x and density must be finite numbers"),
-    ], ids=["empty", "header_only", "one_row", "bad_x", "bad_density_blank_line", "nan_density"])
+        ("density,x\n0.1,-9\n0.2\n0.1,9\n",
+         "fit input {data}, row 2: has 1 column(s), needs column 2"),
+    ], ids=["empty", "header_only", "one_row", "bad_x", "bad_density_blank_line", "nan_density",
+            "short_row"])
     def test_bad_gse_input_exits_1_naming_its_cause(self, tmp_path, capsys, body, message):
         data = tmp_path / "density.csv"
         data.write_text(body)
@@ -432,7 +436,11 @@ class TestFit:
         out = tmp_path / "fit"
         argv = ["fit", "--family", "gse", "--input", str(data), "--out-dir", str(out)]
         assert main(argv) == 1
-        message = f"fit input {data}, row 2: x and density must be finite numbers"
+        cell, column = ("#0", 1) if row.startswith("#") else ("0.2 # note", 2)
+        message = (
+            f"fit input {data}, row 2: "
+            f"could not convert string {cell!r} to float64 in column {column}"
+        )
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
@@ -528,6 +536,15 @@ class TestIngest:
         (tmp_path / "deflator.csv").unlink()
         assert main(["--config", cfg, "ingest"]) == 1
         assert f"{tmp_path / 'deflator.csv'}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_short_deflator_row_exits_1_naming_its_file_row_and_column(self, tmp_path, capsys):
+        cfg = write_pinned_ingest(tmp_path)
+        deflator = tmp_path / "deflator.csv"
+        deflator.write_text("year,quarter,index\n2000,1,1.0\n2000,2\n")
+        assert main(["--config", cfg, "ingest"]) == 1
+        message = f"deflator {deflator}, row 2: has 2 column(s), needs column 3"
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
 
     def test_bad_csv_is_validation_error(self, tmp_path):

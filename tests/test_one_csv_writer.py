@@ -4,8 +4,8 @@ The test parses each module of ``firmgrowth`` with ``ast``.  It fails on any
 mention of ``csv.writer``, ``DictWriter`` or ``savetxt``, and on any file
 opened for writing outside ``cli``: ``open`` with a mode that writes (or a
 mode that is not a literal), ``write_text``, ``write_bytes``, or NumPy's
-``save``, ``savez`` and ``tofile``.  Reading CSV input (``csv.reader``,
-``DictReader``) is allowed everywhere.
+``save``, ``savez`` and ``tofile``.  Readers are ``test_one_csv_reader.py``'s
+to check.
 """
 
 import ast

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,30 @@ class TestDeflate:
         path = tmp_path / "deflator.csv"
         path.write_text("year,quarter,index\n2000,1,0.8\n2000,2,0.9\n2000,1,0.85\n")
         with pytest.raises(ValueError, match="rows 1 and 3 both give 2000Q1"):
+            DeflatorSeries.from_csv(path)
+
+    def test_from_csv_header_only_has_no_data_rows(self, tmp_path):
+        path = tmp_path / "deflator.csv"
+        path.write_text("year,quarter,index\n\n")
+        with pytest.raises(ValueError, match=re.escape(f"deflator {path} has no data rows")):
+            DeflatorSeries.from_csv(path)
+
+    def test_from_csv_names_a_missing_column(self, tmp_path):
+        path = tmp_path / "deflator.csv"
+        path.write_text("year,quarter,price\n2000,1,0.8\n")
+        with pytest.raises(ValueError, match=re.escape(f"deflator {path} lacks column(s) index")):
+            DeflatorSeries.from_csv(path)
+
+    def test_from_csv_reads_quoted_names_and_cells_in_any_order(self, tmp_path):
+        path = tmp_path / "deflator.csv"
+        path.write_bytes(b'"index","year","quarter"\r\n"0.8","2000",1\r\n0.9,2000,"2"\r\n')
+        assert DeflatorSeries.from_csv(path).index == {(2000, 1): 0.8, (2000, 2): 0.9}
+
+    def test_from_csv_cites_the_file_and_row_of_a_non_numeric_cell(self, tmp_path):
+        path = tmp_path / "deflator.csv"
+        path.write_text("year,quarter,index\n2000,1,0.8\n\n2000,Q2,0.9\n")
+        message = f"deflator {path}, row 2: could not convert string 'Q2' to int64 in column 2"
+        with pytest.raises(ValueError, match=re.escape(message)):
             DeflatorSeries.from_csv(path)
 
 
