@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import hashlib
 import json
 import sys
 from dataclasses import asdict, replace
@@ -25,6 +24,14 @@ from firmgrowth.model import (
     FixedCount, ModelParams, Panel, ParetoCount, load_csv_rows, read_columns, simulate_panel,
 )
 from firmgrowth import panel as panel_mod
+
+try:  # CPython's own SHA-256 (3.12+, then 3.10-3.11): hashlib's loads OpenSSL, 3+ MB of RSS
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -92,7 +99,7 @@ def load_config(path):
 def config_hash(cfg: configparser.ConfigParser):
     payload = {s: dict(cfg[s]) for s in cfg.sections()}
     blob = json.dumps(payload, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
+    return sha256(blob).hexdigest()[:16]
 
 
 def _own_keys(cfg, section):

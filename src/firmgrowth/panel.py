@@ -124,11 +124,18 @@ def _load_plain(lines, firm_col, year_col, quarter_col, size_col, fiscal_col=Non
     dtype = [("year", np.int64), ("quarter", np.int64), ("size", float), ("month", np.int64)]
     try:
         firm = np.strings.strip(load_csv_rows(lines, "ingest", usecols=firm_col, dtype=str))
-        numbers = load_csv_rows(lines, "ingest", usecols=cols, dtype=dtype[: len(cols)])
-    except ValueError:
+        try:
+            numbers = load_csv_rows(lines, "ingest", usecols=cols, dtype=dtype[: len(cols)])
+            month = numbers["month"].copy() if fiscal_col is not None else np.full(len(firm), -1)
+            known = np.full(len(firm), fiscal_col is not None)
+        except ValueError:  # a month may be empty: reread months as text (other faults fail again)
+            if fiscal_col is None:  # no month to reread
+                raise
+            numbers = load_csv_rows(lines, "ingest", usecols=cols[:3], dtype=dtype[:3])
+            text = np.strings.strip(load_csv_rows(lines, "ingest", usecols=fiscal_col, dtype=str))
+            month = np.where(known := text != "", text, "-1").astype(np.int64)
+    except (ValueError, OverflowError):
         return None
-    known = np.full(len(firm), fiscal_col is not None)  # an empty month fails to load
-    month = numbers["month"].copy() if fiscal_col is not None else np.full(len(firm), -1)
     return _checked(firm, numbers["year"], numbers["quarter"], numbers["size"].copy(), month, known)
 
 
@@ -314,21 +321,22 @@ def filter_firms(panel: Panel, min_growth_obs=2, fiscal_december_only=False):
     in the log.
     """
     growths = annual_log_growth(panel)
-    firms, firm_of_row = np.unique(panel.firm_id, return_inverse=True)
+    firms = np.unique(panel.firm_id)  # no per-row inverse: it would be the stage's peak
     firm_of_growth = np.searchsorted(firms, growths.firm_id)
     n_growth = np.bincount(firm_of_growth, minlength=firms.size)
     december = np.ones(firms.size, dtype=bool)
     if fiscal_december_only:
         if panel.fiscal_year_end_month is None:
             raise ValueError("fiscal_december_only needs fiscal year-end months")
-        december[firm_of_row[panel.fiscal_year_end_month != 12]] = False
+        december[np.searchsorted(firms, panel.firm_id[panel.fiscal_year_end_month != 12])] = False
     keep = december & (n_growth >= min_growth_obs)
 
     exclusion_log = {
         firm: "too_few_growth_rates" if dec else "fiscal_year_not_december"
         for firm, dec in zip(firms[~keep].tolist(), december[~keep].tolist())
     }
-    return panel.select(keep[firm_of_row]), growths.select(keep[firm_of_growth]), exclusion_log
+    kept_rows = np.isin(panel.firm_id, firms[~keep], invert=True)
+    return panel.select(kept_rows), growths.select(keep[firm_of_growth]), exclusion_log
 
 
 # ---------------------------------------------------------------------------

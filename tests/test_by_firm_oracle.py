@@ -427,6 +427,55 @@ def test_filter_firms_matches_loop(min_growth_obs, fiscal_december_only):
         assert_same_array(getattr(growths, column), getattr(ref_growths, column))
 
 
+def renamed_firms(panel, ids):
+    """`panel` with its i-th firm, in ascending id order, renamed ``ids[i]``."""
+    _, firm = np.unique(panel.firm_id, return_inverse=True)
+    return Panel(ids[firm], panel.period, panel.size, panel.fiscal_year_end_month)
+
+
+def few_row_firms():
+    """String ids: "a" has one row and no growth rate, "b" only non-December rows, "c" a
+    non-December month among December ones and "d" only December rows."""
+    firm = np.array(["d"] * 9 + ["b"] * 7 + ["a"] + ["c"] * 6)
+    period = np.concatenate((np.arange(9), np.arange(3, 10), [4], np.arange(6)))
+    months = np.array([12] * 9 + [3] * 7 + [12] + [12, 12, 12, 6, 12, 12])
+    shuffle = np.random.default_rng(4).permutation(firm.size)
+    size = np.exp(np.random.default_rng(5).normal(0.0, 1.0, firm.size))
+    return Panel(firm[shuffle], 4 * 2001 + period[shuffle], size, months[shuffle])
+
+
+def ids_with_gaps(n):
+    return np.sort(np.random.default_rng(6).choice(np.arange(-5_000, 5_000, 3), n, replace=False))
+
+
+def ids_beyond_2_40(n):
+    return np.sort(np.random.default_rng(7).choice(2**50, n, replace=False) - 2**49)
+
+
+@pytest.mark.parametrize("fiscal_december_only", [False, True])
+@pytest.mark.parametrize("min_growth_obs", [1, 2, 10])
+@pytest.mark.parametrize("make, dropped_span", [
+    (lambda: renamed_firms(quarterly_panel(8), ids_with_gaps(300)), 0),
+    # np.isin sorts ids that span this far, where it would index a table of a smaller span
+    (lambda: renamed_firms(quarterly_panel(9), ids_beyond_2_40(300)), 2**40),
+    (few_row_firms, None),
+], ids=["int_gaps_negative", "int_beyond_2_40", "string_few_rows"])
+def test_filter_firms_of_more_ids_matches_loop(make, dropped_span, min_growth_obs,
+                                              fiscal_december_only):
+    panel = make()
+    kept, growths, log = filter_firms(panel, min_growth_obs, fiscal_december_only)
+    ref_kept, ref_log = loop_filter_firms(panel, min_growth_obs, fiscal_december_only)
+    assert_same_panel(kept, ref_kept)
+    assert repr(log) == repr(ref_log)  # the same keys, in the same order
+    ref_growths = annual_log_growth(ref_kept)
+    for column in ("firm_id", "period", "growth"):
+        assert_same_array(getattr(growths, column), getattr(ref_growths, column))
+    if dropped_span is not None:
+        assert np.ptp(list(log)) > dropped_span
+    if fiscal_december_only and min_growth_obs == 2:
+        assert set(log.values()) == {"too_few_growth_rates", "fiscal_year_not_december"}
+
+
 @pytest.mark.parametrize("seed, offset, far", [
     (20, 0, 0),
     (21, -4 * 3000, 0),       # negative periods
@@ -933,3 +982,59 @@ def test_plain_chunks_skip_the_csv_reader(tmp_path, monkeypatch, plain_export):
     with pytest.raises(ValueError, match="holds a comma, a double quote"):
         ingest_csv(path, EXPORT_SCHEMA)
     assert calls == [len(rows) - 2 * _INGEST_CHUNK]  # the third chunk's rows
+
+
+LAST_CHUNK = 2 * _INGEST_CHUNK + 100  # a data row in the third chunk of lines
+
+# unknown fiscal months in chunks np.loadtxt reads, with a fault or none, and the first data
+# row csv.reader then parses (None: no row): only a chunk with a failing row goes there
+EMPTY_MONTHS = {
+    "chunk_1": ([100], None, None),
+    "chunk_1_blank_and_later_chunk": ([100, 101, NEXT_CHUNK], None, None),
+    "later_chunk": ([NEXT_CHUNK], None, None),
+    "every_month_of_chunk_1": (list(range(1, _INGEST_CHUNK + 1)), None, None),
+    "chunk_1_and_a_duplicate_in_chunk_3": (
+        [100], lambda rows, ends: rows.__setitem__(LAST_CHUNK - 1, rows[99][:]), None,
+    ),
+    "chunk_1_and_a_month_13_in_chunk_3": (
+        [100], respell(LAST_CHUNK, "fyr", lambda v: "13"), 2 * _INGEST_CHUNK + 1,
+    ),
+    "chunk_1_and_a_month_word_in_chunk_1": ([100], respell(200, "fyr", lambda v: "Dec"), 1),
+    "chunk_1_and_a_month_beyond_int64": ([100], respell(200, "fyr", lambda v: "9" * 20), 1),
+}
+
+
+@pytest.mark.parametrize("case", list(EMPTY_MONTHS))
+def test_empty_fiscal_months_stay_on_loadtxt(tmp_path, monkeypatch, plain_export, case):
+    """A plain chunk with unknown fiscal months gives the loop's panel or error text, and
+    reaches csv.reader only if a row of it fails a check."""
+    empty, fault, first_parsed = EMPTY_MONTHS[case]
+    rows, ends = [row[:] for row in plain_export], ["\n"] * len(plain_export)
+    for i, row in enumerate(empty):
+        respell(row, "fyr", lambda v: ["", "  "][i % 2])(rows, ends)
+    if fault:
+        fault(rows, ends)
+    path = write_lines(tmp_path / "export.csv", rows, ends)
+    parse_rows, parsed = panel_module._parse_rows, []
+    monkeypatch.setattr(panel_module, "_parse_rows",
+                        lambda rows, *cols: parsed.append(rows[0]) or parse_rows(rows, *cols))
+    assert_same_outcome(path)
+    assert parsed[:1] == ([] if first_parsed is None else [rows[first_parsed - 1]])
+
+
+def test_a_failing_chunk_without_months_is_not_loaded_again(tmp_path, monkeypatch, plain_export):
+    """Without a fiscal month column, a plain chunk whose numbers fail to load goes
+    straight to csv.reader: no second typed load, and the loop's panel or error text."""
+    schema = {k: v for k, v in EXPORT_SCHEMA.items() if k != "fiscal_year_end_month"}
+    rows = [row[:] for row in plain_export]
+    respell(100, "fyearq", lambda v: v + "x")(rows, None)
+    path = write_lines(tmp_path / "export.csv", rows, ["\n"] * len(rows))
+    load, usecols = panel_module.load_csv_rows, []
+    monkeypatch.setattr(panel_module, "load_csv_rows",
+                        lambda lines, what, **kw: usecols.append(kw["usecols"]) or load(lines, what, **kw))
+    with pytest.raises(ValueError) as got:
+        ingest_csv(path, schema)
+    with pytest.raises(ValueError) as expected:
+        loop_ingest_csv(path, schema)
+    assert str(got.value) == str(expected.value) == "row 100: non-integer year/quarter"
+    assert len(usecols) == 2  # chunk 1's firm ids, then its numbers once

@@ -8,10 +8,14 @@ submodule costs more than most of the work of a short CLI step: loading
 load SciPy's array-API layer, which pulls in ``numpy.f2py`` and
 ``numpy.testing``.  So ``ingest`` and ``analyze`` (whose binned KDE runs on
 ``numpy.fft``) load none, and ``simulate`` loads ``scipy.special`` only.
+``ingest`` and ``analyze`` load no OpenSSL either: ``hashlib`` would load
+``_hashlib`` and libcrypto, 3+ MB of RSS, to hash the config.
 Each case runs in a fresh interpreter and reports the ``scipy.*`` modules
 it ended with.
 """
 
+import configparser
+import hashlib
 import json
 import os
 import subprocess
@@ -22,6 +26,7 @@ import numpy as np
 import pytest
 
 import firmgrowth
+from firmgrowth.cli import config_hash
 
 SRC = str(Path(firmgrowth.__file__).resolve().parents[1])
 
@@ -69,7 +74,8 @@ def test_ingest_loads_no_scipy_submodule(tmp_path, bare_scipy):
     data = tmp_path / "quarters.csv"
     data.write_text("\n".join(rows) + "\n")
     argv = ["ingest", "--input", str(data), "--out-dir", str(tmp_path / "out")]
-    assert scipy_modules(run_cli(argv)) == bare_scipy
+    # bare_scipy holds no _hashlib: `import scipy` loads no OpenSSL, and nor may ingest
+    assert scipy_modules(run_cli(argv), also=["_hashlib"]) == bare_scipy
 
 
 def test_analyze_loads_neither_signal_nor_stats(tmp_path, bare_scipy):
@@ -85,8 +91,8 @@ def test_analyze_loads_neither_signal_nor_stats(tmp_path, bare_scipy):
         + "".join(f"{f},{p},{s!r}\n" for f, p, s in zip(firm_id, period, size.tolist()))
     )
     argv = ["analyze", "--panel", str(panel), "--out-dir", str(tmp_path / "out")]
-    loaded = scipy_modules(run_cli(argv), also=["numpy.fft"])
-    # the binned KDE ran: nothing else loads numpy.fft
+    loaded = scipy_modules(run_cli(argv), also=["numpy.fft", "_hashlib"])
+    # the binned KDE ran: nothing else loads numpy.fft; and no OpenSSL was loaded
     assert loaded == bare_scipy | {"numpy.fft"}
 
 
@@ -99,3 +105,16 @@ def test_simulate_loads_special_but_neither_fft_nor_optimize(tmp_path):
     loaded = scipy_modules(run_cli(["--config", str(cfg), "simulate"]))
     assert "scipy.special" in loaded
     assert not {m for m in loaded if m.split(".")[1] in ("fft", "optimize")}
+
+
+@pytest.mark.parametrize("text", [
+    "",
+    "[run]\nseed = 7\n\n[model]\nmu = 1.5\nalpha = 1.2\n",
+    "[ingest]\ninput = données/quarters.csv\nfirm_id_col = société\n",  # non-ASCII values
+    "[DEFAULT]\nx = 1\n[fit]\nfamily = mig\ninput = 样本.csv\n",
+])
+def test_config_hash_is_hashlib_sha256(text):
+    cfg = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    cfg.read_string(text)
+    blob = json.dumps({s: dict(cfg[s]) for s in cfg.sections()}, sort_keys=True).encode()
+    assert config_hash(cfg) == hashlib.sha256(blob).hexdigest()[:16]
