@@ -47,7 +47,7 @@ print(f"wrote synthetic export ({panel.n_records} rows) to {csv_path}")
 
 # --- 2. ingest with a schema mapping --------------------------------------
 # quarterly rows become panel rows with period = 4 * year + quarter - 1
-qp = ingest_csv(
+_, qp = ingest_csv(
     csv_path,
     schema={"firm_id": "gvkey", "year": "fyearq", "quarter": "fqtr", "size": "saleq"},
 )

@@ -12,7 +12,7 @@ import argparse
 import configparser
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -368,15 +368,13 @@ def cmd_ingest(cfg, args):
         raise ValidationError(f"ingest deflator not found: {ing['deflator']!r}")
     min_growth_obs = _integer("ingest", "min_growth_obs", ing["min_growth_obs"], 0)
     december_only = _boolean("ingest", "fiscal_december_only", ing["fiscal_december_only"])
+    if december_only and ing["fiscal_year_end_month_col"] is None:
+        raise ValidationError("[ingest] fiscal_december_only needs fiscal_year_end_month_col")
     schema = {logical: ing[f"{logical}_col"] for logical in _SCHEMA_FIELDS}
 
-    panel = panel_mod.ingest_csv(input_path, schema)
+    ids, panel = panel_mod.ingest_csv(input_path, schema)
     if len(panel) == 0:
         raise ValidationError(f"ingest input {input_path} has no data rows")
-    # from here on each firm is its id's rank, so no stage sorts strings and every order is the
-    # ids'; np.unique without return_inverse hashes the ids (NumPy >= 2.3), copying no row
-    labels = np.unique(panel.firm_id)
-    panel = replace(panel, firm_id=np.searchsorted(labels, panel.firm_id))
     if ing["deflator"]:
         panel = panel_mod.deflate(panel, panel_mod.DeflatorSeries.from_csv(ing["deflator"]))
     panel = panel_mod.normalize_by_year(panel)  # the unnormalized sizes go before filter_firms
@@ -387,7 +385,7 @@ def cmd_ingest(cfg, args):
     out_dir.mkdir(parents=True, exist_ok=True)
     write_table_csv(
         out_dir / "growth.csv", ["firm_id", "year", "quarter", "g"],
-        [labels[growths.firm_id], *panel_mod.year_quarter(growths.period), growths.growth],
+        [ids[growths.firm_id], *panel_mod.year_quarter(growths.period), growths.growth],
         meta=_meta(cfg, seed),
     )
     stats = panel_mod.descriptive_stats(panel, growths)  # one dict per row, keyed by column
@@ -398,8 +396,8 @@ def cmd_ingest(cfg, args):
     write_json(
         out_dir / "exclusions.json",
         {"_meta": _meta(cfg, seed),
-         "excluded_firms": dict(zip(labels[list(exclusions)].tolist(), exclusions.values())),
-         "n_retained_firms": int(np.unique(panel.firm_id).size)},
+         "excluded_firms": dict(zip(ids[list(exclusions)].tolist(), exclusions.values())),
+         "n_retained_firms": len(ids) - len(exclusions)},
     )
     print(
         f"wrote growth.csv ({len(growths)} growth rates), descriptive_stats.csv,"

@@ -40,7 +40,7 @@ _INGEST_CHUNK = 1 << 13  # lines (or csv rows) read at once, so a long export is
 _PLAIN = bytes([9, 10, 13, *range(32, 127)]).replace(b'"', b"")
 
 
-def ingest_csv(path, schema=None) -> Panel:
+def ingest_csv(path, schema=None) -> tuple[np.ndarray, Panel]:
     """Parse and validate quarterly observations from a CSV file.
 
     `schema` maps the logical fields (firm_id, year, quarter, size, and
@@ -49,8 +49,9 @@ def ingest_csv(path, schema=None) -> Panel:
     the 1-based data row number; duplicate (firm, year, quarter) keys, and
     firm ids that hold a comma, a double quote or a line break (the growth
     CSV writes ids unquoted) or a NUL (NumPy's str arrays drop a trailing
-    one), are rejected the same way.  Returns a :class:`Panel` with one
-    row per CSV row, in file order: string firm ids,
+    one), are rejected the same way.  Returns ``(ids, panel)``: `ids` are
+    the distinct firm ids in ascending order, and `panel` has one row per
+    CSV row, in file order: the index of the row's id in `ids`,
     period ``4 * year + quarter - 1``, nominal sizes, and fiscal year-end
     months (-1 where unknown).  ``np.loadtxt`` parses chunks of plain lines;
     from the first other or failing chunk on, ``csv.reader`` parses the rest.
@@ -100,7 +101,8 @@ def ingest_csv(path, schema=None) -> Panel:
         row = int(np.flatnonzero(np.isin(codes, bad))[0])
         what = "holds a comma, a double quote, a line break or a NUL"
         raise ValueError(f"row {row + 1}: firm id {labels[codes[row]]!r} {what}")
-    return Panel(np.array(labels)[codes], periods, sizes, months)
+    ids, rank = np.unique(np.array(labels), return_inverse=True)
+    return ids, Panel(rank[codes], periods, sizes, months)
 
 
 def _coded(chunk, code_of):

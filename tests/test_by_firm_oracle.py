@@ -13,6 +13,7 @@ gapped panels and at periods where int64 arithmetic would wrap.
 
 import csv
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -42,9 +43,15 @@ from firmgrowth.panel import (
     annual_log_growth,
     descriptive_stats,
     filter_firms,
-    ingest_csv,
     normalize_by_year,
 )
+from firmgrowth.panel import ingest_csv as ingest_coded
+
+
+def ingest_csv(path, schema=None):
+    """`panel.ingest_csv`'s panel with each firm's rank code decoded back to its id."""
+    ids, panel = ingest_coded(path, schema)
+    return replace(panel, firm_id=ids[panel.firm_id])
 
 
 # ---------------------------------------------------------------------------
@@ -1038,3 +1045,24 @@ def test_a_failing_chunk_without_months_is_not_loaded_again(tmp_path, monkeypatc
         loop_ingest_csv(path, schema)
     assert str(got.value) == str(expected.value) == "row 100: non-integer year/quarter"
     assert len(usecols) == 2  # chunk 1's firm ids, then its numbers once
+
+
+def test_ingest_csv_codes_are_the_ranks_of_the_ids(tmp_path):
+    """`ingest_csv`'s ids and codes are np.unique's of the loop's string ids, return_inverse
+    included, for ids in neither first-seen, sorted, length nor numeric order; "10" and the
+    non-ASCII "Zürich" first appear in chunk 2 (so csv.reader parses it and the rest) and
+    "010" in chunk 3, all sorting before chunk 1's "9" and "B"."""
+    first_seen = {0: ["9", "B", "a"], NEXT_CHUNK: ["10", "Zürich"], 2 * _INGEST_CHUNK + 9: ["010"]}
+    firms, rows = [], []
+    for i in range(3 * _INGEST_CHUNK + 100):  # one period per row, so no key repeats
+        firms += first_seen.get(i, [])
+        firm = firms[-1] if i in first_seen else firms[i % len(firms)]
+        rows.append([firm, "decoy", str(1000 + i // 4), str(i % 4 + 1), "1.5", "", "12"])
+    path = write_export(tmp_path / "export.csv", rows)
+    ids, panel = ingest_coded(path, EXPORT_SCHEMA)
+    loop_ids = loop_ingest_csv(path, EXPORT_SCHEMA).firm_id
+    assert ids.tolist() == ["010", "10", "9", "B", "Zürich", "a"]
+    assert (ids[:-1] < ids[1:]).all()
+    expected_ids, expected_codes = np.unique(loop_ids, return_inverse=True)
+    assert_same_array(ids, expected_ids)  # the loop's str dtype too
+    assert_same_array(panel.firm_id, expected_codes)

@@ -547,6 +547,23 @@ class TestIngest:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
 
+    def test_december_only_without_a_month_column_is_validation_error(self, tmp_path, capsys,
+                                                                       monkeypatch):
+        # without months every firm would be excluded as not December
+        calls = []
+        monkeypatch.setattr("firmgrowth.panel.ingest_csv", lambda *args: calls.append(args))
+        data = tmp_path / "quarters.csv"
+        data.write_text("firm_id,year,quarter,size\na,2000,1,1.0\n")
+        out = tmp_path / "ing"
+        cfg = write_config(
+            tmp_path,
+            f"[run]\nout_dir = {out}\n[ingest]\ninput = {data}\nfiscal_december_only = true\n",
+        )
+        assert main(["--config", cfg, "ingest"]) == 1
+        err = capsys.readouterr().err
+        assert "fiscal_december_only" in err and "fiscal_year_end_month_col" in err
+        assert not out.exists() and calls == []
+
     def test_bad_csv_is_validation_error(self, tmp_path):
         data = tmp_path / "bad.csv"
         data.write_text("firm_id,year,quarter,size\nf1,2000,1,abc\n")

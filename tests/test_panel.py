@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,9 +11,15 @@ from firmgrowth.panel import (
     deflate,
     descriptive_stats,
     filter_firms,
-    ingest_csv,
     normalize_by_year,
 )
+from firmgrowth.panel import ingest_csv as ingest_coded
+
+
+def ingest_csv(path, schema=None):
+    """`panel.ingest_csv`'s panel with each firm's rank code decoded back to its id."""
+    ids, panel = ingest_coded(path, schema)
+    return replace(panel, firm_id=ids[panel.firm_id])
 
 
 def make_panel(rows):
