@@ -174,7 +174,7 @@ _CSV_CHUNK = 1 << 13
 
 
 def write_table_csv(path, header, columns, meta=None, newline="\n"):
-    """Write equal-length `columns` (arrays, lists or tuples) under `header`: the one CSV writer.
+    """Write the table ``(header, columns)`` of equal-length columns: the one CSV writer.
 
     Each value is written unquoted as ``str(value)``, so floats, Python or
     NumPy, keep their full ``repr`` precision.  Rows are formatted 8,192 at a
@@ -292,8 +292,7 @@ def cmd_analyze(cfg, args):
         "collapse": (["bin", "rescaled_vol"],
                      [np.repeat(np.arange(len(rescaled)), [r.size for r in rescaled]), pooled]),
         "rescaled_vol_density": (["x", "density"], [dens.grid, dens.values]),
-        "exponent_profile": (["q", "slope", "se", "r2"], list(zip(*(
-            [q, profile[q].slope, profile[q].se, profile[q].r2] for q in q_list)))),
+        "exponent_profile": estimation.exponent_profile_table(profile),
     }
     for name, (header, columns) in tables.items():
         write_table_csv(out_dir / f"{name}.csv", header, columns, meta=meta)
@@ -407,12 +406,12 @@ def cmd_ingest(cfg, args):
 
 
 def write_result(cfg, result, out_dir):
-    """Write an experiment's tables (with sidecars) and its ``_result.json`` to `out_dir`."""
+    """Write an experiment's ``(header, columns)`` tables, with sidecars, and its result JSON."""
     name = result.experiment
     out_dir.mkdir(parents=True, exist_ok=True)
     meta = _meta(cfg, result.seed, {"experiment": name})
-    for table_name, (header, rows) in result.tables.items():
-        write_table_csv(out_dir / f"{name}_{table_name}.csv", header, list(zip(*rows)), meta=meta)
+    for table_name, (header, columns) in result.tables.items():
+        write_table_csv(out_dir / f"{name}_{table_name}.csv", header, columns, meta=meta)
     write_json(
         out_dir / f"{name}_result.json",
         {

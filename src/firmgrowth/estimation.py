@@ -374,3 +374,9 @@ def power_law_exponent_profile(mean_size, moments):
     toolkit.  Returns {q: ScalingFit}.
     """
     return {q: loglog_ols(mean_size, m) for q, m in moments.items()}
+
+
+def exponent_profile_table(profile):
+    """A ``power_law_exponent_profile`` as a ``(header, columns)`` table, one row per q."""
+    header = ["q", "slope", "se", "r2"]
+    return header, [list(profile)] + [[getattr(f, c) for f in profile.values()] for c in header[1:]]

@@ -26,6 +26,7 @@ from firmgrowth.model import (
     draw_population,
     few_subunit_tail_slope,
     sample_firm_stats,
+    simulate_panel,
 )
 
 # Published reference fit for the heterogeneously rescaled growth rates of
@@ -60,7 +61,7 @@ class ExperimentResult:
     experiment: str
     seed: int
     checks: list = field(default_factory=list)
-    tables: dict = field(default_factory=dict)   # name -> (header, rows)
+    tables: dict = field(default_factory=dict)   # name -> (header, columns)
     scalars: dict = field(default_factory=dict)
 
     @property
@@ -133,7 +134,6 @@ def run_prop2_scaling(seed=20260801, n_per_k=10_000, mu=1.5, k_exponents=range(6
         mean_sqrt_h.append(np.sqrt(h).mean())
         median_h.append(np.median(h))
         se_h.append(h.std(ddof=1) / np.sqrt(h.size))
-    ks = np.array(ks, dtype=float)
     fit_mean = analysis.loglog_ols(ks, np.array(mean_h))
     fit_sqrt = analysis.loglog_ols(ks, np.array(mean_sqrt_h))
     fit_med = analysis.loglog_ols(ks, np.array(median_h))
@@ -146,10 +146,7 @@ def run_prop2_scaling(seed=20260801, n_per_k=10_000, mu=1.5, k_exponents=range(6
     ]
     res.tables["moments"] = (
         ["k", "mean_hhi", "se_mean_hhi", "mean_sqrt_hhi", "median_hhi"],
-        [
-            [int(k), m, s, ms, md]
-            for k, m, s, ms, md in zip(ks, mean_h, se_h, mean_sqrt_h, median_h)
-        ],
+        [ks, mean_h, se_h, mean_sqrt_h, median_h],
     )
     res.scalars = {
         "mu": mu,
@@ -177,6 +174,12 @@ def _tail_checks(population, mu, alpha, k_threshold, label):
     return checks, info, fractions
 
 
+def _hill_profile_table(samples):
+    """The Hill index and its standard error at each of hill_profile's top fractions."""
+    profile = analysis.hill_profile(samples)
+    return ["top_fraction", "hill_index", "se"], [list(profile), *zip(*profile.values())]
+
+
 def run_prop3_tail(seed=20260803, n_firms=1_000_000, mu=1.6, alpha=1.2):
     rng = _rng(seed)
     params = ModelParams(mu=mu, alpha=alpha, k_mode=ParetoCount())
@@ -187,18 +190,12 @@ def run_prop3_tail(seed=20260803, n_firms=1_000_000, mu=1.6, alpha=1.2):
 
     res = ExperimentResult("prop3_tail", seed)
     res.checks = checks
+    finite = np.isfinite(fraction)
     res.tables["fraction_by_size"] = (
         ["mean_size", "fraction_k_le_2", "n_firms"],
-        [
-            [ms, fr, int(n)]
-            for ms, fr, n in zip(mean_size, fraction, counts)
-            if np.isfinite(fr)
-        ],
+        [mean_size[finite], fraction[finite], counts[finite]],
     )
-    res.tables["hill_profile"] = (
-        ["top_fraction", "hill_index", "se"],
-        [[f, *est] for f, est in analysis.hill_profile(pop.sizes()).items()],
-    )
+    res.tables["hill_profile"] = _hill_profile_table(pop.sizes())
     res.scalars = {"mu": mu, "alpha": alpha, "n_firms": n_firms, **info}
     return res
 
@@ -279,8 +276,8 @@ def _volatility_scaling(name, seed, n_firms, mu, alpha, sigma0, q_list):
 
     Takes the `q_list` volatility moments over 25 equal-count size bins, their
     exponent profile and the diversified mean slope.  Returns the result, with
-    the slope's check and the shared scalars, then the binned-moment rows, the
-    profile, the diversified fit, and the firms' sizes and volatilities.
+    the slope's check and the shared scalars, then the binned-moment columns,
+    the profile, the diversified fit, and the firms' sizes and volatilities.
     """
     params = ModelParams(mu=mu, alpha=alpha, sigma0=sigma0, k_mode=ParetoCount())
     counts, sizes, hhi = _wb_stats(params, n_firms, _rng(seed))
@@ -293,24 +290,23 @@ def _volatility_scaling(name, seed, n_firms, mu, alpha, sigma0, q_list):
     res = ExperimentResult(name, seed)
     res.checks = [Check.within("mean_vol_slope_diversified", div_fit.slope, (1 - mu) / mu, 0.03)]
     res.scalars = {"mu": mu, "alpha": alpha, "n_firms": n_firms, "n_diversified": n_div}
-    rows = list(zip(bins.keys, mean_size, bins.counts, *moments.values()))
-    return res, rows, profile, div_fit, sizes, vols
+    columns = [bins.keys, mean_size, bins.counts, *moments.values()]
+    return res, columns, profile, div_fit, sizes, vols
 
 
 def run_fig4(seed=20260804, n_firms=8_000_000, mu=1.25, alpha=1.1, sigma0=0.1):
     q_list = [1, 2, 3, 4]
-    res, rows, profile, div_fit, sizes, vols = _volatility_scaling(
+    res, columns, profile, div_fit, sizes, vols = _volatility_scaling(
         "fig4", seed, n_firms, mu, alpha, sigma0, q_list
     )
     upper = _upper_window_moment_slopes(sizes, vols, q_list[1:])
     res.checks += [
         Check.within(f"q{q}_slope_upper_window", upper[q].slope, alpha - mu, 0.1) for q in upper
     ]
-    res.tables["binned_moments"] = (["bin", "mean_size", "n_firms", "q1", "q2", "q3", "q4"], rows)
-    res.tables["exponent_profile"] = (
-        ["q", "slope", "se", "r2"],
-        [[q, profile[q].slope, profile[q].se, profile[q].r2] for q in q_list],
+    res.tables["binned_moments"] = (
+        ["bin", "mean_size", "n_firms", "q1", "q2", "q3", "q4"], columns
     )
+    res.tables["exponent_profile"] = estimation.exponent_profile_table(profile)
     res.scalars.update({
         "unconditional_profile": {q: asdict(profile[q]) for q in profile},
         "diversified_mean_fit": asdict(div_fit),
@@ -320,10 +316,10 @@ def run_fig4(seed=20260804, n_firms=8_000_000, mu=1.25, alpha=1.1, sigma0=0.1):
 
 
 def run_fig1_right(seed=20260804, n_firms=4_000_000, mu=1.25, alpha=1.1, sigma0=0.1):
-    res, rows, profile, div_fit, _, _ = _volatility_scaling(
+    res, columns, profile, div_fit, _, _ = _volatility_scaling(
         "fig1_right", seed, n_firms, mu, alpha, sigma0, [1]
     )
-    res.tables["binned_volatility"] = (["bin", "mean_size", "n_firms", "mean_vol"], rows)
+    res.tables["binned_volatility"] = (["bin", "mean_size", "n_firms", "mean_vol"], columns)
     res.scalars.update(unconditional_fit=asdict(profile[1]), diversified_fit=asdict(div_fit))
     return res
 
@@ -356,24 +352,21 @@ def run_fig1_left(seed=20260803, n_firms=1_000_000, mu=1.6, alpha=1.2, sigma0=0.
     sel = counts >= k_min_clt
     bins = analysis.equal_count_bins(sizes[sel], 25)
 
-    ks_rows, ks_max = [], 0.0
-    for b, zb in enumerate(bins.split(z[sel])):
-        if zb.size < min_bin_firms:
-            continue
-        d = analysis.ks_distance(zb, scipy.special.ndtr)
-        ks_rows.append([b, int(zb.size), d])
-        ks_max = max(ks_max, d)
+    z_bins = bins.split(z[sel])
+    ks_bins = [b for b, zb in enumerate(z_bins) if zb.size >= min_bin_firms]
+    ks = [analysis.ks_distance(z_bins[b], scipy.special.ndtr) for b in ks_bins]
 
     res = ExperimentResult("fig1_left", seed)
     res.checks = [
         Check.within("abs_change_hill_top05pct", hill, mu, 0.15),
-        Check.below("max_bin_ks_rescaled_growth_vs_normal", ks_max, 0.02),
+        Check.below("max_bin_ks_rescaled_growth_vs_normal", max(ks, default=0.0), 0.02),
     ]
     res.tables["growth_density"] = (
-        ["g", "density", "gaussian_fit"],
-        [[x, d, gf] for x, d, gf in zip(grid[::10], dens.values[::10], gauss[::10])],
+        ["g", "density", "gaussian_fit"], [grid[::10], dens.values[::10], gauss[::10]]
     )
-    res.tables["ks_by_bin"] = (["bin", "n_firms", "ks_distance"], ks_rows)
+    res.tables["ks_by_bin"] = (
+        ["bin", "n_firms", "ks_distance"], [ks_bins, [z_bins[b].size for b in ks_bins], ks]
+    )
     res.scalars = {
         "mu": mu,
         "alpha": alpha,
@@ -381,7 +374,7 @@ def run_fig1_left(seed=20260803, n_firms=1_000_000, mu=1.6, alpha=1.2, sigma0=0.
         "hill": hill,
         "hill_se": hill_se,
         "n_clt_firms": int(sel.sum()),
-        "n_ks_bins": len(ks_rows),
+        "n_ks_bins": len(ks),
     }
     return res
 
@@ -418,15 +411,10 @@ def run_fig3(seed=20260806, mu=1.9, n_per_class=10_000, n_bins=29,
             ]
         ).astype(int)
     )
-    sizes_all, vols_all, class_all = [], [], []
-    for k in k_values:
-        s, h = sample_firm_stats(params, int(k), n_per_class, rng)
-        sizes_all.append(s)
-        vols_all.append(sigma0 * np.sqrt(h))
-        class_all.append(np.full(s.size, k))
-    sizes = np.concatenate(sizes_all)
-    vols = np.concatenate(vols_all)
-    classes = np.concatenate(class_all)
+    draws = [sample_firm_stats(params, int(k), n_per_class, rng) for k in k_values]
+    sizes, hhi = map(np.concatenate, zip(*draws))
+    vols = sigma0 * np.sqrt(hhi)
+    classes = np.repeat(k_values, n_per_class)
 
     n_keep = n_bins * n_per_class
     floor = np.sort(sizes)[-n_keep]
@@ -460,17 +448,15 @@ def run_fig3(seed=20260806, mu=1.9, n_per_class=10_000, n_bins=29,
     mean_size, mean_vol = analysis.binned_means(bins, [sizes, vols])
     res.tables["bins"] = (
         ["bin", "median_k_class", "mean_size", "mean_vol", "n_firms"],
-        list(zip(bins.keys + 1, median_class, mean_size, mean_vol, bins.counts)),
+        [bins.keys + 1, median_class, mean_size, mean_vol, bins.counts],
     )
     deciles = np.linspace(0.05, 0.95, 19)
+    quantiles = np.array([np.quantile(r, deciles) for r in rescaled])
     res.tables["collapse_quantiles"] = (
         ["bin"] + [f"q{int(100 * p)}" for p in deciles],
-        [[b + 1] + list(np.quantile(rescaled[b], deciles)) for b in range(n_bins)],
+        [np.arange(1, n_bins + 1), *quantiles.T],
     )
-    res.tables["pooled_hill_profile"] = (
-        ["top_fraction", "hill_index", "se"],
-        [[f, *est] for f, est in analysis.hill_profile(pooled).items()],
-    )
+    res.tables["pooled_hill_profile"] = _hill_profile_table(pooled)
     res.scalars = {
         "mu": mu,
         "k_values": [int(k) for k in k_values],
@@ -520,8 +506,7 @@ def run_fig5(seed=20260807, n_samples=1_000_000, mig=MIG_REFERENCE, grid_points=
     ]
     fitted_curve = gse_pdf(grid[::10], GseParams(**fit.params))
     res.tables["density_and_fit"] = (
-        ["g", "density", "gse_fit"],
-        [[x, d, f] for x, d, f in zip(grid[::10], dens.values[::10], fitted_curve)],
+        ["g", "density", "gse_fit"], [grid[::10], dens.values[::10], fitted_curve]
     )
     res.scalars = {
         "n_samples": n_samples,
@@ -537,9 +522,6 @@ def run_fig5(seed=20260807, n_samples=1_000_000, mig=MIG_REFERENCE, grid_points=
 # ---------------------------------------------------------------------------
 
 def run_table1(seed=20260808, n_firms=20_000, n_periods=28, mu=1.6, alpha=1.2, sigma0=0.15):
-    from firmgrowth.estimation import leave_one_out_rescale, mad_volatility
-    from firmgrowth.model import simulate_panel
-
     params = ModelParams(mu=mu, alpha=alpha, sigma0=sigma0, k_mode=ParetoCount())
     panel, clamp_count = simulate_panel(params, n_firms, n_periods, seed)
     # per firm: one-period relative growth series; each array is let go once
@@ -551,8 +533,8 @@ def run_table1(seed=20260808, n_firms=20_000, n_periods=28, mu=1.6, alpha=1.2, s
     del sizes
 
     pooled = growth.ravel()
-    hom = (pooled - pooled.mean()) / mad_volatility(pooled)
-    het = leave_one_out_rescale(growth).ravel()
+    hom = (pooled - pooled.mean()) / estimation.mad_volatility(pooled)
+    het = estimation.leave_one_out_rescale(growth).ravel()
     del growth, pooled
     het = het[np.isfinite(het)]
     n_het = int(het.size)
@@ -591,7 +573,7 @@ def run_table1(seed=20260808, n_firms=20_000, n_periods=28, mu=1.6, alpha=1.2, s
     ]
     res.tables["gse_fits"] = (
         ["rescaling", *(c for n in names for c in (n, f"se_{n}")), "mass_in_crossover_window"],
-        rows,
+        list(zip(*rows)),
     )
     res.scalars = {
         "n_firms": n_firms,
@@ -615,9 +597,11 @@ def run_laplace_sum(seed=20260810, n_sums=10_000_000, k_values=(2, 4, 8),
     rng = _rng(seed)
     edges = np.linspace(-support, support, n_bins + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
+    width = edges[1] - edges[0]
+    xs = np.linspace(edges[:-1], edges[1:], 9, axis=1)  # 9 points per bin for the trapezoidal rule
 
     res = ExperimentResult("laplace_sum", seed)
-    rows = []
+    columns = []
     for k in k_values:
         counts = np.zeros(n_bins, dtype=np.int64)
         done = 0
@@ -627,21 +611,14 @@ def run_laplace_sum(seed=20260810, n_sums=10_000_000, k_values=(2, 4, 8),
             y = rng.laplace(size=(c, k)).sum(axis=1) / np.sqrt(2 * k)
             counts += np.histogram(y, bins=edges)[0]
             done += c
-        # bin probabilities by the trapezoidal rule on 9 points per bin
-        probs = np.empty(n_bins)
-        for b in range(n_bins):
-            xs = np.linspace(edges[b], edges[b + 1], 9)
-            ys = laplace_sum_pdf(k, xs)
-            probs[b] = np.trapezoid(ys, xs)
+        probs = np.trapezoid(laplace_sum_pdf(k, xs.ravel()).reshape(xs.shape), xs, axis=1)
         se = np.sqrt(probs * (1.0 - probs) / n_sums)
         z = np.abs(counts / n_sums - probs) / np.maximum(se, 1e-300)
         res.checks.append(Check.below(f"k{k}_max_bin_z_score", float(z.max()), 3.0))
-        width = edges[1] - edges[0]
-        for b in range(n_bins):
-            rows.append([k, centers[b], probs[b] / width, counts[b] / (n_sums * width), z[b]])
+        columns.append([np.full(n_bins, k), centers, probs / width, counts / (n_sums * width), z])
     res.tables["density_vs_mc"] = (
         ["k", "y", "model_density", "mc_density", "z_score"],
-        rows,
+        [np.concatenate(c).tolist() for c in zip(*columns)],
     )
     res.scalars = {"n_sums": n_sums, "k_values": list(k_values), "n_bins": n_bins}
     return res

@@ -369,3 +369,20 @@ def test_prop2_scaling_is_a_function_of_its_seed():
     b = xp.run_prop2_scaling(n_per_k=200)
     assert a.checks == b.checks
     assert a.scalars == b.scalars
+
+
+def test_every_table_is_one_equal_length_column_per_header_name(
+    prop2_result, prop3_result, prop7_result, fig1_left_result, fig1_right_result,
+    fig3_result, fig4_result, fig5_result, table1_result, laplace_result,
+):
+    """Each result table is ``(header, columns)``, the shape `write_table_csv` takes."""
+    results = [
+        prop2_result, prop3_result, prop7_result, fig1_left_result, fig1_right_result,
+        fig3_result, fig4_result, fig5_result, table1_result, laplace_result,
+    ]
+    for result in results:
+        for name, (header, columns) in result.tables.items():
+            where = f"{result.experiment}_{name}"
+            assert len(columns) == len(header), f"{where}: {len(columns)} columns, {header}"
+            lengths = {len(column) for column in columns}
+            assert len(lengths) == 1, f"{where}: column lengths {sorted(lengths)}"

@@ -957,3 +957,71 @@ class TestConfig:
         example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
         cfg = load_config(write_config(tmp_path, example))
         assert cfg.sections() == list(CONFIG_KEYS)
+
+
+class TestExitCodes:
+    """The documented exit codes on the branches no other test takes."""
+
+    def test_error_that_is_no_value_error_exits_2(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("a file where the output directory should go\n")
+        cfg = write_config(tmp_path, SIM_CFG.format(out=tmp_path / "out"))
+        assert main(["--config", cfg, "simulate", "--out-dir", str(taken)]) == 2
+        assert capsys.readouterr().err.startswith("runtime error: ")
+        assert taken.read_text() == "a file where the output directory should go\n"
+
+    @pytest.mark.parametrize("strict, code", [(False, 0), (True, 3)])
+    def test_unconverged_fit_exits_3_only_under_strict(self, tmp_path, monkeypatch, strict, code):
+        from firmgrowth import estimation
+
+        unconverged = estimation.FitResult(
+            {"scale": 1.0, "shape": 2.0, "location": 0.0}, None, 1.5, 3, False
+        )
+        monkeypatch.setattr(estimation, "fit_mig_mle", lambda samples: unconverged)
+        data = tmp_path / "samples.csv"
+        data.write_text("value\n0.5\n1.5\n2.5\n")
+        out = tmp_path / "fit"
+        cfg = write_config(tmp_path, f"[run]\nout_dir = {out}\n")
+        argv = ["--config", cfg, "fit", "--family", "mig", "--input", str(data)]
+        assert main(argv + ["--strict"] * strict) == code
+        assert json.loads((out / "fit_mig.json").read_text())["converged"] is False
+
+    def test_analyze_with_more_bins_than_firms_exits_1_and_writes_nothing(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SIM_CFG.format(out=tmp_path / "sim"))
+        assert main(["--config", cfg, "simulate"]) == 0
+        (tmp_path / "config.ini").unlink()
+        body = SIM_CFG.format(out=tmp_path / "sim").replace("n_bins = 5", "n_bins = 401")
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, body)
+        assert main(["--config", cfg, "analyze", "--out-dir", str(out)]) == 1
+        assert "not enough firms" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_ingest_without_its_input_exits_1(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        out = tmp_path / "ing"
+        cfg = write_config(tmp_path, f"[run]\nout_dir = {out}\n[ingest]\ninput = {missing}\n")
+        assert main(["--config", cfg, "ingest"]) == 1
+        assert capsys.readouterr().err == f"error: ingest input not found: {str(missing)!r}\n"
+        assert not out.exists()
+
+    def test_missing_config_file_exits_1(self, tmp_path, capsys):
+        missing = tmp_path / "missing.ini"
+        out = tmp_path / "out"
+        assert main(["--config", str(missing), "simulate", "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: config file not found: {missing}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model, message", [
+        (None, "config needs a [model] section"),
+        ("mu = 1.6\nk_mode = poisson\n", "unknown k_mode 'poisson' (use fixed or pareto)"),
+        ("mu = 1.6\nk_mode = pareto\n", "pareto k_mode needs alpha in [model]"),
+    ], ids=["no_model_section", "unknown_k_mode", "pareto_without_alpha"])
+    def test_bad_model_section_exits_1_naming_it(self, tmp_path, capsys, model, message):
+        out = tmp_path / "out"
+        body = f"[run]\nout_dir = {out}\n[simulate]\nn_firms = 10\n"
+        if model is not None:
+            body += f"[model]\n{model}"
+        assert main(["--config", write_config(tmp_path, body), "simulate"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
