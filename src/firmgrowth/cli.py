@@ -134,10 +134,15 @@ def _boolean(section, key, value):
 
 
 def run_settings(cfg, args):
-    """[run] section with CLI flags taking precedence."""
+    """[run] section with CLI flags taking precedence; an out dir that cannot be made raises
+    ValidationError here, before any work."""
     run = _settings(cfg, "run")
     seed = args.seed if args.seed is not None else _integer("run", "seed", run["seed"])
-    return seed, Path(args.out_dir or run["out_dir"])
+    out_dir = Path(args.out_dir or run["out_dir"])
+    for path in (out_dir, *out_dir.parents):
+        if path.exists() and not path.is_dir():
+            raise ValidationError(f"out dir {out_dir} cannot be made: {path} is not a directory")
+    return seed, out_dir
 
 
 def model_params_from_config(cfg):

@@ -275,7 +275,7 @@ def normalize_by_year(panel: Panel) -> Panel:
 
 
 # ---------------------------------------------------------------------------
-# Growth rates
+# Growth rates and filters
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -289,56 +289,40 @@ class GrowthRecords:
     def __len__(self):
         return len(self.growth)
 
-    def select(self, mask):
-        return GrowthRecords(self.firm_id[mask], self.period[mask], self.growth[mask])
-
-
-def annual_log_growth(panel: Panel) -> GrowthRecords:
-    """Rolling annual growth: log size difference exactly four quarters apart.
-
-    Quarters with no same-firm observation four quarters later produce no
-    record (gaps are never imputed).  A repeated (firm, period) pair raises
-    ValueError citing the 1-based rows of its first two occurrences.
-    """
-    if np.any(panel.size <= 0):
-        raise ValueError("sizes must be positive to take logs")
-    later = firm_groups(panel.firm_id, panel.period).lag_pairs(panel.period, 4)
-    base = np.flatnonzero(later >= 0)  # records in input row order
-    growth = np.log(panel.size[later[base]]) - np.log(panel.size[base])
-    return GrowthRecords(panel.firm_id[base], panel.period[base], growth)
-
-
-# ---------------------------------------------------------------------------
-# Filters
-# ---------------------------------------------------------------------------
 
 def filter_firms(panel: Panel, min_growth_obs=2, fiscal_december_only=False):
     """Keep firms meeting the active criteria; log every exclusion.
 
-    Returns (filtered_panel, filtered_growths, exclusion_log): the filtered
-    growths are the :func:`annual_log_growth` records of the filtered panel
-    (filters drop whole firms, so they are the input's records of the kept
-    firms), and the log maps firm_id to a reason code, in ascending firm_id
-    order.  Counts reconcile: every input firm is either retained or present
-    in the log.
+    A growth record is the log size difference of a firm's rows exactly four
+    quarters apart (gaps are never imputed).  A firm is kept if it has at least
+    `min_growth_obs` records and, under `fiscal_december_only`, only December
+    fiscal year-ends.  Returns (filtered_panel, filtered_growths, exclusion_log):
+    the kept firms' rows and records, each in input row order, and each dropped
+    firm_id's reason code, in ascending firm_id order, so every input firm is
+    either retained or logged.  A repeated (firm, period) pair raises ValueError
+    citing the 1-based rows of its first two occurrences.
     """
-    growths = annual_log_growth(panel)
-    firms = np.unique(panel.firm_id)  # no per-row inverse: it would be the stage's peak
-    firm_of_growth = np.searchsorted(firms, growths.firm_id)
-    n_growth = np.bincount(firm_of_growth, minlength=firms.size)
-    december = np.ones(firms.size, dtype=bool)
+    months = panel.fiscal_year_end_month
+    if np.any(panel.size <= 0):
+        raise ValueError("sizes must be positive to take logs")
+    if fiscal_december_only and months is None:
+        raise ValueError("fiscal_december_only needs fiscal year-end months")
+    firms = firm_groups(panel.firm_id, panel.period)
+    later = firms.lag_pairs(panel.period, 4)
+    n_growth = np.add.reduceat((later >= 0)[firms.order], firms.starts, dtype=np.int64)
+    december = np.ones(firms.keys.size, dtype=bool)
     if fiscal_december_only:
-        if panel.fiscal_year_end_month is None:
-            raise ValueError("fiscal_december_only needs fiscal year-end months")
-        december[np.searchsorted(firms, panel.firm_id[panel.fiscal_year_end_month != 12])] = False
+        december = np.logical_and.reduceat((months == 12)[firms.order], firms.starts)
     keep = december & (n_growth >= min_growth_obs)
 
-    exclusion_log = {
-        firm: "too_few_growth_rates" if dec else "fiscal_year_not_december"
-        for firm, dec in zip(firms[~keep].tolist(), december[~keep].tolist())
-    }
-    kept_rows = np.isin(panel.firm_id, firms[~keep], invert=True)
-    return panel.select(kept_rows), growths.select(keep[firm_of_growth]), exclusion_log
+    why = np.where(december[~keep], "too_few_growth_rates", "fiscal_year_not_december")
+    exclusion_log = dict(zip(firms.keys[~keep].tolist(), why.tolist()))
+    kept = np.empty(len(panel), dtype=bool)
+    kept[firms.order] = np.repeat(keep, firms.counts)
+    base = np.flatnonzero((later >= 0) & kept)
+    growth = np.log(panel.size[later[base]]) - np.log(panel.size[base])
+    growths = GrowthRecords(panel.firm_id[base], panel.period[base], growth)
+    return panel.select(kept), growths, exclusion_log
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +347,7 @@ def _stat_row(name, values):
 def descriptive_stats(panel: Panel, growths: GrowthRecords):
     """Six-column summary rows for sizes, growth rates, volatilities, counts.
 
-    `growths` are the panel's annual growth records (:func:`annual_log_growth`).
+    `growths` are the panel's annual growth records (:func:`filter_firms`' second value).
     """
     if len(panel) == 0:
         raise ValueError("panel is empty")

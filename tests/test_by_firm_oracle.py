@@ -40,12 +40,17 @@ from firmgrowth.panel import (
     _INGEST_CHUNK,
     DEFAULT_SCHEMA,
     _stat_row,
-    annual_log_growth,
+    GrowthRecords,
     descriptive_stats,
     filter_firms,
     normalize_by_year,
 )
 from firmgrowth.panel import ingest_csv as ingest_coded
+
+
+def annual_log_growth(panel):
+    """Every firm's growth records: :func:`filter_firms` with no minimum drops no firm."""
+    return filter_firms(panel, 0)[1]
 
 
 def ingest_csv(path, schema=None):
@@ -105,8 +110,8 @@ def loop_normalize_by_year(panel):
 
 
 def loop_filter_firms(panel, min_growth_obs=2, fiscal_december_only=False):
-    growths = annual_log_growth(panel)
-    g_firms, g_counts = np.unique(growths.firm_id, return_counts=True)
+    firm_of_growth, _, _ = loop_annual_log_growth(panel)
+    g_firms, g_counts = np.unique(firm_of_growth, return_counts=True)
     count_by_firm = dict(zip(g_firms.tolist(), g_counts.tolist()))
 
     exclusion_log = {}
@@ -127,7 +132,7 @@ def loop_filter_firms(panel, min_growth_obs=2, fiscal_december_only=False):
 
 
 def loop_descriptive_stats(panel):
-    growths = annual_log_growth(panel)
+    growths = GrowthRecords(*loop_annual_log_growth(panel))
     rows = [
         _stat_row("size", panel.size),
         _stat_row("growth_rate", growths.growth),
@@ -419,7 +424,7 @@ def test_firm_size_volatility_equal_lengths_matches_loop():
 
 
 @pytest.mark.parametrize("fiscal_december_only", [False, True])
-@pytest.mark.parametrize("min_growth_obs", [1, 2, 10])
+@pytest.mark.parametrize("min_growth_obs", [0, 1, 2, 10])
 def test_filter_firms_matches_loop(min_growth_obs, fiscal_december_only):
     panel = quarterly_panel(3)
     kept, growths, log = filter_firms(panel, min_growth_obs, fiscal_december_only)
@@ -427,9 +432,9 @@ def test_filter_firms_matches_loop(min_growth_obs, fiscal_december_only):
     for column in ("firm_id", "period", "size", "fiscal_year_end_month"):
         assert_same_array(getattr(kept, column), getattr(ref_kept, column))
     assert repr(log) == repr(ref_log)
-    assert log
+    assert bool(log) == ((min_growth_obs, fiscal_december_only) != (0, False))  # 0 drops none
     # the selected growth records are those of the filtered panel
-    ref_growths = annual_log_growth(ref_kept)
+    ref_growths = GrowthRecords(*loop_annual_log_growth(ref_kept))
     for column in ("firm_id", "period", "growth"):
         assert_same_array(getattr(growths, column), getattr(ref_growths, column))
 
@@ -460,10 +465,10 @@ def ids_beyond_2_40(n):
 
 
 @pytest.mark.parametrize("fiscal_december_only", [False, True])
-@pytest.mark.parametrize("min_growth_obs", [1, 2, 10])
+@pytest.mark.parametrize("min_growth_obs", [0, 1, 2, 10])
 @pytest.mark.parametrize("make, dropped_span", [
     (lambda: renamed_firms(quarterly_panel(8), ids_with_gaps(300)), 0),
-    # np.isin sorts ids that span this far, where it would index a table of a smaller span
+    # ids too far apart for any table indexed by id
     (lambda: renamed_firms(quarterly_panel(9), ids_beyond_2_40(300)), 2**40),
     (few_row_firms, None),
 ], ids=["int_gaps_negative", "int_beyond_2_40", "string_few_rows"])
@@ -474,10 +479,12 @@ def test_filter_firms_of_more_ids_matches_loop(make, dropped_span, min_growth_ob
     ref_kept, ref_log = loop_filter_firms(panel, min_growth_obs, fiscal_december_only)
     assert_same_panel(kept, ref_kept)
     assert repr(log) == repr(ref_log)  # the same keys, in the same order
-    ref_growths = annual_log_growth(ref_kept)
+    ref_growths = GrowthRecords(*loop_annual_log_growth(ref_kept))
     for column in ("firm_id", "period", "growth"):
         assert_same_array(getattr(growths, column), getattr(ref_growths, column))
-    if dropped_span is not None:
+    if (min_growth_obs, fiscal_december_only) == (0, False):
+        assert not log  # no criterion drops a firm
+    elif dropped_span is not None:
         assert np.ptp(list(log)) > dropped_span
     if fiscal_december_only and min_growth_obs == 2:
         assert set(log.values()) == {"too_few_growth_rates", "fiscal_year_not_december"}

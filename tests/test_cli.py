@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import firmgrowth
-from firmgrowth import analysis, experiments
+from firmgrowth import analysis, cli, experiments
 from firmgrowth.analysis import equal_count_bins
 from firmgrowth.cli import CONFIG_KEYS, _read_samples, load_config, main, write_json
 
@@ -962,13 +962,38 @@ class TestConfig:
 class TestExitCodes:
     """The documented exit codes on the branches no other test takes."""
 
-    def test_error_that_is_no_value_error_exits_2(self, tmp_path, capsys):
+    def test_error_that_is_no_value_error_exits_2(self, tmp_path, monkeypatch, capsys):
+        def full_disk(*args):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "simulate_panel", full_disk)
+        cfg = write_config(tmp_path, SIM_CFG.format(out=tmp_path / "out"))
+        assert main(["--config", cfg, "simulate"]) == 2
+        assert capsys.readouterr().err == "runtime error: [Errno 28] No space left on device\n"
+
+    @pytest.mark.parametrize("command", [
+        ["simulate"], ["analyze"], ["fit", "--family", "mig"], ["ingest"], ["reproduce", "fig4"],
+    ], ids=lambda command: command[0])
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below_file"])
+    def test_out_dir_that_cannot_be_made_exits_1_before_any_work(
+        self, tmp_path, monkeypatch, capsys, command, below
+    ):
+        calls = []
+        monkeypatch.setattr(cli, "run_experiment", lambda *args, **kw: calls.append(args))
+        cfg = write_config(tmp_path, SIM_CFG.format(out=tmp_path / "sim"))
+        assert main(["--config", cfg, "simulate"]) == 0  # a panel analyze would take
         taken = tmp_path / "taken"
         taken.write_text("a file where the output directory should go\n")
-        cfg = write_config(tmp_path, SIM_CFG.format(out=tmp_path / "out"))
-        assert main(["--config", cfg, "simulate", "--out-dir", str(taken)]) == 2
-        assert capsys.readouterr().err.startswith("runtime error: ")
+        out = taken / "out" if below else taken
+        before = sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+        assert main(["--config", cfg, *command, "--out-dir", str(out)]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: out dir {out} cannot be made: {taken} is not a directory\n"
+        )
+        assert sorted(tmp_path.rglob("*")) == before
         assert taken.read_text() == "a file where the output directory should go\n"
+        assert calls == []
 
     @pytest.mark.parametrize("strict, code", [(False, 0), (True, 3)])
     def test_unconverged_fit_exits_3_only_under_strict(self, tmp_path, monkeypatch, strict, code):

@@ -14,7 +14,12 @@ import pytest
 
 from firmgrowth.cli import write_table_csv
 from firmgrowth.model import Panel
-from firmgrowth.panel import annual_log_growth, descriptive_stats
+from firmgrowth.panel import descriptive_stats, filter_firms
+
+
+def annual_log_growth(panel):
+    """Every firm's growth records: :func:`filter_firms` with no minimum drops no firm."""
+    return filter_firms(panel, 0)[1]
 
 
 def old_fmt(value):

