@@ -8,12 +8,70 @@ are reproducible and safe to evaluate concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, factorial
+from math import comb, factorial, log
 
 import numpy as np
 import scipy
 
 from firmgrowth.groups import _BLOCK
+
+
+# ---------------------------------------------------------------------------
+# Gaussian
+# ---------------------------------------------------------------------------
+
+# cephes' ndtri coefficients as shortest reprs, highest power first; each Q leads with p1evl's 1.0
+_NDTRI_P0 = (-59.96335010141079, 98.00107541859997, -56.67628574690703, 13.931260938727968,
+             -1.2391658386738125)
+_NDTRI_Q0 = (1.0, 1.9544885833814176, 4.676279128988815, 86.36024213908905, -225.46268785411937,
+             200.26021238006066, -82.03722561683334, 15.90562251262117, -1.1833162112133)
+_NDTRI_P1 = (4.0554489230596245, 31.525109459989388, 57.16281922464213, 44.08050738932008,
+             14.684956192885803, 2.1866330685079025, -0.1402560791713545, -0.03504246268278482,
+             -0.0008574567851546854)
+_NDTRI_Q1 = (1.0, 15.779988325646675, 45.39076351288792, 41.3172038254672, 15.04253856929075,
+             2.504649462083094, -0.14218292285478779, -0.03808064076915783, -0.0009332594808954574)
+_NDTRI_P2 = (3.2377489177694603, 6.915228890689842, 3.9388102529247444, 1.3330346081580755,
+             0.20148538954917908, 0.012371663481782003, 0.00030158155350823543,
+             2.6580697468673755e-06, 6.239745391849833e-09)
+_NDTRI_Q2 = (1.0, 6.02427039364742, 3.6798356385616087, 1.3770209948908132, 0.21623699359449663,
+             0.013420400608854318, 0.00032801446468212774, 2.8924786474538068e-06,
+             6.790194080099813e-09)
+_EXP_M2 = 0.13533528323661269189
+
+
+def _ratio(x, p, q):
+    """cephes' ``x * polevl(x, p) / p1evl(x, q)``: Horner's rule, one multiply-add a step."""
+    num, den = p[0], q[0]
+    for c in p[1:]:
+        num = num * x + c
+    for c in q[1:]:
+        den = den * x + c
+    return x * num / den
+
+
+def ndtri(u):
+    """``scipy.special.ndtri(u)``, bit for bit, without loading ``scipy.special``.
+
+    cephes' steps: P0/Q0 on exp(-2) < u < 1 - exp(-2); in the tails, with y the
+    smaller of u and 1 - u, x = sqrt(-2 log y) and ``x - log(x)/x - z P(z)/Q(z)``
+    at z = 1/x, on P1/Q1 below x = 8 and P2/Q2 from there.  Both logs are libm's
+    ``math.log``, as in SciPy: ``np.log``'s SIMD loop differs in the last bit.
+    u = 0 and 1 give -inf and +inf, and u outside [0, 1] gives NaN.
+    """
+    u = np.asarray(u, dtype=float)
+    out = np.where(u == 0.0, -np.inf, np.where(u == 1.0, np.inf, np.nan))
+    upper = u > 1.0 - _EXP_M2
+    y = np.where(upper, 1.0 - u, u)
+    mid = y > _EXP_M2
+    c = y[mid] - 0.5
+    out[mid] = (c + c * _ratio(c * c, _NDTRI_P0, _NDTRI_Q0)) * 2.50662827463100050242
+    tail = (y > 0.0) & ~mid
+    x = np.sqrt(-2.0 * np.fromiter(map(log, y[tail].tolist()), float))
+    shift = _ratio(1.0 / x, _NDTRI_P1, _NDTRI_Q1)
+    shift[x >= 8.0] = _ratio(1.0 / x[x >= 8.0], _NDTRI_P2, _NDTRI_Q2)
+    x = x - np.fromiter(map(log, x.tolist()), float) / x - shift
+    out[tail] = np.where(upper[tail], x, -x)
+    return out[()]
 
 
 # ---------------------------------------------------------------------------

@@ -34,11 +34,13 @@ import numpy as np
 import scipy
 
 from firmgrowth.analysis import binned_means, edge_bins, upper_window_edges, weighted_loglog_slope
-from firmgrowth.distributions import pareto_sample
+from firmgrowth.distributions import ndtri, pareto_sample
 from firmgrowth.groups import _BLOCK, Groups
 
 _SEED_MASK = (1 << 64) - 1
 _MULTIPLIER_FLOOR = 1e-6
+# simulate_panel's Gaussian shocks below which ndtri's port costs less than loading scipy.special
+_NDTRI_PORT_SHOCKS = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -85,10 +87,10 @@ class ModelParams:
     def __post_init__(self):
         if not 1.0 < self.mu < 2.0:
             raise ValueError(f"mu must lie in (1, 2), got {self.mu}")
-        if not self.s0 > 0:
-            raise ValueError(f"s0 must be positive, got {self.s0}")
-        if not self.sigma0 >= 0:
-            raise ValueError(f"sigma0 must be non-negative, got {self.sigma0}")
+        if not 0 < self.s0 < math.inf:
+            raise ValueError(f"s0 must be positive and finite, got {self.s0}")
+        if not 0 <= self.sigma0 < math.inf:
+            raise ValueError(f"sigma0 must be non-negative and finite, got {self.sigma0}")
         if isinstance(self.k_mode, ParetoCount):
             if self.alpha is None or not 1.0 < self.alpha < self.mu:
                 raise ValueError(
@@ -98,8 +100,8 @@ class ModelParams:
             raise ValueError(f"unknown k_mode {self.k_mode!r}")
         if self.shock_law not in _SHOCK_LAWS:
             raise ValueError(f"shock_law must be one of {_SHOCK_LAWS}, got {self.shock_law!r}")
-        if self.shock_law == "student_t" and not self.student_dof > 2:
-            raise ValueError("student_t shocks need dof > 2 for unit variance")
+        if self.shock_law == "student_t" and not 2 < self.student_dof < math.inf:
+            raise ValueError(f"student_t needs a finite student_dof > 2, got {self.student_dof}")
 
     def to_dict(self):
         if isinstance(self.k_mode, FixedCount):
@@ -443,6 +445,7 @@ class Panel:
         return cls(rows["firm_id"], rows["period"], rows["size"])
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a size that overflows raises below
 def simulate_panel(params: ModelParams, n_firms, n_periods, seed):
     """Simulate a panel of firm sizes under multiplicative sub-unit shocks.
 
@@ -454,13 +457,15 @@ def simulate_panel(params: ModelParams, n_firms, n_periods, seed):
     the number of floored multipliers is returned as the clamp count.
 
     The firms go in blocks of about ``_BLOCK`` words.  One
-    :func:`_philox_doubles` pass makes a block's streams, and the firms of
-    each sub-unit count k are reduced together as one (firms, periods, k)
+    :func:`_philox_doubles` pass makes a block's streams, and one shock call
+    its shocks: NumPy's ``ndtri`` port below ``_NDTRI_PORT_SHOCKS`` Gaussian
+    shocks a run, else :func:`shocks_from_uniforms` (the same bits).  The firms
+    of each sub-unit count k are reduced together as one (firms, periods, k)
     array, row by row with the operations of a single firm.  So every firm's
     sizes are bit-identical to simulating it alone from its own generator,
     and none depends on the order or blocking of the firms.
 
-    Returns (Panel, clamp_count).
+    Returns (Panel, clamp_count); a size that is not finite raises ValueError.
     """
     if n_firms < 1:
         raise ValueError("n_firms must be >= 1")
@@ -478,6 +483,7 @@ def simulate_panel(params: ModelParams, n_firms, n_periods, seed):
         u = _philox_doubles(seed, ids, np.zeros_like(ids))[:, 0].tolist()
         counts = np.array([math.ceil(pareto_sample(x, 1.0, params.alpha)) for x in u])
     words = head + counts * n_periods
+    port = params.shock_law == "gaussian" and counts.sum() * (n_periods - 1) < _NDTRI_PORT_SHOCKS
     # firm blocks of about _BLOCK words; a firm with more words is a block of its own
     ends = np.cumsum(words)
     cuts = np.searchsorted(ends, np.arange(_BLOCK, ends[-1], _BLOCK)) + 1
@@ -490,21 +496,22 @@ def simulate_panel(params: ModelParams, n_firms, n_periods, seed):
         first = np.cumsum(n_blocks) - n_blocks
         block = np.arange(first[-1] + n_blocks[-1]) - np.repeat(first, n_blocks)
         u = _philox_doubles(seed, np.repeat(ids[lo:hi], n_blocks), block).ravel()
+        eta = ndtri(u) if port else shocks_from_uniforms(u, params.shock_law, params.student_dof)
         groups = Groups.of(counts[lo:hi])
         by_count = zip(groups.keys.tolist(), groups.starts.tolist(), groups.counts.tolist())
         for k, start, n in by_count:
             firms = groups.order[start : start + n]
-            # (firm, period, sub-unit): the sizes' uniforms, then each period's shocks'
-            draws = u[(4 * first[firms] + head)[:, None] + np.arange(k * n_periods)]
-            draws = draws.reshape(n, n_periods, k)
-            s = pareto_sample(draws[:, 0], params.s0, params.mu)
+            # (firm, period, sub-unit): the sizes' uniforms, then each period's shocks
+            at = (4 * first[firms] + head)[:, None] + np.arange(k * n_periods)
+            s = pareto_sample(u[at[:, :k]], params.s0, params.mu)
             sizes[lo + firms, 0] = s.sum(axis=1)
-            eta = shocks_from_uniforms(draws[:, 1:], params.shock_law, params.student_dof)
-            mult = 1.0 + params.sigma0 * eta
+            mult = 1.0 + params.sigma0 * eta[at[:, k:]].reshape(n, n_periods - 1, k)
             clamp_count += int(np.count_nonzero(mult < _MULTIPLIER_FLOOR))
             np.maximum(mult, _MULTIPLIER_FLOOR, out=mult)
             np.cumprod(mult, axis=1, out=mult)
             sizes[lo + firms, 1:] = np.matmul(mult, s[..., None])[..., 0]
+    if not np.isfinite(sizes).all():
+        raise ValueError(f"firm {np.argwhere(~np.isfinite(sizes))[0, 0]}: a size is not finite")
 
     firm_id = np.repeat(np.arange(n_firms, dtype=np.int64), n_periods)
     period = np.tile(np.arange(n_periods, dtype=np.int64), n_firms)

@@ -147,6 +147,18 @@ class TestSimulate:
         assert main(["--config", cfg, "simulate"]) == 0
         assert {name: sha(tmp_path / "out" / name) for name in pinned} == pinned
 
+    @pytest.mark.parametrize("model_lines, message", [
+        ("shock_law = student_t\nstudent_dof = inf", "student_dof > 2, got inf"),
+        ("sigma0 = inf", "sigma0 must be non-negative and finite, got inf"),
+        ("s0 = inf", "s0 must be positive and finite, got inf"),
+        ("s0 = 1e308", "firm 0: a size is not finite"),  # finite, but the sizes overflow
+    ])
+    def test_non_finite_sizes_are_validation_errors(self, tmp_path, capsys, model_lines, message):
+        body = SIM_CFG.format(out=tmp_path / "out").replace("sigma0 = 0.05", model_lines)
+        assert main_without_warnings(["--config", write_config(tmp_path, body), "simulate"]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out" / "panel.csv").exists()
+
     def test_zero_firms_is_validation_error(self, tmp_path):
         body = SIM_CFG.format(out=tmp_path / "out").replace("n_firms = 400", "n_firms = 0")
         cfg = write_config(tmp_path, body)

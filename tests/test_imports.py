@@ -7,7 +7,9 @@ submodule costs more than most of the work of a short CLI step: loading
 ``interpolate`` and ``optimize``), and ``scipy.special`` or ``scipy.fft``
 load SciPy's array-API layer, which pulls in ``numpy.f2py`` and
 ``numpy.testing``.  So ``ingest`` and ``analyze`` (whose binned KDE runs on
-``numpy.fft``) load none, and ``simulate`` loads ``scipy.special`` only.
+``numpy.fft``) load none.  Nor does a Gaussian ``simulate`` below 2**20
+shocks, which takes NumPy's port of ``ndtri``; a larger or Student-t one
+loads ``scipy.special`` only.
 ``ingest`` and ``analyze`` load no OpenSSL either: ``hashlib`` would load
 ``_hashlib`` and libcrypto, 3+ MB of RSS, to hash the config.
 Each case runs in a fresh interpreter and reports the ``scipy.*`` modules
@@ -96,13 +98,21 @@ def test_analyze_loads_neither_signal_nor_stats(tmp_path, bare_scipy):
     assert loaded == bare_scipy | {"numpy.fft"}
 
 
-def test_simulate_loads_special_but_neither_fft_nor_optimize(tmp_path):
+def simulate_modules(tmp_path, model):
     cfg = tmp_path / "sim.ini"
     cfg.write_text(
-        f"[run]\nout_dir = {tmp_path / 'out'}\n\n[model]\nmu = 1.5\nalpha = 1.2\n\n"
+        f"[run]\nout_dir = {tmp_path / 'out'}\n\n[model]\nmu = 1.5\nalpha = 1.2\n{model}\n"
         "[simulate]\nn_firms = 50\nn_periods = 3\n"
     )
-    loaded = scipy_modules(run_cli(["--config", str(cfg), "simulate"]))
+    return scipy_modules(run_cli(["--config", str(cfg), "simulate"]))
+
+
+def test_gaussian_simulate_below_the_port_limit_loads_no_scipy_submodule(tmp_path, bare_scipy):
+    assert simulate_modules(tmp_path, "") == bare_scipy
+
+
+def test_student_t_simulate_loads_special_but_neither_fft_nor_optimize(tmp_path):
+    loaded = simulate_modules(tmp_path, "shock_law = student_t\n")
     assert "scipy.special" in loaded
     assert not {m for m in loaded if m.split(".")[1] in ("fft", "optimize")}
 
