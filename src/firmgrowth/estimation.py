@@ -116,20 +116,26 @@ def firm_size_volatility(firm_id, period, size):
     Growth rates s_{t+1} / s_t - 1 come only from pairs of a firm's rows
     exactly one period apart, so a gap in a firm's periods never passes for
     a one-period change.  Firms with fewer than two such rates are dropped.
-    Rows are indexed by :func:`firm_groups`.  Returns ``(mean_sizes,
-    volatilities, n_dropped)`` with the kept firms in ascending id order.
+    Rows are indexed once by :func:`firm_groups`; the pairing, the growths and
+    both reductions then run on blocks of whole firms of about ``_BLOCK // 4``
+    rows (:meth:`Groups.blocks`), each firm's arithmetic its own.  Returns
+    ``(mean_sizes, volatilities, n_dropped)``, kept firms in ascending id order.
     """
     firm_id, period, size = map(np.asarray, (firm_id, period, size))
     firms = firm_groups(firm_id, period)
-    later = firms.lag_pairs(period, 1)
-    paired = later >= 0
-    growth = np.zeros(size.size)
-    growth[paired] = size[later[paired]] / size[paired] - 1.0
-    rated = firms.rows(paired)
-    kept = rated.counts >= 2
-    mean_sizes = firms.select(kept).reduce(size, lambda rows: rows.mean(axis=-1))
-    vols = rated.select(kept).reduce(growth, mad_volatility)
-    return mean_sizes, vols, firms.keys.size - np.count_nonzero(kept)
+    mean_sizes, vols = [np.empty(0)], [np.empty(0)]
+    for rows, block in firms.blocks(_BLOCK // 4):
+        s = size[rows]
+        later = block.lag_pairs(period[rows], 1)
+        paired = later >= 0
+        growth = np.zeros(s.size)
+        growth[paired] = s[later[paired]] / s[paired] - 1.0
+        rated = block.rows(paired)
+        kept = rated.counts >= 2
+        mean_sizes.append(block.select(kept).reduce(s, lambda x: x.mean(axis=-1)))
+        vols.append(rated.select(kept).reduce(growth, mad_volatility))
+    mean_sizes = np.concatenate(mean_sizes)
+    return mean_sizes, np.concatenate(vols), firms.keys.size - mean_sizes.size
 
 
 # ---------------------------------------------------------------------------

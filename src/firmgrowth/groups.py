@@ -82,6 +82,16 @@ class Groups:
         starts, ends = before[self.starts], before[self.starts + self.counts]
         return Groups(self.keys, self.order[kept], starts, ends - starts)
 
+    def blocks(self, size):
+        """Runs of consecutive whole groups of about `size` rows, a longer group a run of its
+        own: each run's rows (a slice of `order`) and its groups, indexed over those rows."""
+        cuts = np.searchsorted(self.starts, np.arange(size, self.order.size, size))
+        bounds = np.unique(np.concatenate(([0], cuts, [self.keys.size]))).tolist()
+        for lo, hi in zip(bounds, bounds[1:]):
+            first, end = self.starts[lo], self.starts[hi - 1] + self.counts[hi - 1]
+            yield self.order[first:end], Groups(self.keys[lo:hi], np.arange(end - first),
+                                                self.starts[lo:hi] - first, self.counts[lo:hi])
+
     def split(self, values):
         """Each group's values as one array, rows in `order` within a group."""
         values = np.asarray(values)

@@ -167,14 +167,13 @@ def _philox_doubles(seed, firm_ids, counters):
     made a double in [0, 1) as ``(word >> 11) * 2**-53``.  So the rows of one
     firm's blocks 0, 1, ... flatten to what its generator's ``random`` returns.
     """
-    firm_ids = np.asarray(firm_ids, dtype=np.uint64)
-    counters = np.asarray(counters, dtype=np.uint64)
+    firm_ids, counters = np.asarray(firm_ids), np.asarray(counters)
     out = np.empty((firm_ids.size, 4))
     for lo in range(0, firm_ids.size, _PHILOX_CHUNK):
         hi = min(lo + _PHILOX_CHUNK, firm_ids.size)
-        key0, key1 = int(seed) & _SEED_MASK, firm_ids[lo:hi].copy()
+        key0, key1 = int(seed) & _SEED_MASK, firm_ids[lo:hi].astype(np.uint64)
         zero = np.zeros(hi - lo, dtype=np.uint64)
-        ctr = (counters[lo:hi] + np.uint64(1), zero, zero, zero)
+        ctr = (counters[lo:hi].astype(np.uint64) + np.uint64(1), zero, zero, zero)
         for r in range(10):
             if r:
                 key0 = (key0 + _PHILOX_W[0]) & _SEED_MASK
@@ -456,14 +455,14 @@ def simulate_panel(params: ModelParams, n_firms, n_periods, seed):
     multipliers 1 + sigma0 * shock are floored at 1e-6 to preserve positivity;
     the number of floored multipliers is returned as the clamp count.
 
-    The firms go in blocks of about ``_BLOCK`` words.  One
-    :func:`_philox_doubles` pass makes a block's streams, and one shock call
-    its shocks: NumPy's ``ndtri`` port below ``_NDTRI_PORT_SHOCKS`` Gaussian
-    shocks a run, else :func:`shocks_from_uniforms` (the same bits).  The firms
-    of each sub-unit count k are reduced together as one (firms, periods, k)
-    array, row by row with the operations of a single firm.  So every firm's
-    sizes are bit-identical to simulating it alone from its own generator,
-    and none depends on the order or blocking of the firms.
+    The firms go in blocks of about ``_BLOCK`` words, the firms of one sub-unit
+    count k side by side in a block's :func:`_philox_doubles` streams, whose
+    uniforms become shocks in place, ``_BLOCK // 4`` at a time: NumPy's
+    ``ndtri`` port below ``_NDTRI_PORT_SHOCKS`` Gaussian shocks a run, else
+    :func:`shocks_from_uniforms` (the same bits).  The firms of each k are
+    reduced as one (firms, periods, k) view, row by row as a single firm.  So
+    every firm's sizes are bit-identical to simulating it alone from its own
+    generator, and none depends on the order or blocking of the firms.
 
     Returns (Panel, clamp_count); a size that is not finite raises ValueError.
     """
@@ -472,7 +471,6 @@ def simulate_panel(params: ModelParams, n_firms, n_periods, seed):
     if n_periods < 2:
         raise ValueError("n_periods must be >= 2")
 
-    ids = np.arange(n_firms)
     if isinstance(params.k_mode, FixedCount):
         head = 0
         counts = np.full(n_firms, params.k_mode.count, dtype=np.int64)
@@ -480,8 +478,9 @@ def simulate_panel(params: ModelParams, n_firms, n_periods, seed):
         # the count is word 0; its Pareto draw stays a Python float, whose
         # power may differ from the array one in the last bit
         head = 1
-        u = _philox_doubles(seed, ids, np.zeros_like(ids))[:, 0].tolist()
+        u = _philox_doubles(seed, np.arange(n_firms), np.zeros(n_firms, np.int64))[:, 0].tolist()
         counts = np.array([math.ceil(pareto_sample(x, 1.0, params.alpha)) for x in u])
+        del u  # a Python float per firm, not to be held through the firm blocks
     words = head + counts * n_periods
     port = params.shock_law == "gaussian" and counts.sum() * (n_periods - 1) < _NDTRI_PORT_SHOCKS
     # firm blocks of about _BLOCK words; a firm with more words is a block of its own
@@ -490,32 +489,51 @@ def simulate_panel(params: ModelParams, n_firms, n_periods, seed):
     bounds = np.unique(np.concatenate(([0], cuts, [n_firms]))).tolist()
 
     sizes = np.empty((n_firms, n_periods))
-    clamp_count = 0
-    for lo, hi in zip(bounds, bounds[1:]):
-        n_blocks = (words[lo:hi] + 3) // 4
-        first = np.cumsum(n_blocks) - n_blocks
-        block = np.arange(first[-1] + n_blocks[-1]) - np.repeat(first, n_blocks)
-        u = _philox_doubles(seed, np.repeat(ids[lo:hi], n_blocks), block).ravel()
-        eta = ndtri(u) if port else shocks_from_uniforms(u, params.shock_law, params.student_dof)
-        groups = Groups.of(counts[lo:hi])
-        by_count = zip(groups.keys.tolist(), groups.starts.tolist(), groups.counts.tolist())
-        for k, start, n in by_count:
-            firms = groups.order[start : start + n]
-            # (firm, period, sub-unit): the sizes' uniforms, then each period's shocks
-            at = (4 * first[firms] + head)[:, None] + np.arange(k * n_periods)
-            s = pareto_sample(u[at[:, :k]], params.s0, params.mu)
-            sizes[lo + firms, 0] = s.sum(axis=1)
-            mult = 1.0 + params.sigma0 * eta[at[:, k:]].reshape(n, n_periods - 1, k)
-            clamp_count += int(np.count_nonzero(mult < _MULTIPLIER_FLOOR))
-            np.maximum(mult, _MULTIPLIER_FLOOR, out=mult)
-            np.cumprod(mult, axis=1, out=mult)
-            sizes[lo + firms, 1:] = np.matmul(mult, s[..., None])[..., 0]
+    clamp_count = sum(
+        _simulate_block(params, seed, head, port, lo, counts[lo:hi], sizes)
+        for lo, hi in zip(bounds, bounds[1:])
+    )
     if not np.isfinite(sizes).all():
         raise ValueError(f"firm {np.argwhere(~np.isfinite(sizes))[0, 0]}: a size is not finite")
 
     firm_id = np.repeat(np.arange(n_firms, dtype=np.int64), n_periods)
     period = np.tile(np.arange(n_periods, dtype=np.int64), n_firms)
     return Panel(firm_id, period, sizes.ravel()), clamp_count
+
+
+def _simulate_block(params, seed, head, port, lo, counts, sizes):
+    """Rows ``lo, lo + 1, ...`` of `sizes`, for firms of sub-unit counts `counts`, as
+    :func:`simulate_panel` draws them; returns their clamp count."""
+    n_periods = sizes.shape[1]
+    # the block's streams, its firms ordered by sub-unit count k: the firms of one k
+    # are consecutive rows of u, each firm a row of its 4 * n_blocks words
+    groups = Groups.of(counts)
+    firms = lo + groups.order
+    n_blocks = (head + counts[groups.order] * n_periods + 3) // 4
+    first = np.concatenate(([0], np.cumsum(n_blocks)))
+    block = np.arange(first[-1]) - np.repeat(first[:-1], n_blocks)
+    u = _philox_doubles(seed, np.repeat(firms, n_blocks), block).ravel()
+    at = (4 * first).tolist()  # each firm's first word, then the end
+    runs = zip(groups.keys.tolist(), groups.starts.tolist(), groups.counts.tolist())
+    by_count = [(k, firms[i : i + n], u[at[i] : at[i + n]].reshape(n, -1)) for k, i, n in runs]
+    # each firm's k sub-unit sizes from its first k words, before the shocks overwrite them
+    initial = [pareto_sample(x[:, head : head + k], params.s0, params.mu) for k, _, x in by_count]
+    # the shock step, in place and _BLOCK // 4 at a time, so a shock call's temporaries stay small
+    for i in range(0, u.size, _BLOCK // 4):
+        v = u[i : i + _BLOCK // 4]
+        v[:] = ndtri(v) if port else shocks_from_uniforms(v, params.shock_law, params.student_dof)
+    clamp_count = 0
+    for (k, f, x), s in zip(by_count, initial):
+        sizes[f, 0] = s.sum(axis=1)
+        # (firm, period, sub-unit): each period's multipliers, in place of its shocks
+        mult = x[:, head + k : head + k * n_periods].reshape(f.size, n_periods - 1, k)
+        mult *= params.sigma0
+        mult += 1.0
+        clamp_count += int(np.count_nonzero(mult < _MULTIPLIER_FLOOR))
+        np.maximum(mult, _MULTIPLIER_FLOOR, out=mult)
+        np.cumprod(mult, axis=1, out=mult)
+        sizes[f, 1:] = np.matmul(mult, s[..., None])[..., 0]
+    return clamp_count
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,9 @@
 Each kernel runs on an input of 16 blocks under ``tracemalloc``, which counts
 NumPy's array buffers.  Its peak may hold the output plus a fixed number of
 blocks of temporaries, fewer than 16: one full-size temporary more fails.
+simulate_panel's shock step writes its shocks over its uniforms, so a run of
+one 16-block firm may hold those and the temporaries; firm_size_volatility is
+counted from the end of its by-firm index.
 table1's and fig5's GSE fits, which load ``scipy.optimize``, must start with
 no sample array held.
 """
@@ -14,12 +17,14 @@ import pytest
 import scipy.optimize  # noqa: F401  loaded here, like scipy.special, so imports are not traced
 import scipy.special  # noqa: F401  loaded here, so its import is not traced as the kernels' memory
 
-from firmgrowth import estimation
+from firmgrowth import estimation, model
 from firmgrowth.analysis import _kde_binned, kde_gaussian
 from firmgrowth.distributions import MigParams, mig_sample
-from firmgrowth.estimation import _mig_nll, leave_one_out_rescale
+from firmgrowth.estimation import _mig_nll, firm_groups, firm_size_volatility
+from firmgrowth.estimation import leave_one_out_rescale
 from firmgrowth.experiments import run_fig5, run_table1
 from firmgrowth.groups import _BLOCK
+from firmgrowth.model import FixedCount, ModelParams, simulate_panel
 
 N_BLOCKS = 16
 BLOCK_BYTES = _BLOCK * 8
@@ -72,6 +77,46 @@ def test_mig_nll_with_work_allocates_nothing_the_size_of_x(theta):
     x = RNG.uniform(0.5, 3.0, N)
     _, peak = traced_peak(_mig_nll, np.array(theta), x, np.empty_like(x))
     assert peak < BLOCK_BYTES
+
+
+@pytest.mark.parametrize("law, limit", [
+    ("gaussian", 2**62),    # the NumPy port
+    ("gaussian", 0),        # SciPy's ndtri
+    ("laplace", 0),
+    ("student_t", 0),
+])
+def test_simulate_panel_of_one_firm_of_16_blocks(monkeypatch, law, limit):
+    # one firm of N words: the shock step turns its uniforms into shocks in place,
+    # so the run may hold them and no more than the temporaries besides
+    monkeypatch.setattr(model, "_NDTRI_PORT_SHOCKS", limit)
+    params = ModelParams(mu=1.6, k_mode=FixedCount(N // 8), shock_law=law)
+    _, peak = traced_peak(simulate_panel, params, 1, 8, 3)
+    assert peak <= (N + TEMPORARY_BLOCKS * _BLOCK) * 8, f"peak {peak / BLOCK_BYTES:.1f} blocks"
+
+
+def test_firm_size_volatility_beyond_its_index(monkeypatch):
+    # N rows of 8-period firms; the peak is counted from the end of firm_groups
+    firm_id = np.repeat(RNG.permutation(N // 8), 8)
+    period = np.tile(np.arange(8), N // 8)
+    index = []
+
+    def indexed(*args):
+        firms = firm_groups(*args)
+        index.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return firms
+
+    monkeypatch.setattr(estimation, "firm_groups", indexed)
+    tracemalloc.start()
+    try:
+        out = firm_size_volatility(firm_id, period, RNG.lognormal(size=N))
+        peak = tracemalloc.get_traced_memory()[1] - index[0]
+    finally:
+        tracemalloc.stop()
+    out_bytes = out[0].nbytes + out[1].nbytes
+    assert peak <= out_bytes + TEMPORARY_BLOCKS * BLOCK_BYTES, (
+        f"peak {peak / BLOCK_BYTES:.1f} blocks for an output of {out_bytes / BLOCK_BYTES:.1f}"
+    )
 
 
 @pytest.mark.parametrize("run, kwargs, n_fits", [

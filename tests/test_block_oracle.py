@@ -8,6 +8,8 @@ change with the kernels.  Sizes straddle the block: one short of it, exactly
 one block, one over, and two blocks and a few.
 """
 
+import math
+
 import numpy as np
 import pytest
 import scipy
@@ -15,12 +17,15 @@ import scipy
 from firmgrowth.analysis import _convolve_same, _kde_binned, kde_gaussian
 from firmgrowth.analysis import normal_reference_bandwidth
 from firmgrowth.cli import main, write_table_csv
-from firmgrowth.distributions import MigParams, mig_sample
+from firmgrowth.distributions import MigParams, mig_sample, ndtri, pareto_sample
 from firmgrowth.estimation import _ADJ, _count_at_most, _mig_log_norm, _mig_nll
-from firmgrowth.estimation import leave_one_out_rescale
+from firmgrowth.estimation import firm_groups, firm_size_volatility, leave_one_out_rescale
+from firmgrowth.estimation import mad_volatility
 from firmgrowth import experiments as xp
+from firmgrowth import model
 from firmgrowth.experiments import _mig_growths, _rng
-from firmgrowth.groups import _BLOCK
+from firmgrowth.groups import _BLOCK, Groups
+from firmgrowth.model import FixedCount, ModelParams, Panel, ParetoCount, simulate_panel
 
 
 def old_leave_one_out_rescale(series):
@@ -340,3 +345,163 @@ def test_laplace_sum_tables_do_not_depend_on_the_block(monkeypatch):
     whole, blocked = run(int(4e7)), run(1001)
     assert blocked.tables == whole.tables
     assert [c.value for c in blocked.checks] == [c.value for c in whole.checks]
+
+
+# ---------------------------------------------------------------------------
+# simulate_panel: the shock step in place, _BLOCK // 4 uniforms at a time
+# ---------------------------------------------------------------------------
+
+def old_counts(params, n_firms, seed):
+    """Each firm's sub-unit count, and 1 if its count is word 0 of its stream, else 0."""
+    if isinstance(params.k_mode, FixedCount):
+        return np.full(n_firms, params.k_mode.count, dtype=np.int64), 0
+    ids = np.arange(n_firms)
+    u = model._philox_doubles(seed, ids, np.zeros_like(ids))[:, 0].tolist()
+    return np.array([math.ceil(pareto_sample(x, 1.0, params.alpha)) for x in u]), 1
+
+
+def old_simulate_panel(params, n_firms, n_periods, seed):
+    """simulate_panel with one shock call over each firm block's whole uniform array."""
+    ids = np.arange(n_firms)
+    counts, head = old_counts(params, n_firms, seed)
+    words = head + counts * n_periods
+    port = (
+        params.shock_law == "gaussian"
+        and counts.sum() * (n_periods - 1) < model._NDTRI_PORT_SHOCKS
+    )
+    ends = np.cumsum(words)
+    cuts = np.searchsorted(ends, np.arange(_BLOCK, ends[-1], _BLOCK)) + 1
+    bounds = np.unique(np.concatenate(([0], cuts, [n_firms]))).tolist()
+    sizes = np.empty((n_firms, n_periods))
+    clamp_count = 0
+    for lo, hi in zip(bounds, bounds[1:]):
+        n_blocks = (words[lo:hi] + 3) // 4
+        first = np.cumsum(n_blocks) - n_blocks
+        block = np.arange(first[-1] + n_blocks[-1]) - np.repeat(first, n_blocks)
+        u = model._philox_doubles(seed, np.repeat(ids[lo:hi], n_blocks), block).ravel()
+        eta = (
+            ndtri(u) if port
+            else model.shocks_from_uniforms(u, params.shock_law, params.student_dof)
+        )
+        groups = Groups.of(counts[lo:hi])
+        by_count = zip(groups.keys.tolist(), groups.starts.tolist(), groups.counts.tolist())
+        for k, start, n in by_count:
+            firms = groups.order[start : start + n]
+            at = (4 * first[firms] + head)[:, None] + np.arange(k * n_periods)
+            s = pareto_sample(u[at[:, :k]], params.s0, params.mu)
+            sizes[lo + firms, 0] = s.sum(axis=1)
+            mult = 1.0 + params.sigma0 * eta[at[:, k:]].reshape(n, n_periods - 1, k)
+            clamp_count += int(np.count_nonzero(mult < model._MULTIPLIER_FLOOR))
+            np.maximum(mult, model._MULTIPLIER_FLOOR, out=mult)
+            np.cumprod(mult, axis=1, out=mult)
+            sizes[lo + firms, 1:] = np.matmul(mult, s[..., None])[..., 0]
+    firm_id = np.repeat(np.arange(n_firms, dtype=np.int64), n_periods)
+    period = np.tile(np.arange(n_periods, dtype=np.int64), n_firms)
+    return Panel(firm_id, period, sizes.ravel()), clamp_count
+
+
+def sim_params(k_mode, law="gaussian"):
+    # sigma0 large enough that some multipliers are floored
+    return ModelParams(
+        mu=1.6, alpha=1.2, sigma0=0.45, k_mode=k_mode, shock_law=law, student_dof=4.0
+    )
+
+
+# (k_mode, n_firms, n_periods, seed): each run spans several shock chunks of _BLOCK // 4
+# words and several firm blocks
+PANELS = [
+    (FixedCount(5000), 3, 40, 17),    # 200,000 words a firm: each firm a block of its own
+    (FixedCount(7), 2000, 20, 17),    # 140 words a firm: blocks and chunks cut between firms
+    (ParetoCount(), 1500, 28, 2),     # one firm of 137,341 words among small ones
+]
+
+
+def test_the_simulated_panels_hold_a_firm_larger_than_a_block():
+    largest = []
+    for k_mode, n_firms, n_periods, seed in PANELS:
+        counts, head = old_counts(sim_params(k_mode), n_firms, seed)
+        largest.append(int((head + counts * n_periods).max()))
+    assert largest == [200_000, 140, 137_341] and _BLOCK < 137_341
+
+
+@pytest.mark.parametrize("law, limit", [
+    ("gaussian", 0),        # SciPy's ndtri
+    ("gaussian", 2**62),    # the NumPy port
+    ("laplace", 0),
+    ("student_t", 0),
+])
+@pytest.mark.parametrize("k_mode, n_firms, n_periods, seed", PANELS)
+def test_simulate_panel_matches_whole_block_shocks(
+    monkeypatch, law, limit, k_mode, n_firms, n_periods, seed
+):
+    monkeypatch.setattr(model, "_NDTRI_PORT_SHOCKS", limit)
+    params = sim_params(k_mode, law)
+    panel, clamp_count = simulate_panel(params, n_firms, n_periods, seed)
+    ref, ref_clamp_count = old_simulate_panel(params, n_firms, n_periods, seed)
+    assert_same_bytes(panel.firm_id, ref.firm_id)
+    assert_same_bytes(panel.period, ref.period)
+    assert_same_bytes(panel.size, ref.size)
+    assert clamp_count == ref_clamp_count > 0
+
+
+# ---------------------------------------------------------------------------
+# firm_size_volatility: blocks of whole firms, about _BLOCK // 4 rows each
+# ---------------------------------------------------------------------------
+
+def old_firm_size_volatility(firm_id, period, size):
+    """firm_size_volatility with the lag pairing, growths and reductions over the whole panel."""
+    firm_id, period, size = map(np.asarray, (firm_id, period, size))
+    firms = firm_groups(firm_id, period)
+    later = firms.lag_pairs(period, 1)
+    paired = later >= 0
+    growth = np.zeros(size.size)
+    growth[paired] = size[later[paired]] / size[paired] - 1.0
+    rated = firms.rows(paired)
+    kept = rated.counts >= 2
+    mean_sizes = firms.select(kept).reduce(size, lambda rows: rows.mean(axis=-1))
+    vols = rated.select(kept).reduce(growth, mad_volatility)
+    return mean_sizes, vols, firms.keys.size - np.count_nonzero(kept)
+
+
+def gapped_panel(n_firms, long_firm, seed):
+    """Firms of 1 to 11 rows with gaps in their periods, ties in their sizes, unsorted ids,
+    and one firm of `long_firm` consecutive periods; rows sorted by (firm, period)."""
+    rng = np.random.default_rng(seed)
+    lengths = np.append(rng.integers(1, 12, n_firms), long_firm)
+    rng.shuffle(lengths)
+    ids = rng.choice(10**9, lengths.size, replace=False)
+    periods = [
+        np.arange(n) if n == long_firm else np.sort(rng.choice(2 * n + 1, n, replace=False))
+        for n in lengths
+    ]
+    size = rng.lognormal(3.0, 1.5, lengths.sum())
+    size[::5] = np.ceil(size[::5])  # equal sizes, so some growths are 0 and some tie
+    return np.repeat(ids, lengths), np.concatenate(periods) - 3, size
+
+
+@pytest.mark.parametrize("order", ["sorted", "reversed", "shuffled"])
+@pytest.mark.parametrize("n_firms, long_firm", [
+    (30_000, _BLOCK + 3),        # about 6 blocks of firms and one firm longer than a block
+    (5_000, _BLOCK // 4),         # one firm exactly a block long
+    (3, 2),                       # fewer rows than a block
+])
+def test_firm_size_volatility_matches_whole_panel(order, n_firms, long_firm):
+    firm_id, period, size = gapped_panel(n_firms, long_firm, n_firms)
+    rows = {
+        "sorted": np.arange(size.size),
+        "reversed": np.arange(size.size)[::-1],
+        "shuffled": np.random.default_rng(1).permutation(size.size),
+    }[order]
+    args = firm_id[rows], period[rows], size[rows]
+    mean_sizes, vols, dropped = firm_size_volatility(*args)
+    ref_means, ref_vols, ref_dropped = old_firm_size_volatility(*args)
+    assert_same_bytes(mean_sizes, ref_means)
+    assert_same_bytes(vols, ref_vols)
+    assert dropped == ref_dropped
+    assert dropped > 0 and vols.size > 0
+
+
+def test_firm_size_volatility_of_no_rows_matches_whole_panel():
+    empty = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0)
+    for got, want in zip(firm_size_volatility(*empty), old_firm_size_volatility(*empty)):
+        assert_same_bytes(got, want)
