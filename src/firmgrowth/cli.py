@@ -39,10 +39,6 @@ EXIT_RUNTIME = 2
 EXIT_STRICT_FAIL = 3
 
 
-class ValidationError(ValueError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # Config plumbing
 # ---------------------------------------------------------------------------
@@ -77,20 +73,20 @@ def load_config(path):
             for name in cfg.sections():  # interpolate every value here, before any work
                 cfg.items(name)
         except configparser.InterpolationError as exc:
-            raise ValidationError(f"[{exc.section}] {exc.option}: {exc.message}") from None
+            raise ValueError(f"[{exc.section}] {exc.option}: {exc.message}") from None
         except configparser.Error as exc:
-            raise ValidationError(str(exc)) from None
+            raise ValueError(str(exc)) from None
         if not found:
-            raise ValidationError(f"config file not found: {path}")
+            raise ValueError(f"config file not found: {path}")
     for name in cfg.sections():
         if name not in CONFIG_KEYS:
-            raise ValidationError(f"unknown section [{name}]; accepted: {', '.join(CONFIG_KEYS)}")
+            raise ValueError(f"unknown section [{name}]; accepted: {', '.join(CONFIG_KEYS)}")
         accepted = CONFIG_KEYS[name]
         if accepted is None:
             continue
         unknown = sorted(set(_own_keys(cfg, name)) - set(accepted))
         if unknown:
-            raise ValidationError(
+            raise ValueError(
                 f"unknown [{name}] key(s) {', '.join(unknown)}; accepted: {', '.join(accepted)}"
             )
     return cfg
@@ -122,53 +118,57 @@ def _integer(section, key, value, minimum=None):
         number = None
     if number is None or (minimum is not None and number < minimum):
         bound = "" if minimum is None else f" >= {minimum}"
-        raise ValidationError(f"[{section}] {key} = {value!r} is not an integer{bound}")
+        raise ValueError(f"[{section}] {key} = {value!r} is not an integer{bound}")
     return number
 
 
 def _boolean(section, key, value):
     states = configparser.ConfigParser.BOOLEAN_STATES
     if value.strip().lower() not in states:
-        raise ValidationError(f"[{section}] {key} = {value!r} is not one of {', '.join(states)}")
+        raise ValueError(f"[{section}] {key} = {value!r} is not one of {', '.join(states)}")
     return states[value.strip().lower()]
 
 
 def run_settings(cfg, args):
     """[run] section with CLI flags taking precedence; an out dir that cannot be made raises
-    ValidationError here, before any work."""
+    ValueError here, before any work."""
     run = _settings(cfg, "run")
     seed = args.seed if args.seed is not None else _integer("run", "seed", run["seed"])
     out_dir = Path(args.out_dir or run["out_dir"])
     for path in (out_dir, *out_dir.parents):
         if path.exists() and not path.is_dir():
-            raise ValidationError(f"out dir {out_dir} cannot be made: {path} is not a directory")
+            raise ValueError(f"out dir {out_dir} cannot be made: {path} is not a directory")
     return seed, out_dir
+
+
+def _input_file(path, what):
+    """`path` if it names a file, else ValueError ``"{what} not found: {path!r}"``."""
+    if not path or not Path(path).is_file():
+        raise ValueError(f"{what} not found: {path!r}")
+    return path
 
 
 def model_params_from_config(cfg):
     if not cfg.has_section("model"):
-        raise ValidationError("config needs a [model] section")
+        raise ValueError("config needs a [model] section")
     model = _settings(cfg, "model")
     mode = model["k_mode"].strip().lower()
     if mode not in ("fixed", "pareto"):
-        raise ValidationError(f"unknown k_mode {mode!r} (use fixed or pareto)")
+        raise ValueError(f"unknown k_mode {mode!r} (use fixed or pareto)")
     if model["mu"] is None:
-        raise ValidationError("[model] needs mu")
+        raise ValueError("[model] needs mu")
     if mode == "pareto" and model["alpha"] is None:
-        raise ValidationError("pareto k_mode needs alpha in [model]")
-    try:
-        return ModelParams(
-            mu=float(model["mu"]),
-            alpha=float(model["alpha"]) if mode == "pareto" else None,
-            s0=float(model["s0"]),
-            sigma0=float(model["sigma0"]),
-            k_mode=(FixedCount(_integer("model", "k", model["k"], 1)) if mode == "fixed"
-                    else ParetoCount()),
-            shock_law=model["shock_law"].strip().lower(),
-            student_dof=float(model["student_dof"]),
-        )
-    except (ValueError, TypeError) as exc:
-        raise ValidationError(str(exc)) from None
+        raise ValueError("pareto k_mode needs alpha in [model]")
+    return ModelParams(
+        mu=float(model["mu"]),
+        alpha=float(model["alpha"]) if mode == "pareto" else None,
+        s0=float(model["s0"]),
+        sigma0=float(model["sigma0"]),
+        k_mode=(FixedCount(_integer("model", "k", model["k"], 1)) if mode == "fixed"
+                else ParetoCount()),
+        shock_law=model["shock_law"].strip().lower(),
+        student_dof=float(model["student_dof"]),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -260,23 +260,21 @@ def cmd_simulate(cfg, args):
 def cmd_analyze(cfg, args):
     seed, out_dir = run_settings(cfg, args)
     ana = _settings(cfg, "analyze")
-    panel_path = args.panel or ana["panel"]
-    if not panel_path or not Path(panel_path).exists():
-        raise ValidationError(f"panel file not found: {panel_path!r}")
+    panel_path = _input_file(args.panel or ana["panel"], "panel file")
     n_bins = _integer("analyze", "n_bins", ana["n_bins"], 1)
     q_list = [_integer("analyze", "q_list", q) for q in ana["q_list"].split(",")]
     for i, q in enumerate(q_list):
         if q < 1:
-            raise ValidationError(f"[analyze] q_list: moment {q} is below 1")
+            raise ValueError(f"[analyze] q_list: moment {q} is below 1")
         if q in q_list[:i]:
-            raise ValidationError(f"[analyze] q_list: moment {q} is given twice")
+            raise ValueError(f"[analyze] q_list: moment {q} is given twice")
 
     panel = Panel.read_csv(panel_path)
     sizes_mean, vols, dropped = estimation.firm_size_volatility(
         panel.firm_id, panel.period, panel.size
     )
     if len(vols) < n_bins:
-        raise ValidationError(
+        raise ValueError(
             "not enough firms with >= 2 one-period growth rates for the requested bins"
         )
 
@@ -321,7 +319,7 @@ def _read_samples(path):
         skip = 1
     samples = load_csv_rows(path, f"fit input {path}", usecols=0, skiprows=skip)
     if samples.size == 0:
-        raise ValidationError(f"fit input {path} has no data rows")
+        raise ValueError(f"fit input {path} has no data rows")
     return samples
 
 
@@ -330,7 +328,7 @@ def _read_density(path):
     rows = read_columns(path, f"fit input {path}", [("x", float), ("density", float)])
     bad = np.flatnonzero(~(np.isfinite(rows["x"]) & np.isfinite(rows["density"])))
     if bad.size:
-        raise ValidationError(
+        raise ValueError(
             f"fit input {path}, row {bad[0] + 1}: x and density must be finite numbers"
         )
     return DensityEstimate(rows["x"], rows["density"])
@@ -340,11 +338,9 @@ def cmd_fit(cfg, args):
     seed, out_dir = run_settings(cfg, args)
     fit_cfg = _settings(cfg, "fit")
     family = (args.family or fit_cfg["family"]).strip().lower()
-    input_path = args.input or fit_cfg["input"]
     if family not in ("mig", "gse"):
-        raise ValidationError("fit family must be 'mig' or 'gse'")
-    if not input_path or not Path(input_path).exists():
-        raise ValidationError(f"fit input not found: {input_path!r}")
+        raise ValueError("fit family must be 'mig' or 'gse'")
+    input_path = _input_file(args.input or fit_cfg["input"], "fit input")
 
     if family == "mig":
         fit = estimation.fit_mig_mle(_read_samples(input_path))
@@ -365,26 +361,28 @@ def cmd_fit(cfg, args):
 def cmd_ingest(cfg, args):
     seed, out_dir = run_settings(cfg, args)
     ing = _settings(cfg, "ingest")
-    input_path = args.input or ing["input"]
-    if not input_path or not Path(input_path).exists():
-        raise ValidationError(f"ingest input not found: {input_path!r}")
-    if ing["deflator"] and not Path(ing["deflator"]).exists():
-        raise ValidationError(f"ingest deflator not found: {ing['deflator']!r}")
+    input_path = _input_file(args.input or ing["input"], "ingest input")
+    if ing["deflator"]:
+        _input_file(ing["deflator"], "ingest deflator")
     min_growth_obs = _integer("ingest", "min_growth_obs", ing["min_growth_obs"], 0)
     december_only = _boolean("ingest", "fiscal_december_only", ing["fiscal_december_only"])
     if december_only and ing["fiscal_year_end_month_col"] is None:
-        raise ValidationError("[ingest] fiscal_december_only needs fiscal_year_end_month_col")
+        raise ValueError("[ingest] fiscal_december_only needs fiscal_year_end_month_col")
     schema = {logical: ing[f"{logical}_col"] for logical in _SCHEMA_FIELDS}
 
-    ids, panel = panel_mod.ingest_csv(input_path, schema)
+    ids, panel, months = panel_mod.ingest_csv(input_path, schema)
     if len(panel) == 0:
-        raise ValidationError(f"ingest input {input_path} has no data rows")
+        raise ValueError(f"ingest input {input_path} has no data rows")
+    order = np.lexsort((panel.period, panel.firm_id))  # so no output depends on the file's order
+    panel, months = panel.select(order), months[order] if december_only else None
+    del order
     if ing["deflator"]:
         panel = panel_mod.deflate(panel, panel_mod.DeflatorSeries.from_csv(ing["deflator"]))
     panel = panel_mod.normalize_by_year(panel)  # the unnormalized sizes go before filter_firms
-    panel, growths, exclusions = panel_mod.filter_firms(panel, min_growth_obs, december_only)
+    panel, growths, exclusions = panel_mod.filter_firms(panel, min_growth_obs, months)
+    del months
     if len(panel) == 0:
-        raise ValidationError("no observations survive the filters")
+        raise ValueError("no observations survive the filters")
 
     out_dir.mkdir(parents=True, exist_ok=True)
     write_table_csv(
@@ -436,7 +434,7 @@ def cmd_reproduce(cfg, args):
         seed = None  # keep the experiment's reference seed
     elif not 0 <= seed < 2**128:  # a Philox key
         where = "[run] seed =" if args.seed is None else "--seed"
-        raise ValidationError(f"{where} {seed} is outside reproduce's range 0 .. 2**128 - 1")
+        raise ValueError(f"{where} {seed} is outside reproduce's range 0 .. 2**128 - 1")
 
     result = run_experiment(name, seed=seed, **overrides)
     write_result(cfg, result, out_dir)

@@ -394,25 +394,19 @@ class Panel:
 
     ``period`` is an integer index: 0, 1, ... on a simulated panel and
     ``4 * year + quarter - 1`` on quarterly data, so one period is one
-    quarter and a year is four.  ``fiscal_year_end_month`` holds each row's
-    fiscal year-end month (-1 where unknown), or None on a simulated panel.
-    ``dataclasses.replace(panel, size=...)`` copies it with new sizes.
+    quarter and a year is four.  ``dataclasses.replace(panel, size=...)``
+    copies it with new sizes.
     """
 
     firm_id: np.ndarray
     period: np.ndarray
     size: np.ndarray
-    fiscal_year_end_month: np.ndarray | None = None
 
     def __post_init__(self):
         self.firm_id = np.asarray(self.firm_id)
         self.period = np.asarray(self.period, dtype=np.int64)
         self.size = np.asarray(self.size, dtype=float)
-        columns = [self.firm_id, self.period, self.size]
-        if self.fiscal_year_end_month is not None:
-            self.fiscal_year_end_month = np.asarray(self.fiscal_year_end_month, dtype=np.int64)
-            columns.append(self.fiscal_year_end_month)
-        if len({len(col) for col in columns}) != 1:
+        if not len(self.firm_id) == len(self.period) == len(self.size):
             raise ValueError("panel columns must have equal length")
 
     def __len__(self):
@@ -422,13 +416,9 @@ class Panel:
     def n_records(self):
         return len(self)
 
-    def select(self, mask):
-        """The rows where `mask` is true, in their order."""
-        months = self.fiscal_year_end_month
-        return Panel(
-            self.firm_id[mask], self.period[mask], self.size[mask],
-            None if months is None else months[mask],
-        )
+    def select(self, rows):
+        """The rows a boolean mask or an index array picks, in its order."""
+        return Panel(self.firm_id[rows], self.period[rows], self.size[rows])
 
     @classmethod
     def read_csv(cls, path):

@@ -40,7 +40,7 @@ _INGEST_CHUNK = 1 << 13  # lines (or csv rows) read at once, so a long export is
 _PLAIN = bytes([9, 10, 13, *range(32, 127)]).replace(b'"', b"")
 
 
-def ingest_csv(path, schema=None) -> tuple[np.ndarray, Panel]:
+def ingest_csv(path, schema=None) -> tuple[np.ndarray, Panel, np.ndarray]:
     """Parse and validate quarterly observations from a CSV file.
 
     `schema` maps the logical fields (firm_id, year, quarter, size, and
@@ -49,12 +49,13 @@ def ingest_csv(path, schema=None) -> tuple[np.ndarray, Panel]:
     the 1-based data row number; duplicate (firm, year, quarter) keys, and
     firm ids that hold a comma, a double quote or a line break (the growth
     CSV writes ids unquoted) or a NUL (NumPy's str arrays drop a trailing
-    one), are rejected the same way.  Returns ``(ids, panel)``: `ids` are
-    the distinct firm ids in ascending order, and `panel` has one row per
-    CSV row, in file order: the index of the row's id in `ids`,
-    period ``4 * year + quarter - 1``, nominal sizes, and fiscal year-end
-    months (-1 where unknown).  ``np.loadtxt`` parses chunks of plain lines;
-    from the first other or failing chunk on, ``csv.reader`` parses the rest.
+    one), are rejected the same way.  Returns ``(ids, panel, months)``: `ids`
+    are the distinct firm ids in ascending order, and `panel` and `months`
+    have one row per CSV row, in file order: the index of the row's id in
+    `ids`, period ``4 * year + quarter - 1`` and nominal size, and the fiscal
+    year-end month (-1 where unknown).  ``np.loadtxt`` parses chunks of plain
+    lines; from the first other or failing chunk on, ``csv.reader`` parses
+    the rest.
     """
     schema = dict(DEFAULT_SCHEMA if schema is None else schema)
     fields = ["firm_id", "year", "quarter", "size"]
@@ -102,7 +103,7 @@ def ingest_csv(path, schema=None) -> tuple[np.ndarray, Panel]:
         what = "holds a comma, a double quote, a line break or a NUL"
         raise ValueError(f"row {row + 1}: firm id {labels[codes[row]]!r} {what}")
     ids, rank = np.unique(np.array(labels), return_inverse=True)
-    return ids, Panel(rank[codes], periods, sizes, months)
+    return ids, Panel(rank[codes], periods, sizes), months
 
 
 def _coded(chunk, code_of):
@@ -290,28 +291,26 @@ class GrowthRecords:
         return len(self.growth)
 
 
-def filter_firms(panel: Panel, min_growth_obs=2, fiscal_december_only=False):
+def filter_firms(panel: Panel, min_growth_obs=2, months=None):
     """Keep firms meeting the active criteria; log every exclusion.
 
     A growth record is the log size difference of a firm's rows exactly four
     quarters apart (gaps are never imputed).  A firm is kept if it has at least
-    `min_growth_obs` records and, under `fiscal_december_only`, only December
-    fiscal year-ends.  Returns (filtered_panel, filtered_growths, exclusion_log):
-    the kept firms' rows and records, each in input row order, and each dropped
-    firm_id's reason code, in ascending firm_id order, so every input firm is
-    either retained or logged.  A repeated (firm, period) pair raises ValueError
-    citing the 1-based rows of its first two occurrences.
+    `min_growth_obs` records and, when `months` gives each row's fiscal
+    year-end month, only December ones.  Returns (filtered_panel,
+    filtered_growths, exclusion_log): the kept firms' rows and records, each
+    in input row order, and each dropped firm_id's reason code, in ascending
+    firm_id order, so every input firm is either retained or logged.  A
+    repeated (firm, period) pair raises ValueError citing the 1-based rows of
+    its first two occurrences.
     """
-    months = panel.fiscal_year_end_month
     if np.any(panel.size <= 0):
         raise ValueError("sizes must be positive to take logs")
-    if fiscal_december_only and months is None:
-        raise ValueError("fiscal_december_only needs fiscal year-end months")
     firms = firm_groups(panel.firm_id, panel.period)
     later = firms.lag_pairs(panel.period, 4)
     n_growth = np.add.reduceat((later >= 0)[firms.order], firms.starts, dtype=np.int64)
     december = np.ones(firms.keys.size, dtype=bool)
-    if fiscal_december_only:
+    if months is not None:
         december = np.logical_and.reduceat((months == 12)[firms.order], firms.starts)
     keep = december & (n_growth >= min_growth_obs)
 

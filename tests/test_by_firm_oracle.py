@@ -54,9 +54,9 @@ def annual_log_growth(panel):
 
 
 def ingest_csv(path, schema=None):
-    """`panel.ingest_csv`'s panel with each firm's rank code decoded back to its id."""
-    ids, panel = ingest_coded(path, schema)
-    return replace(panel, firm_id=ids[panel.firm_id])
+    """`panel.ingest_csv`'s panel, with each firm's rank code decoded back to its id, and months."""
+    ids, panel, months = ingest_coded(path, schema)
+    return replace(panel, firm_id=ids[panel.firm_id]), months
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +109,7 @@ def loop_normalize_by_year(panel):
     return sizes
 
 
-def loop_filter_firms(panel, min_growth_obs=2, fiscal_december_only=False):
+def loop_filter_firms(panel, min_growth_obs=2, months=None):
     firm_of_growth, _, _ = loop_annual_log_growth(panel)
     g_firms, g_counts = np.unique(firm_of_growth, return_counts=True)
     count_by_firm = dict(zip(g_firms.tolist(), g_counts.tolist()))
@@ -117,11 +117,9 @@ def loop_filter_firms(panel, min_growth_obs=2, fiscal_december_only=False):
     exclusion_log = {}
     keep_firms = set()
     for firm in np.unique(panel.firm_id).tolist():
-        if fiscal_december_only:
-            months = panel.fiscal_year_end_month[panel.firm_id == firm]
-            if not np.all(months == 12):
-                exclusion_log[firm] = "fiscal_year_not_december"
-                continue
+        if months is not None and not np.all(months[panel.firm_id == firm] == 12):
+            exclusion_log[firm] = "fiscal_year_not_december"
+            continue
         if count_by_firm.get(firm, 0) < min_growth_obs:
             exclusion_log[firm] = "too_few_growth_rates"
             continue
@@ -282,7 +280,7 @@ def loop_ingest_csv(path, schema=None):
                 f"row {firm_ids.index(firm) + 1}: firm id {firm!r} holds a comma, a double quote,"
                 " a line break or a NUL"
             )
-    return Panel(firm_ids, periods, sizes, months)
+    return Panel(firm_ids, periods, sizes), np.array(months, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +309,8 @@ def firm_panel(seed, string_keys=False, n_firms=300):
 
 
 def quarterly_panel(seed, n_firms=300):
-    """String-keyed quarterly rows: ragged, shuffled, some non-December firms."""
+    """String-keyed quarterly rows, ragged and shuffled, and their fiscal year-end months:
+    some firms' are not December."""
     rng = np.random.default_rng(seed)
     lengths = ragged_lengths(rng, n_firms)
     firm = np.repeat(np.arange(n_firms), lengths)
@@ -320,25 +319,25 @@ def quarterly_panel(seed, n_firms=300):
     fyr = np.where(rng.random(n_firms) < 0.2, 6, 12)
     shuffle = rng.permutation(t.size)
     firm, t = firm[shuffle], t[shuffle]
-    return Panel(
+    panel = Panel(
         firm_id=np.array([f"F{f:05d}" for f in firm.tolist()]),
         period=4 * 2000 + t,
         size=np.exp(rng.normal(0.0, 1.5, t.size)),
-        fiscal_year_end_month=fyr[firm],
     )
+    return panel, fyr[firm]
 
 
 def gapped_panel(seed, offset=0, far=0):
     """A shuffled ragged :func:`quarterly_panel` with about one row in five
     dropped and its periods moved by `offset`.  With `far`, the first row's
     firm moves on until its last period lies `far` above the panel's first."""
-    panel = quarterly_panel(seed)
+    panel, _ = quarterly_panel(seed)
     keep = np.random.default_rng(seed).random(len(panel)) < 0.8
     firm_id, period = panel.firm_id[keep], panel.period[keep] + offset
     if far:
         moved = firm_id == firm_id[0]
         period[moved] += period.min() + far - period[moved].max()
-    return Panel(firm_id, period, panel.size[keep], panel.fiscal_year_end_month[keep])
+    return Panel(firm_id, period, panel.size[keep])
 
 
 # an export with renamed columns, where `fyr` is repeated and its last column
@@ -423,37 +422,39 @@ def test_firm_size_volatility_equal_lengths_matches_loop():
     assert got[2] == ref[2] == 0
 
 
-@pytest.mark.parametrize("fiscal_december_only", [False, True])
+@pytest.mark.parametrize("december_only", [False, True])
 @pytest.mark.parametrize("min_growth_obs", [0, 1, 2, 10])
-def test_filter_firms_matches_loop(min_growth_obs, fiscal_december_only):
-    panel = quarterly_panel(3)
-    kept, growths, log = filter_firms(panel, min_growth_obs, fiscal_december_only)
-    ref_kept, ref_log = loop_filter_firms(panel, min_growth_obs, fiscal_december_only)
-    for column in ("firm_id", "period", "size", "fiscal_year_end_month"):
-        assert_same_array(getattr(kept, column), getattr(ref_kept, column))
+def test_filter_firms_matches_loop(min_growth_obs, december_only):
+    panel, months = quarterly_panel(3)
+    months = months if december_only else None
+    kept, growths, log = filter_firms(panel, min_growth_obs, months)
+    ref_kept, ref_log = loop_filter_firms(panel, min_growth_obs, months)
+    assert_same_panel(kept, ref_kept)
     assert repr(log) == repr(ref_log)
-    assert bool(log) == ((min_growth_obs, fiscal_december_only) != (0, False))  # 0 drops none
+    assert bool(log) == ((min_growth_obs, december_only) != (0, False))  # 0 drops none
     # the selected growth records are those of the filtered panel
     ref_growths = GrowthRecords(*loop_annual_log_growth(ref_kept))
     for column in ("firm_id", "period", "growth"):
         assert_same_array(getattr(growths, column), getattr(ref_growths, column))
 
 
-def renamed_firms(panel, ids):
-    """`panel` with its i-th firm, in ascending id order, renamed ``ids[i]``."""
+def renamed_firms(quarterly, ids):
+    """A (panel, months) pair with its i-th firm, in ascending id order, renamed ``ids[i]``."""
+    panel, months = quarterly
     _, firm = np.unique(panel.firm_id, return_inverse=True)
-    return Panel(ids[firm], panel.period, panel.size, panel.fiscal_year_end_month)
+    return replace(panel, firm_id=ids[firm]), months
 
 
 def few_row_firms():
-    """String ids: "a" has one row and no growth rate, "b" only non-December rows, "c" a
-    non-December month among December ones and "d" only December rows."""
+    """A (panel, months) pair of string ids: "a" has one row and no growth rate, "b" only
+    non-December rows, "c" a non-December month among December ones and "d" only December
+    rows."""
     firm = np.array(["d"] * 9 + ["b"] * 7 + ["a"] + ["c"] * 6)
     period = np.concatenate((np.arange(9), np.arange(3, 10), [4], np.arange(6)))
     months = np.array([12] * 9 + [3] * 7 + [12] + [12, 12, 12, 6, 12, 12])
     shuffle = np.random.default_rng(4).permutation(firm.size)
     size = np.exp(np.random.default_rng(5).normal(0.0, 1.0, firm.size))
-    return Panel(firm[shuffle], 4 * 2001 + period[shuffle], size, months[shuffle])
+    return Panel(firm[shuffle], 4 * 2001 + period[shuffle], size), months[shuffle]
 
 
 def ids_with_gaps(n):
@@ -464,7 +465,7 @@ def ids_beyond_2_40(n):
     return np.sort(np.random.default_rng(7).choice(2**50, n, replace=False) - 2**49)
 
 
-@pytest.mark.parametrize("fiscal_december_only", [False, True])
+@pytest.mark.parametrize("december_only", [False, True])
 @pytest.mark.parametrize("min_growth_obs", [0, 1, 2, 10])
 @pytest.mark.parametrize("make, dropped_span", [
     (lambda: renamed_firms(quarterly_panel(8), ids_with_gaps(300)), 0),
@@ -473,20 +474,21 @@ def ids_beyond_2_40(n):
     (few_row_firms, None),
 ], ids=["int_gaps_negative", "int_beyond_2_40", "string_few_rows"])
 def test_filter_firms_of_more_ids_matches_loop(make, dropped_span, min_growth_obs,
-                                              fiscal_december_only):
-    panel = make()
-    kept, growths, log = filter_firms(panel, min_growth_obs, fiscal_december_only)
-    ref_kept, ref_log = loop_filter_firms(panel, min_growth_obs, fiscal_december_only)
+                                              december_only):
+    panel, months = make()
+    months = months if december_only else None
+    kept, growths, log = filter_firms(panel, min_growth_obs, months)
+    ref_kept, ref_log = loop_filter_firms(panel, min_growth_obs, months)
     assert_same_panel(kept, ref_kept)
     assert repr(log) == repr(ref_log)  # the same keys, in the same order
     ref_growths = GrowthRecords(*loop_annual_log_growth(ref_kept))
     for column in ("firm_id", "period", "growth"):
         assert_same_array(getattr(growths, column), getattr(ref_growths, column))
-    if (min_growth_obs, fiscal_december_only) == (0, False):
+    if (min_growth_obs, december_only) == (0, False):
         assert not log  # no criterion drops a firm
     elif dropped_span is not None:
         assert np.ptp(list(log)) > dropped_span
-    if fiscal_december_only and min_growth_obs == 2:
+    if december_only and min_growth_obs == 2:
         assert set(log.values()) == {"too_few_growth_rates", "fiscal_year_not_december"}
 
 
@@ -573,14 +575,13 @@ def test_every_path_cites_the_same_repeat(tmp_path):
 
 @pytest.mark.parametrize("seed", [4, 5])
 def test_normalize_by_year_matches_loop(seed):
-    panel = quarterly_panel(seed)
+    panel, _ = quarterly_panel(seed)
     # one more row alone in its year, placed mid-panel
     at = panel.size.size // 2
     panel = Panel(
         firm_id=np.insert(panel.firm_id, at, "F99999"),
         period=np.insert(panel.period, at, 4 * 1990 + 2),
         size=np.insert(panel.size, at, 3.25),
-        fiscal_year_end_month=np.insert(panel.fiscal_year_end_month, at, 12),
     )
     assert np.count_nonzero(panel.period // 4 == 1990) == 1
     assert np.any(np.diff(panel.period) < 0)
@@ -589,7 +590,7 @@ def test_normalize_by_year_matches_loop(seed):
 
 @pytest.mark.parametrize("seed", [4, 5])
 def test_descriptive_stats_matches_loop(seed):
-    panel = quarterly_panel(seed)
+    panel, _ = quarterly_panel(seed)
     assert repr(descriptive_stats(panel, annual_log_growth(panel))) == repr(
         loop_descriptive_stats(panel)
     )
@@ -730,8 +731,14 @@ def test_reduce_after_select_matches_groups_of_those_rows():
 
 
 def assert_same_panel(a, b):
-    for name in ("firm_id", "period", "size", "fiscal_year_end_month"):
+    for name in ("firm_id", "period", "size"):
         assert_same_array(getattr(a, name), getattr(b, name))
+
+
+def assert_same_ingest(got, expected):
+    """Two (panel, months) pairs, as :func:`ingest_csv` and :func:`loop_ingest_csv` give."""
+    assert_same_panel(got[0], expected[0])
+    assert_same_array(got[1], expected[1])
 
 
 @pytest.mark.parametrize("seed, n_firms, shuffle, blank_every", [
@@ -742,11 +749,11 @@ def assert_same_panel(a, b):
 def test_ingest_csv_matches_loop(tmp_path, seed, n_firms, shuffle, blank_every):
     rows = export_rows(seed, n_firms, shuffle)
     path = write_export(tmp_path / "export.csv", rows, blank_every)
-    panel = ingest_csv(path, EXPORT_SCHEMA)
-    assert_same_panel(panel, loop_ingest_csv(path, EXPORT_SCHEMA))
+    panel, months = ingest_csv(path, EXPORT_SCHEMA)
+    assert_same_ingest((panel, months), loop_ingest_csv(path, EXPORT_SCHEMA))
     if n_firms > 100:
         assert len(panel) > _INGEST_CHUNK
-    assert {-1, 3, 6, 7, 9, 12} == set(panel.fiscal_year_end_month.tolist())
+    assert {-1, 3, 6, 7, 9, 12} == set(months.tolist())
 
 
 @pytest.mark.parametrize("text", ["", "gvkey,fyr,fyearq,fqtr,atq\n", "\n"],
@@ -761,7 +768,7 @@ def test_ingest_csv_of_no_rows_matches_loop(tmp_path, text):
             ingest_csv(path, EXPORT_SCHEMA)
         assert str(got.value) == str(exc)
     else:
-        assert_same_panel(ingest_csv(path, EXPORT_SCHEMA), expected)
+        assert_same_ingest(ingest_csv(path, EXPORT_SCHEMA), expected)
 
 
 def set_field(row, column, value):
@@ -840,7 +847,7 @@ def test_ingest_csv_periods_beyond_int64_match_loop(tmp_path, year, overflows):
             with pytest.raises(OverflowError, match="Python int too large to convert to C long"):
                 parse(path)
     else:
-        assert_same_panel(ingest_csv(path), loop_ingest_csv(path))
+        assert_same_ingest(ingest_csv(path), loop_ingest_csv(path))
 
 
 # ---------------------------------------------------------------------------
@@ -927,12 +934,12 @@ def assert_same_outcome(path):
             ingest_csv(path, EXPORT_SCHEMA)
         assert str(got.value) == str(exc)
     else:
-        assert_same_panel(ingest_csv(path, EXPORT_SCHEMA), expected)
+        assert_same_ingest(ingest_csv(path, EXPORT_SCHEMA), expected)
 
 
 def test_plain_ingest_matches_loop(tmp_path, plain_export):
     path = write_lines(tmp_path / "export.csv", plain_export, ["\n"] * len(plain_export))
-    assert_same_panel(ingest_csv(path, EXPORT_SCHEMA), loop_ingest_csv(path, EXPORT_SCHEMA))
+    assert_same_ingest(ingest_csv(path, EXPORT_SCHEMA), loop_ingest_csv(path, EXPORT_SCHEMA))
 
 
 @pytest.mark.parametrize("case", list(PLAIN_TRAPS))
@@ -989,7 +996,7 @@ def test_plain_chunks_skip_the_csv_reader(tmp_path, monkeypatch, plain_export):
     ends = ["\n"] * len(plain_export)
     path = write_lines(tmp_path / "plain.csv", plain_export, ends)
     monkeypatch.setattr(panel_module, "_parse_rows", refuse)
-    assert len(ingest_csv(path, EXPORT_SCHEMA)) == len(plain_export)
+    assert len(ingest_csv(path, EXPORT_SCHEMA)[0]) == len(plain_export)
     rows = [*plain_export[:-1], 'a"b,' + ",".join(plain_export[-1][1:])]  # one double quote
     path = write_lines(tmp_path / "quoted.csv", rows, ends)
     monkeypatch.setattr(panel_module, "_parse_rows", record)
@@ -1066,8 +1073,8 @@ def test_ingest_csv_codes_are_the_ranks_of_the_ids(tmp_path):
         firm = firms[-1] if i in first_seen else firms[i % len(firms)]
         rows.append([firm, "decoy", str(1000 + i // 4), str(i % 4 + 1), "1.5", "", "12"])
     path = write_export(tmp_path / "export.csv", rows)
-    ids, panel = ingest_coded(path, EXPORT_SCHEMA)
-    loop_ids = loop_ingest_csv(path, EXPORT_SCHEMA).firm_id
+    ids, panel, _ = ingest_coded(path, EXPORT_SCHEMA)
+    loop_ids = loop_ingest_csv(path, EXPORT_SCHEMA)[0].firm_id
     assert ids.tolist() == ["010", "10", "9", "B", "Zürich", "a"]
     assert (ids[:-1] < ids[1:]).all()
     expected_ids, expected_codes = np.unique(loop_ids, return_inverse=True)

@@ -523,11 +523,12 @@ class TestIngest:
 
     def test_pinned_output_bytes(self, tmp_path):
         # string ids under renamed columns, a gap, a non-December and an
-        # unknown fiscal year end under fiscal_december_only, and a deflator
+        # unknown fiscal year end under fiscal_december_only, and a deflator;
+        # growth.csv is in (firm, period) order though the export is not
         assert main(["--config", str(write_pinned_ingest(tmp_path)), "ingest"]) == 0
         out = tmp_path / "out"
         assert sha(out / "growth.csv") == (
-            "7df0f7e5b2961e362c10af6b49d47ba3cb6c9665282e24d319ba99cd798bb5a3"
+            "778877fd521c3854d4418baf60cd5f20b17881c520e660cf411b13bb0788d194"
         )
         assert sha(out / "descriptive_stats.csv") == (
             "c7af374aec8771c99bac421d37b5ee097dd616b9b5ae9c9f09b5c9353dae60dc"
@@ -542,6 +543,36 @@ class TestIngest:
             },
             "n_retained_firms": 3,
         }
+
+    def test_row_order_does_not_change_the_outputs(self, tmp_path):
+        # an export written in (firm, period) order and shuffled: the same bytes, where
+        # summing each year in file order would change the last digits
+        rng = np.random.default_rng(5)
+        rows = [
+            f"F{firm:03d},{2000 + t // 4},{t % 4 + 1},{size!r},{12 if firm % 7 else 6}"
+            for firm in range(150)
+            for t, size in zip(range(rng.integers(0, 8), 48),
+                               np.exp(rng.normal(0.0, 2.0, 48)).tolist())
+            if rng.random() < 0.9
+        ]
+        data = tmp_path / "quarters.csv"
+        cfg = write_config(
+            tmp_path,
+            f"[run]\nout_dir = {tmp_path}\n[ingest]\ninput = {data}\n"
+            "fiscal_year_end_month_col = fyr\nfiscal_december_only = true\n",
+        )
+        outputs = []
+        for order in (np.arange(len(rows)), rng.permutation(len(rows))):
+            data.write_text("firm_id,year,quarter,size,fyr\n" + "".join(
+                rows[i] + "\n" for i in order.tolist()
+            ))
+            out = tmp_path / f"out{len(outputs)}"
+            assert main(["--config", cfg, "--out-dir", str(out), "ingest"]) == 0
+            outputs.append([
+                (out / name).read_bytes()
+                for name in ("growth.csv", "descriptive_stats.csv", "exclusions.json")
+            ])
+        assert outputs[0] == outputs[1]
 
     def test_missing_deflator_is_validation_error(self, tmp_path, capsys):
         cfg = write_pinned_ingest(tmp_path)
@@ -695,6 +726,24 @@ class TestReproduce:
         cfg = write_config(tmp_path, f"[run]\nout_dir = {out}\n\n[reproduce]\n{line}\n")
         assert main(["--config", cfg, "reproduce", experiment]) == 1
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("experiment, lines, message", [
+        ("fig3", "n_bins = 3\nn_per_class = 200\nwarmup_classes = 2",
+         "n_bins must be >= 25 (a probe bin), got 3"),
+        ("laplace_sum", "n_sums = 0", "n_sums must be >= 1, got 0"),
+        ("laplace_sum", "n_bins = 0", "n_bins must be >= 1, got 0"),
+        ("laplace_sum", "support = 0", "support must be positive and finite, got 0.0"),
+        ("fig1_left", "n_firms = 20000\nmin_bin_firms = 100000000",
+         "min_bin_firms = 100000000 leaves no size bin to test"),
+    ], ids=["fig3_fewer_bins_than_probed", "laplace_sum_no_sums", "laplace_sum_no_bins",
+            "laplace_sum_no_support", "fig1_left_no_bin_large_enough"])
+    def test_override_that_would_test_nothing_exits_1_naming_it(self, tmp_path, capsys,
+                                                                experiment, lines, message):
+        out = tmp_path / "rep"
+        cfg = write_config(tmp_path, f"[run]\nout_dir = {out}\n\n[reproduce]\n{lines}\n")
+        assert main_without_warnings(["--config", cfg, "reproduce", experiment]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not out.exists()
 
     def test_default_section_keys_are_not_overrides(self, tmp_path):
@@ -1040,6 +1089,27 @@ class TestExitCodes:
         cfg = write_config(tmp_path, f"[run]\nout_dir = {out}\n[ingest]\ninput = {missing}\n")
         assert main(["--config", cfg, "ingest"]) == 1
         assert capsys.readouterr().err == f"error: ingest input not found: {str(missing)!r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, what", [
+        (["analyze", "--panel", "{dir}"], "panel file"),
+        (["fit", "--family", "mig", "--input", "{dir}"], "fit input"),
+        (["fit", "--family", "gse", "--input", "{dir}"], "fit input"),
+        (["ingest", "--input", "{dir}"], "ingest input"),
+        (["ingest"], "ingest deflator"),
+    ], ids=["analyze_panel", "fit_mig_input", "fit_gse_input", "ingest_input", "ingest_deflator"])
+    def test_input_that_is_a_directory_exits_1_naming_it(self, tmp_path, capsys, command, what):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        data = tmp_path / "quarters.csv"
+        data.write_text("firm_id,year,quarter,size\na,2000,1,1.0\na,2001,1,2.0\n")
+        out = tmp_path / "out"
+        cfg = write_config(
+            tmp_path, f"[run]\nout_dir = {out}\n[ingest]\ninput = {data}\ndeflator = {folder}\n"
+        )
+        argv = [arg.format(dir=folder) for arg in command]
+        assert main(["--config", cfg, *argv]) == 1
+        assert capsys.readouterr().err == f"error: {what} not found: {str(folder)!r}\n"
         assert not out.exists()
 
     def test_missing_config_file_exits_1(self, tmp_path, capsys):

@@ -219,15 +219,16 @@ class TestSimulatePanel:
 
     def test_select(self):
         panel, _ = simulate_panel(wb_params(), 4, 3, seed=4)
-        assert panel.fiscal_year_end_month is None and len(panel) == panel.n_records == 12
+        assert len(panel) == panel.n_records == 12
         later = panel.select(panel.period >= 1)
         assert later.period.tolist() == [1, 2] * 4
         assert later.size.tobytes() == panel.size[panel.period >= 1].tobytes()
-        quarterly = Panel(["b", "a"], [8000, 8001], [1.0, 2.0], [12, -1])
-        assert quarterly.select([False, True]).fiscal_year_end_month.tolist() == [-1]
+        quarterly = Panel(["b", "a"], [8000, 8001], [1.0, 2.0])
+        swapped = quarterly.select([1, 0])  # an index array picks rows in its order
+        assert swapped.firm_id.tolist() == ["a", "b"] and swapped.period.tolist() == [8001, 8000]
         assert quarterly.firm_id.tolist() == ["b", "a"]
         with pytest.raises(ValueError, match="equal length"):
-            Panel(["a"], [8000], [1.0], [12, 12])
+            Panel(["a"], [8000], [1.0, 2.0])
 
     def test_validation(self):
         with pytest.raises(ValueError):

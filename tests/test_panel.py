@@ -21,9 +21,9 @@ def annual_log_growth(panel):
 
 
 def ingest_csv(path, schema=None):
-    """`panel.ingest_csv`'s panel with each firm's rank code decoded back to its id."""
-    ids, panel = ingest_coded(path, schema)
-    return replace(panel, firm_id=ids[panel.firm_id])
+    """`panel.ingest_csv`'s panel, with each firm's rank code decoded back to its id, and months."""
+    ids, panel, months = ingest_coded(path, schema)
+    return replace(panel, firm_id=ids[panel.firm_id]), months
 
 
 def make_panel(rows):
@@ -32,8 +32,12 @@ def make_panel(rows):
         np.array([r[0] for r in rows]),
         [4 * r[1] + r[2] - 1 for r in rows],
         [r[3] for r in rows],
-        [r[4] if len(r) > 4 else -1 for r in rows],
     )
+
+
+def fiscal_months(rows):
+    """The fiscal year-end months of :func:`make_panel`'s rows, -1 where a row gives none."""
+    return np.array([r[4] if len(r) > 4 else -1 for r in rows])
 
 
 def quarterly_firm(firm, sizes, start_year=2000, fiscal=12):
@@ -49,15 +53,15 @@ class TestIngest:
         path.write_text(
             "firm_id,year,quarter,size\nf1,2000,1,10.5\nf2,2000,1,3.25\n"
         )
-        panel = ingest_csv(path)
-        assert len(panel) == 2
-        first = (panel.firm_id[0], panel.period[0], panel.size[0], panel.fiscal_year_end_month[0])
+        panel, months = ingest_csv(path)
+        assert len(panel) == len(months) == 2
+        first = (panel.firm_id[0], panel.period[0], panel.size[0], months[0])
         assert first == ("f1", 4 * 2000 + 1 - 1, 10.5, -1)
 
     def test_custom_schema(self, tmp_path):
         path = tmp_path / "export.csv"
         path.write_text("gvkey,fyearq,fqtr,saleq,fyr\nA,1999,4,7.0,12\n")
-        panel = ingest_csv(
+        panel, months = ingest_csv(
             path,
             schema={
                 "firm_id": "gvkey",
@@ -68,14 +72,14 @@ class TestIngest:
             },
         )
         assert panel.firm_id[0] == "A" and panel.period[0] == 4 * 1999 + 4 - 1
-        assert panel.fiscal_year_end_month[0] == 12
+        assert months[0] == 12
 
     def test_short_row_leaves_fiscal_month_unknown(self, tmp_path):
         path = tmp_path / "short.csv"
         path.write_text("firm_id,year,quarter,size,fyr\nf1,2000,1,1.0,12\nf1,2000,2,1.0\n")
         schema = {"firm_id": "firm_id", "year": "year", "quarter": "quarter", "size": "size",
                   "fiscal_year_end_month": "fyr"}
-        assert ingest_csv(path, schema).fiscal_year_end_month.tolist() == [12, -1]
+        assert ingest_csv(path, schema)[1].tolist() == [12, -1]
 
     def test_non_integer_fiscal_month_cites_row(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -289,7 +293,7 @@ class TestFilterFirms:
         noflag = [("noflag", 2000, q, 1.0) for q in (1, 2, 3, 4)]
         noflag += [("noflag", 2001, q, 1.0) for q in (1, 2, 3, 4)]
         panel = make_panel(rows + noflag)
-        kept, _, log = filter_firms(panel, min_growth_obs=2, fiscal_december_only=True)
+        kept, _, log = filter_firms(panel, min_growth_obs=2, months=fiscal_months(rows + noflag))
         assert set(np.unique(kept.firm_id)) == {"dec"}
         assert log["june"] == "fiscal_year_not_december"
         assert log["noflag"] == "fiscal_year_not_december"
